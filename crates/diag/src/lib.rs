@@ -319,21 +319,9 @@ impl<C: DiagCode> fmt::Display for Report<C> {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes a string for embedding in a JSON string literal (the one
+/// escaper, shared with the trace sinks).
+pub use an_obs::json_escape as escape_json;
 
 #[cfg(test)]
 mod tests {

@@ -106,6 +106,17 @@ impl Expr {
         }
     }
 
+    /// Number of arithmetic operations (binary operators and negations)
+    /// one evaluation performs — the unit the cost evaluators charge
+    /// `compute_per_op` for.
+    pub fn op_count(&self) -> u64 {
+        match self {
+            Expr::Access(_) | Expr::Lit(_) | Expr::Coef(_) => 0,
+            Expr::Neg(a) => 1 + a.op_count(),
+            Expr::Bin(_, a, b) => 1 + a.op_count() + b.op_count(),
+        }
+    }
+
     /// Rewrites all references into a new variable space via
     /// `old_vars = M · new_vars`.
     ///
@@ -163,6 +174,8 @@ mod tests {
         assert_eq!(reads.len(), 2);
         assert_eq!(reads[0].array, ArrayId(0));
         assert_eq!(reads[1].array, ArrayId(1));
+        // add, mul and neg are operations; the accesses and the literal are not.
+        assert_eq!(e.op_count(), 3);
     }
 
     #[test]

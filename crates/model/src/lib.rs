@@ -12,6 +12,14 @@
 //! as arithmetic series, so a loop of a million iterations prices in a
 //! handful of evaluations.
 //!
+//! Both evaluators price one structure, [`an_numa::plan::Plan`]:
+//! extents, flattened distribution subscripts, transfer coverage and
+//! prices, the outer-assignment filter, the transfer-home test and the
+//! walk over the loop levels above the collapse level all live there.
+//! This crate holds only what makes the evaluation closed-form — the
+//! class modulus, the probe lines, the per-class series and the
+//! interval-intersection Block2D count.
+//!
 //! The contract is exactness, not approximation: every integer counter
 //! (`local_accesses`, `remote_accesses`, `messages`, `transfer_bytes`,
 //! `outer_iterations`) equals the simulator's bit-for-bit. Busy/total
@@ -22,22 +30,14 @@
 //! harness can prove the oracle actually bites.
 
 use an_codegen::spmd::{OuterAssignment, SpmdProgram};
-use an_codegen::transfers::BlockTransfer;
-use an_ir::{Distribution, Expr, Stmt};
-use an_linalg::{div_ceil, div_floor, gcd, mod_floor};
+use an_ir::Distribution;
+use an_linalg::gcd;
 use an_numa::distribution::{
-    block_size, count_interval_hits, count_wrapped_hits, grid_shape, home_of, validate_extents,
+    block_interval, block_size, count_interval_hits, count_wrapped_hits, grid_shape,
+    invert_interval,
 };
-use an_numa::{
-    FaultStats, MachineConfig, ProcStats, SimError, SimStats, SweepConfig, SweepPoint, SweepReport,
-};
-use an_poly::Affine;
-
-/// Sentinel interval endpoints mirroring the simulator's open-ended
-/// edge blocks (`i64::MIN / 4` / `i64::MAX / 4` leave headroom for the
-/// affine arithmetic around them).
-const SENT_LO: i64 = i64::MIN / 4;
-const SENT_HI: i64 = i64::MAX / 4;
+use an_numa::plan::{evaluate, Dist, Evaluator, Flat, Plan, Transfer};
+use an_numa::{MachineConfig, ProcStats, SimError, SimStats, SweepConfig, SweepReport};
 
 /// Largest class modulus the analytic path accepts; beyond it (huge
 /// skew divisors or coefficient lcms) the collapse falls back to exact
@@ -152,96 +152,9 @@ fn model_stats_inner(
     jobs: usize,
     mutation: Mutation,
 ) -> Result<SimStats, SimError> {
-    if procs == 0 {
-        return Err(SimError::NoProcessors);
-    }
-    let program = &spmd.program;
-    if params.len() != program.params.len() {
-        return Err(SimError::BadParameters {
-            expected: program.params.len(),
-            got: params.len(),
-        });
-    }
-    validate_extents(program, params)?;
-    let plan = MPlan::build(spmd, machine, procs, params, mutation);
-    let results = an_par::par_map_indexed(procs, jobs, |p| plan.run_processor(p));
-    let mut per_proc = Vec::with_capacity(procs);
-    for r in results {
-        per_proc.push(r?);
-    }
-    let time_us = if spmd.outer_carried {
-        per_proc.iter().map(|s| s.busy_us).sum()
-    } else {
-        per_proc.iter().map(|s| s.busy_us).fold(0.0, f64::max)
-    };
-    Ok(SimStats {
-        procs,
-        time_us,
-        per_proc,
-        faults: FaultStats::default(),
+    evaluate(spmd, machine, procs, params, jobs, |plan, p| {
+        Model { plan, mutation }.run_processor(p)
     })
-}
-
-/// Distribution plan for one access, with the innermost *and* collapse
-/// coefficients of the distribution subscript(s) pre-flattened.
-enum MDist {
-    Local,
-    Wrapped {
-        a: i64,
-        base: i128,
-        coeffs: Vec<i64>,
-    },
-    Blocked {
-        a: i64,
-        base: i128,
-        coeffs: Vec<i64>,
-        size: i64,
-    },
-    Block2D {
-        row: (i64, i128, Vec<i64>),
-        col: (i64, i128, Vec<i64>),
-        sr: i64,
-        sc: i64,
-        pr: usize,
-        pc: usize,
-    },
-}
-
-struct MAccess {
-    dist: MDist,
-    covered: bool,
-}
-
-/// `(inner coefficient, params-resolved base, coefficients with the
-/// innermost slot zeroed)` — the same flattening the simulator applies.
-fn flatten(s: &Affine, inner: usize, params: &[i64]) -> (i64, i128, Vec<i64>) {
-    let mut base = s.constant_term() as i128;
-    for (c, v) in s.param_coeffs().iter().zip(params) {
-        base += *c as i128 * *v as i128;
-    }
-    let mut outer = s.var_coeffs().to_vec();
-    let a = outer.get(inner).copied().unwrap_or(0);
-    if inner < outer.len() {
-        outer[inner] = 0;
-    }
-    (a, base, outer)
-}
-
-#[inline]
-fn eval_flat(base: i128, coeffs: &[i64], point: &[i64]) -> i64 {
-    let mut acc = base;
-    for (c, v) in coeffs.iter().zip(point) {
-        acc += *c as i128 * *v as i128;
-    }
-    i64::try_from(acc).expect("affine evaluation overflow")
-}
-
-fn count_ops(e: &Expr) -> u64 {
-    match e {
-        Expr::Access(_) | Expr::Lit(_) | Expr::Coef(_) => 0,
-        Expr::Neg(a) => 1 + count_ops(a),
-        Expr::Bin(_, a, b) => 1 + count_ops(a) + count_ops(b),
-    }
 }
 
 fn div_floor_i128(a: i128, b: i128) -> i128 {
@@ -265,24 +178,6 @@ enum UFilter {
     /// Membership is constant on each residue class mod `M` (the test
     /// is a `mod P` residue and `P | M`); evaluate once per class.
     ClassConstant,
-}
-
-/// The w-interval on which `a·w + c` lands in `[blo, bhi]` (sentinel
-/// endpoints included), mirroring [`count_interval_hits`].
-fn invert_interval(a: i64, c: i64, blo: i64, bhi: i64) -> (i64, i64) {
-    if a > 0 {
-        (div_ceil(blo - c, a), div_floor(bhi - c, a))
-    } else {
-        (div_ceil(bhi - c, a), div_floor(blo - c, a))
-    }
-}
-
-/// Block interval of grid target `t` (size `s`, `g` blocks), open-ended
-/// at the grid edges exactly like `home_of`'s clamp.
-fn block_interval(t: i64, s: i64, g: i64) -> (i64, i64) {
-    let lo = if t == 0 { SENT_LO } else { t * s };
-    let hi = if t == g - 1 { SENT_HI } else { (t + 1) * s - 1 };
-    (lo, hi)
 }
 
 /// Counts `w ∈ [lo, hi]` whose Block2D home is processor `p` — the
@@ -392,165 +287,57 @@ fn components(s: &Sample) -> Vec<i128> {
     v
 }
 
-struct MPlan<'a> {
-    spmd: &'a SpmdProgram,
-    machine: &'a MachineConfig,
-    procs: usize,
-    params: &'a [i64],
-    extents: Vec<Vec<i64>>,
-    /// Per statement: (operation count, access plans). Access arrays are
-    /// kept for the Block2D slow checks in tests.
-    stmts: Vec<(u64, Vec<MAccess>)>,
-    transfers_at: Vec<Vec<&'a BlockTransfer>>,
-    /// Per collapse-level transfer: `(bytes, cost_us)`.
-    transfer_costs: Vec<(u64, f64)>,
-    remote_us: f64,
+/// The closed-form evaluator of a [`Plan`]: the shared walk enumerates
+/// the levels above `n − 2`, and this collapses level `n − 2` (with the
+/// innermost loop under it) into residue classes.
+struct Model<'p, 'a> {
+    plan: &'p Plan<'a>,
     mutation: Mutation,
-    n_access: usize,
 }
 
-impl<'a> MPlan<'a> {
-    fn build(
-        spmd: &'a SpmdProgram,
-        machine: &'a MachineConfig,
-        procs: usize,
-        params: &'a [i64],
-        mutation: Mutation,
-    ) -> MPlan<'a> {
-        let program = &spmd.program;
-        let extents: Vec<Vec<i64>> = program.arrays.iter().map(|a| a.extents(params)).collect();
-        let n = program.nest.depth();
-        let inner = n - 1;
-        let mut transfers_at = vec![Vec::new(); n];
-        for t in &spmd.transfers {
-            transfers_at[t.level].push(t);
-        }
-        let stmts: Vec<(u64, Vec<MAccess>)> = program
-            .nest
-            .body
-            .iter()
-            .map(|stmt| {
-                let Stmt::Assign { lhs, rhs } = stmt else {
-                    return (0, Vec::new());
-                };
-                let reads = rhs.reads();
-                let mut accesses = Vec::with_capacity(1 + reads.len());
-                accesses.push(Self::plan_access(
-                    spmd, procs, &extents, params, inner, lhs, true,
-                ));
-                for r in reads {
-                    accesses.push(Self::plan_access(
-                        spmd, procs, &extents, params, inner, r, false,
-                    ));
-                }
-                (count_ops(rhs), accesses)
-            })
-            .collect();
-        let n_access = stmts.iter().map(|(_, a)| a.len()).sum();
-        let cl = n.saturating_sub(2);
-        let transfer_costs = transfers_at[cl]
-            .iter()
-            .map(|t| {
-                let elements = t.elements(program, params);
-                let bytes = (elements.max(0) as u64) * machine.element_bytes as u64;
-                (bytes, machine.transfer_cost(elements, procs))
-            })
-            .collect();
-        MPlan {
-            spmd,
-            machine,
-            procs,
-            params,
-            extents,
-            stmts,
-            transfers_at,
-            transfer_costs,
-            remote_us: machine.remote_effective(procs),
-            mutation,
-            n_access,
+impl Evaluator for Model<'_, '_> {
+    fn leaf(&self, p: usize, point: &mut [i64], stats: &mut ProcStats) -> Result<bool, SimError> {
+        if point.len() == 1 {
+            self.depth1(p, point, stats)
+        } else {
+            self.collapse(p, point, stats)
         }
     }
 
-    fn plan_access(
-        spmd: &'a SpmdProgram,
-        procs: usize,
-        extents: &[Vec<i64>],
-        params: &[i64],
-        inner: usize,
-        r: &an_ir::ArrayRef,
-        is_write: bool,
-    ) -> MAccess {
-        let program = &spmd.program;
-        let decl = program.array(r.array);
-        let dist = match decl.distribution {
-            Distribution::Replicated => MDist::Local,
-            _ if procs == 1 => MDist::Local,
-            Distribution::Wrapped { dim } => {
-                let (a, base, coeffs) = flatten(&r.subscripts[dim], inner, params);
-                MDist::Wrapped { a, base, coeffs }
-            }
-            Distribution::Blocked { dim } => {
-                let (a, base, coeffs) = flatten(&r.subscripts[dim], inner, params);
-                MDist::Blocked {
-                    a,
-                    base,
-                    coeffs,
-                    size: block_size(extents[r.array.0][dim], procs),
-                }
-            }
-            Distribution::Block2D { row_dim, col_dim } => {
-                let (pr, pc) = grid_shape(procs);
-                MDist::Block2D {
-                    row: flatten(&r.subscripts[row_dim], inner, params),
-                    col: flatten(&r.subscripts[col_dim], inner, params),
-                    sr: block_size(extents[r.array.0][row_dim], pr),
-                    sc: block_size(extents[r.array.0][col_dim], pc),
-                    pr,
-                    pc,
-                }
-            }
-        };
-        let covered = !is_write
-            && !decl.distribution.dims().is_empty()
-            && decl.distribution.dims().iter().all(|&dim| {
-                spmd.transfers
-                    .iter()
-                    .any(|t| t.array == r.array && t.dim == dim && t.subscript == r.subscripts[dim])
-            });
-        MAccess { dist, covered }
+    fn transfer(&self, t: &Transfer<'_>, p: usize, point: &[i64], stats: &mut ProcStats) {
+        if self.plan.transfer_fires(t.block, p, point) {
+            t.charge(stats);
+        }
     }
+}
 
+impl Model<'_, '_> {
     /// The processor whose ownership plane prices the accesses — `p`
     /// for the faithful model, shifted under the mutation.
     fn p_access(&self, p: usize) -> usize {
         match self.mutation {
-            Mutation::WrongOwnershipPlane => (p + 1) % self.procs,
+            Mutation::WrongOwnershipPlane => (p + 1) % self.plan.procs,
             _ => p,
         }
     }
 
+    /// Takes over from the shared walk at the collapse level `n − 2`
+    /// (level 0 for depth-1 nests, which [`Self::depth1`] enumerates).
     fn run_processor(&self, p: usize) -> Result<ProcStats, SimError> {
-        let mut stats = ProcStats::default();
-        let n = self.spmd.program.nest.depth();
-        let mut point = vec![0i64; n];
-        if n == 1 {
-            self.depth1(p, &mut point, &mut stats)?;
-        } else {
-            self.walk(0, p, &mut point, &mut stats)?;
-        }
-        Ok(stats)
+        let depth = self.plan.spmd.program.nest.depth();
+        self.plan.run_processor(self, depth.saturating_sub(2), p)
     }
 
     /// Depth-1 nests have no loop to collapse; mirror the simulator's
     /// per-iteration pricing (already O(extent)).
-    fn depth1(&self, p: usize, point: &mut [i64], stats: &mut ProcStats) -> Result<(), SimError> {
-        let bounds = &self.spmd.program.nest.bounds[0];
-        let (lo, hi) = bounds
-            .eval(point, self.params)
+    fn depth1(&self, p: usize, point: &mut [i64], stats: &mut ProcStats) -> Result<bool, SimError> {
+        let plan = self.plan;
+        let (lo, hi) = plan.spmd.program.nest.bounds[0]
+            .eval(point, plan.params)
             .ok_or(SimError::UnboundedLoop { var: 0 })?;
-        let mut acc = Acc::new(self.n_access, self.transfers_at[0].len());
+        let mut acc = Acc::new(plan.n_access, plan.transfers_at[0].len());
         for v in lo..=hi {
-            if !self.executes_level(0, p, v) {
+            if !plan.executes_level(0, p, v) {
                 continue;
             }
             point[0] = v;
@@ -561,190 +348,16 @@ impl<'a> MPlan<'a> {
         }
         point[0] = 0;
         self.fold(0, &acc, stats);
-        Ok(())
-    }
-
-    /// Explicit walk above the collapse level: exactly the simulator's
-    /// `walk`, recursing until level `n − 2` where the collapse takes
-    /// over.
-    fn walk(
-        &self,
-        level: usize,
-        p: usize,
-        point: &mut Vec<i64>,
-        stats: &mut ProcStats,
-    ) -> Result<bool, SimError> {
-        let n = self.spmd.program.nest.depth();
-        let cl = n - 2;
-        if level == cl {
-            return self.collapse(p, point, stats);
-        }
-        let bounds = &self.spmd.program.nest.bounds[level];
-        let (lo, hi) = bounds
-            .eval(point, self.params)
-            .ok_or(SimError::UnboundedLoop { var: level })?;
-        let mut any = false;
-        for v in lo..=hi {
-            point[level] = v;
-            if level <= 1 && !self.executes_level(level, p, v) {
-                continue;
-            }
-            let worked = self.walk(level + 1, p, point, stats)?;
-            if worked {
-                any = true;
-                if level == 0 {
-                    stats.outer_iterations += 1;
-                }
-                for t in &self.transfers_at[level] {
-                    self.cost_transfer(t, p, point, stats);
-                }
-            }
-        }
-        point[level] = 0;
-        Ok(any)
-    }
-
-    fn cost_transfer(&self, t: &BlockTransfer, p: usize, point: &[i64], stats: &mut ProcStats) {
-        if self.procs == 1 {
-            return;
-        }
-        let decl = self.spmd.program.array(t.array);
-        if decl.distribution == Distribution::Replicated {
-            return;
-        }
-        let s_val = t.subscript.eval(point, self.params);
-        let mut idx = vec![0i64; decl.rank()];
-        idx[t.dim] = s_val;
-        let home = home_of(decl, &self.extents[t.array.0], &idx, self.procs);
-        if home.is_local_to(p) {
-            return;
-        }
-        let elements = t.elements(&self.spmd.program, self.params);
-        stats.messages += 1;
-        stats.transfer_bytes += (elements.max(0) as u64) * self.machine.element_bytes as u64;
-        stats.busy_us += self.machine.transfer_cost(elements, self.procs);
-    }
-
-    /// Whether a collapse-level transfer would fire at `point` (the
-    /// home-side test of `cost_transfer`, without the accounting).
-    fn transfer_fires(&self, t: &BlockTransfer, p: usize, point: &[i64]) -> bool {
-        if self.procs == 1 {
-            return false;
-        }
-        let decl = self.spmd.program.array(t.array);
-        if decl.distribution == Distribution::Replicated {
-            return false;
-        }
-        let s_val = t.subscript.eval(point, self.params);
-        let mut idx = vec![0i64; decl.rank()];
-        idx[t.dim] = s_val;
-        !home_of(decl, &self.extents[t.array.0], &idx, self.procs).is_local_to(p)
-    }
-
-    /// Verbatim copy of the simulator's outer-assignment filter.
-    fn executes_level(&self, level: usize, p: usize, value: i64) -> bool {
-        if self.procs == 1 {
-            return true;
-        }
-        match &self.spmd.outer {
-            OuterAssignment::RoundRobin => {
-                level != 0 || mod_floor(value, self.procs as i64) == p as i64
-            }
-            OuterAssignment::ByHome {
-                array,
-                dim: _,
-                coeff,
-                offset,
-            } => {
-                if level != 0 {
-                    return true;
-                }
-                let nvars = self.spmd.program.nest.space.num_vars();
-                let zeros = vec![0i64; nvars];
-                let s_val = coeff * value + offset.eval(&zeros, self.params);
-                let decl = self.spmd.program.array(*array);
-                let dims = decl.distribution.dims();
-                let d = dims[0];
-                let mut idx = vec![0i64; decl.rank()];
-                idx[d] = s_val;
-                home_of(decl, &self.extents[array.0], &idx, self.procs).is_local_to(p)
-            }
-            OuterAssignment::ByHome2D {
-                array,
-                row_dim,
-                col_dim,
-                row_coeff,
-                row_offset,
-                col_coeff,
-                col_offset,
-            } => {
-                let (gr, gc) = grid_shape(self.procs);
-                let nvars = self.spmd.program.nest.space.num_vars();
-                let zeros = vec![0i64; nvars];
-                let extents = &self.extents[array.0];
-                match level {
-                    0 => {
-                        let s_val = row_coeff * value + row_offset.eval(&zeros, self.params);
-                        let sr = block_size(extents[*row_dim], gr);
-                        let hr = div_floor(s_val, sr).clamp(0, gr as i64 - 1);
-                        hr as usize == p / gc
-                    }
-                    1 => {
-                        let s_val = col_coeff * value + col_offset.eval(&zeros, self.params);
-                        let sc = block_size(extents[*col_dim], gc);
-                        let hc = div_floor(s_val, sc).clamp(0, gc as i64 - 1);
-                        hc as usize == p % gc
-                    }
-                    _ => true,
-                }
-            }
-        }
-    }
-
-    /// Verbatim copy of the simulator's 2-D grid-column restriction of
-    /// the innermost loop (depth-2 nests under `ByHome2D` only).
-    fn restrict_to_grid_column(&self, p: usize, lo: i64, hi: i64) -> (i64, i64) {
-        let OuterAssignment::ByHome2D {
-            array,
-            col_dim,
-            col_coeff,
-            col_offset,
-            ..
-        } = &self.spmd.outer
-        else {
-            return (lo, hi);
-        };
-        if self.procs == 1 {
-            return (lo, hi);
-        }
-        let (_, gc) = grid_shape(self.procs);
-        let pc = (p % gc) as i64;
-        let nvars = self.spmd.program.nest.space.num_vars();
-        let zeros = vec![0i64; nvars];
-        let off = col_offset.eval(&zeros, self.params);
-        let sc = block_size(self.extents[array.0][*col_dim], gc);
-        let blo = if pc == 0 { i64::MIN / 4 } else { pc * sc };
-        let bhi = if pc == gc as i64 - 1 {
-            i64::MAX / 4
-        } else {
-            (pc + 1) * sc - 1
-        };
-        let c = *col_coeff;
-        let (vlo, vhi) = if c > 0 {
-            (div_ceil(blo - off, c), div_floor(bhi - off, c))
-        } else {
-            (div_ceil(bhi - off, c), div_floor(blo - off, c))
-        };
-        (lo.max(vlo), hi.min(vhi))
+        Ok(acc.worked > 0)
     }
 
     /// Classifies the outer-assignment filter at the collapse level into
     /// a shape the class machinery can use without per-iteration tests.
     fn collapse_filter(&self, cl: usize, p: usize) -> UFilter {
-        if self.procs == 1 || cl > 1 {
+        if self.plan.procs == 1 || cl > 1 {
             return UFilter::All;
         }
-        let nvars = self.spmd.program.nest.space.num_vars();
+        let nvars = self.plan.spmd.program.nest.space.num_vars();
         let zeros = vec![0i64; nvars];
         // `blo ≤ coeff·u + off ≤ bhi` as a u-interval (or a constant).
         let affine_in = |coeff: i64, off: i64, blo: i64, bhi: i64| -> UFilter {
@@ -759,7 +372,7 @@ impl<'a> MPlan<'a> {
                 UFilter::Interval(lo, hi)
             }
         };
-        match &self.spmd.outer {
+        match &self.plan.spmd.outer {
             OuterAssignment::RoundRobin => {
                 if cl == 0 {
                     UFilter::ClassConstant
@@ -776,21 +389,21 @@ impl<'a> MPlan<'a> {
                 if cl != 0 {
                     return UFilter::All;
                 }
-                let off = offset.eval(&zeros, self.params);
-                let decl = self.spmd.program.array(*array);
-                let extents = &self.extents[array.0];
+                let off = offset.eval(&zeros, self.plan.params);
+                let decl = self.plan.spmd.program.array(*array);
+                let extents = &self.plan.extents[array.0];
                 match decl.distribution {
                     Distribution::Replicated => UFilter::All,
                     Distribution::Wrapped { .. } => UFilter::ClassConstant,
                     Distribution::Blocked { dim } => {
-                        let s = block_size(extents[dim], self.procs);
-                        let (blo, bhi) = block_interval(p as i64, s, self.procs as i64);
+                        let s = block_size(extents[dim], self.plan.procs);
+                        let (blo, bhi) = block_interval(p as i64, s, self.plan.procs as i64);
                         affine_in(*coeff, off, blo, bhi)
                     }
                     Distribution::Block2D { row_dim, .. } => {
                         // The filter indexes only the row dimension; the
                         // zero column index homes to grid column 0.
-                        let (pr, pc) = grid_shape(self.procs);
+                        let (pr, pc) = grid_shape(self.plan.procs);
                         if !p.is_multiple_of(pc) {
                             return UFilter::Never;
                         }
@@ -809,17 +422,17 @@ impl<'a> MPlan<'a> {
                 col_coeff,
                 col_offset,
             } => {
-                let (gr, gc) = grid_shape(self.procs);
-                let extents = &self.extents[array.0];
+                let (gr, gc) = grid_shape(self.plan.procs);
+                let extents = &self.plan.extents[array.0];
                 match cl {
                     0 => {
-                        let off = row_offset.eval(&zeros, self.params);
+                        let off = row_offset.eval(&zeros, self.plan.params);
                         let sr = block_size(extents[*row_dim], gr);
                         let (blo, bhi) = block_interval((p / gc) as i64, sr, gr as i64);
                         affine_in(*row_coeff, off, blo, bhi)
                     }
                     1 => {
-                        let off = col_offset.eval(&zeros, self.params);
+                        let off = col_offset.eval(&zeros, self.plan.params);
                         let sc = block_size(extents[*col_dim], gc);
                         let (blo, bhi) = block_interval((p % gc) as i64, sc, gc as i64);
                         affine_in(*col_coeff, off, blo, bhi)
@@ -836,8 +449,8 @@ impl<'a> MPlan<'a> {
     /// index. `None` means the lcm overflowed or exceeded [`CLASS_CAP`]
     /// — fall back to enumeration.
     fn class_modulus(&self) -> Option<i64> {
-        let inner = self.spmd.program.nest.depth() - 1;
-        let bounds = &self.spmd.program.nest.bounds[inner];
+        let inner = self.plan.spmd.program.nest.depth() - 1;
+        let bounds = &self.plan.spmd.program.nest.bounds[inner];
         let mut l: i64 = 1;
         let mut fold = |d: i64| -> bool {
             if d == 0 {
@@ -858,19 +471,20 @@ impl<'a> MPlan<'a> {
                 return None;
             }
         }
-        for (_, accesses) in &self.stmts {
+        for (_, accesses) in &self.plan.stmts {
             for acc in accesses {
                 let ok = match &acc.dist {
-                    MDist::Local | MDist::Wrapped { .. } => true,
-                    MDist::Blocked { a, .. } => fold(*a),
-                    MDist::Block2D { row, col, .. } => fold(row.0) && fold(col.0),
+                    Dist::Local | Dist::Wrapped(_) => true,
+                    Dist::Blocked { sub, .. } => fold(sub.a),
+                    Dist::Block2D { row, col, .. } => fold(row.a) && fold(col.a),
                 };
                 if !ok {
                     return None;
                 }
             }
         }
-        l.checked_mul(self.procs as i64).filter(|&m| m <= CLASS_CAP)
+        l.checked_mul(self.plan.procs as i64)
+            .filter(|&m| m <= CLASS_CAP)
     }
 
     /// Evaluates the full collapse-level body at `point[cl] = u` with
@@ -878,12 +492,12 @@ impl<'a> MPlan<'a> {
     /// inner bounds come from the nest. Restores `point[cl]` to 0.
     fn eval_collapse_u(&self, cl: usize, u: i64, p: usize, point: &mut [i64]) -> Sample {
         point[cl] = u;
-        let inner = self.spmd.program.nest.depth() - 1;
-        let (lo, hi) = self.spmd.program.nest.bounds[inner]
-            .eval(point, self.params)
+        let inner = self.plan.spmd.program.nest.depth() - 1;
+        let (lo, hi) = self.plan.spmd.program.nest.bounds[inner]
+            .eval(point, self.plan.params)
             .expect("inner bounds checked non-empty before collapse");
         let (lo, hi) = if inner == 1 {
-            self.restrict_to_grid_column(p, lo, hi)
+            self.plan.restrict_to_grid_column(p, lo, hi)
         } else {
             (lo, hi)
         };
@@ -902,61 +516,51 @@ impl<'a> MPlan<'a> {
         let worked = lo <= hi;
         let trips = (hi - lo + 1).max(0);
         let p_acc = self.p_access(p);
-        let mut local = Vec::with_capacity(self.n_access);
-        for (_, accesses) in &self.stmts {
+        let procs = self.plan.procs;
+        let mut local = Vec::with_capacity(self.plan.n_access);
+        for (_, accesses) in &self.plan.stmts {
             for acc in accesses {
                 let l = if trips == 0 {
                     0
-                } else if acc.covered && self.procs > 1 {
+                } else if acc.covered && procs > 1 {
                     trips
                 } else {
                     match &acc.dist {
-                        MDist::Local => trips,
-                        MDist::Wrapped { a, base, coeffs } => {
-                            let c = eval_flat(*base, coeffs, point);
-                            count_wrapped_hits(lo, hi, *a, c, self.procs, p_acc)
+                        Dist::Local => trips,
+                        Dist::Wrapped(sub) => {
+                            count_wrapped_hits(lo, hi, sub.a, sub.eval(point), procs, p_acc)
                         }
-                        MDist::Blocked {
-                            a,
-                            base,
-                            coeffs,
-                            size,
-                        } => {
-                            let c = eval_flat(*base, coeffs, point);
-                            let (blo, bhi) = block_interval(p_acc as i64, *size, self.procs as i64);
-                            count_interval_hits(lo, hi, *a, c, blo, bhi)
+                        Dist::Blocked { sub, size } => {
+                            let (blo, bhi) = block_interval(p_acc as i64, *size, procs as i64);
+                            count_interval_hits(lo, hi, sub.a, sub.eval(point), blo, bhi)
                         }
-                        MDist::Block2D {
+                        Dist::Block2D {
                             row,
                             col,
                             sr,
                             sc,
                             pr,
                             pc,
-                        } => {
-                            let cr = eval_flat(row.1, &row.2, point);
-                            let cc = eval_flat(col.1, &col.2, point);
-                            count_block2d(
-                                lo,
-                                hi,
-                                (row.0, cr),
-                                (col.0, cc),
-                                *sr,
-                                *sc,
-                                *pr,
-                                *pc,
-                                p_acc,
-                            )
-                        }
+                        } => count_block2d(
+                            lo,
+                            hi,
+                            (row.a, row.eval(point)),
+                            (col.a, col.eval(point)),
+                            *sr,
+                            *sc,
+                            *pr,
+                            *pc,
+                            p_acc,
+                        ),
                     }
                 };
                 local.push(l);
             }
         }
         let cl = inner.saturating_sub(1);
-        let fired = self.transfers_at[cl]
+        let fired = self.plan.transfers_at[cl]
             .iter()
-            .map(|t| self.transfer_fires(t, p, point))
+            .map(|t| self.plan.transfer_fires(t.block, p, point))
             .collect();
         Sample {
             worked,
@@ -974,8 +578,8 @@ impl<'a> MPlan<'a> {
         let mut local_total: i128 = 0;
         let mut remote_total: i128 = 0;
         let mut busy = 0.0f64;
-        for (ops, accesses) in &self.stmts {
-            busy += acc.trips as f64 * *ops as f64 * self.machine.compute_per_op;
+        for (ops, accesses) in &self.plan.stmts {
+            busy += acc.trips as f64 * *ops as f64 * self.plan.machine.compute_per_op;
             for _ in accesses {
                 let l = acc.local[i];
                 let r = if self.mutation == Mutation::DropRemoteTerm {
@@ -985,15 +589,15 @@ impl<'a> MPlan<'a> {
                 };
                 local_total += l;
                 remote_total += r;
-                busy += l as f64 * self.machine.local_access + r as f64 * self.remote_us;
+                busy += l as f64 * self.plan.machine.local_access + r as f64 * self.plan.remote_us;
                 i += 1;
             }
         }
         for (j, &count) in acc.fired.iter().enumerate() {
-            let (bytes, cost) = self.transfer_costs[j];
+            let t = &self.plan.transfers_at[cl][j];
             stats.messages += to_u64(count);
-            stats.transfer_bytes += to_u64(count) * bytes;
-            busy += count as f64 * cost;
+            stats.transfer_bytes += to_u64(count) * t.bytes;
+            busy += count as f64 * t.cost_us;
         }
         stats.local_accesses += to_u64(local_total);
         stats.remote_accesses += to_u64(remote_total);
@@ -1002,9 +606,7 @@ impl<'a> MPlan<'a> {
         }
         stats.busy_us += busy;
     }
-}
 
-impl<'a> MPlan<'a> {
     /// Collapses loop level `cl = n − 2` for processor `p`: residue
     /// classes mod `M`, each split at the crossings of its tracked
     /// affine lines and summed as arithmetic series. Returns whether
@@ -1016,12 +618,12 @@ impl<'a> MPlan<'a> {
         point: &mut [i64],
         stats: &mut ProcStats,
     ) -> Result<bool, SimError> {
-        let n = self.spmd.program.nest.depth();
+        let n = self.plan.spmd.program.nest.depth();
         let cl = n - 2;
         let inner = n - 1;
-        let bounds_cl = &self.spmd.program.nest.bounds[cl];
+        let bounds_cl = &self.plan.spmd.program.nest.bounds[cl];
         let (mut lo_u, mut hi_u) = bounds_cl
-            .eval(point, self.params)
+            .eval(point, self.plan.params)
             .ok_or(SimError::UnboundedLoop { var: cl })?;
         let filter = self.collapse_filter(cl, p);
         match filter {
@@ -1037,13 +639,13 @@ impl<'a> MPlan<'a> {
         }
         // The simulator reports an unbounded inner loop the first time
         // a surviving iteration evaluates its bounds; mirror that.
-        let ib = &self.spmd.program.nest.bounds[inner];
+        let ib = &self.plan.spmd.program.nest.bounds[inner];
         if ib.lowers.is_empty() || ib.uppers.is_empty() {
             let reached = match filter {
                 UFilter::ClassConstant => {
                     // Membership is periodic with period dividing P.
-                    let span = (hi_u - lo_u).min(self.procs as i64 - 1);
-                    (0..=span).any(|d| self.executes_level(cl, p, lo_u + d))
+                    let span = (hi_u - lo_u).min(self.plan.procs as i64 - 1);
+                    (0..=span).any(|d| self.plan.executes_level(cl, p, lo_u + d))
                 }
                 _ => true,
             };
@@ -1052,7 +654,7 @@ impl<'a> MPlan<'a> {
             }
             return Ok(false);
         }
-        let mut acc = Acc::new(self.n_access, self.transfers_at[cl].len());
+        let mut acc = Acc::new(self.plan.n_access, self.plan.transfers_at[cl].len());
         match self.class_modulus() {
             // Short ranges and oversized moduli: exact enumeration
             // (identical work to the simulator's walk).
@@ -1062,7 +664,9 @@ impl<'a> MPlan<'a> {
                     if u0 > hi_u {
                         break;
                     }
-                    if matches!(filter, UFilter::ClassConstant) && !self.executes_level(cl, p, u0) {
+                    if matches!(filter, UFilter::ClassConstant)
+                        && !self.plan.executes_level(cl, p, u0)
+                    {
                         continue;
                     }
                     let kmax = (hi_u - u0) / m;
@@ -1071,7 +675,9 @@ impl<'a> MPlan<'a> {
             }
             _ => {
                 for u in lo_u..=hi_u {
-                    if matches!(filter, UFilter::ClassConstant) && !self.executes_level(cl, p, u) {
+                    if matches!(filter, UFilter::ClassConstant)
+                        && !self.plan.executes_level(cl, p, u)
+                    {
                         continue;
                     }
                     let s = self.eval_collapse_u(cl, u, p, point);
@@ -1190,48 +796,48 @@ impl<'a> MPlan<'a> {
     /// only places the collapse body stops being affine.
     fn probe(&self, cl: usize, u: i64, p: usize, point: &mut [i64]) -> Vec<i64> {
         point[cl] = u;
-        let inner = self.spmd.program.nest.depth() - 1;
-        let ib = &self.spmd.program.nest.bounds[inner];
-        let mut out = Vec::with_capacity(8 + 2 * self.n_access);
+        let inner = self.plan.spmd.program.nest.depth() - 1;
+        let ib = &self.plan.spmd.program.nest.bounds[inner];
+        let mut out = Vec::with_capacity(8 + 2 * self.plan.n_access);
         for b in &ib.lowers {
-            out.push(b.eval_lower(point, self.params));
+            out.push(b.eval_lower(point, self.plan.params));
         }
         for b in &ib.uppers {
-            out.push(b.eval_upper(point, self.params));
+            out.push(b.eval_upper(point, self.plan.params));
         }
         for g in &ib.guards {
-            out.push(g.eval(point, self.params));
+            out.push(g.eval(point, self.plan.params));
             out.push(0);
         }
         if inner == 1 {
-            let (vlo, vhi) = self.restrict_to_grid_column(p, i64::MIN / 2, i64::MAX / 2);
+            let (vlo, vhi) = self
+                .plan
+                .restrict_to_grid_column(p, i64::MIN / 2, i64::MAX / 2);
             out.push(vlo);
             out.push(vhi);
         }
         let p_acc = self.p_access(p);
-        for (_, accesses) in &self.stmts {
+        let procs = self.plan.procs;
+        // A blocked subscript bends the count where its inverted block
+        // interval (or, for an inner-invariant subscript, its value)
+        // crosses another line.
+        let mut blocked = |sub: &Flat, (blo, bhi): (i64, i64)| {
+            let c = sub.eval(point);
+            if sub.a == 0 {
+                out.extend([c, blo, bhi]);
+            } else {
+                let (wlo, whi) = invert_interval(sub.a, c, blo, bhi);
+                out.extend([wlo, whi]);
+            }
+        };
+        for (_, accesses) in &self.plan.stmts {
             for acc in accesses {
                 match &acc.dist {
-                    MDist::Local | MDist::Wrapped { .. } => {}
-                    MDist::Blocked {
-                        a,
-                        base,
-                        coeffs,
-                        size,
-                    } => {
-                        let c = eval_flat(*base, coeffs, point);
-                        let (blo, bhi) = block_interval(p_acc as i64, *size, self.procs as i64);
-                        if *a == 0 {
-                            out.push(c);
-                            out.push(blo);
-                            out.push(bhi);
-                        } else {
-                            let (wlo, whi) = invert_interval(*a, c, blo, bhi);
-                            out.push(wlo);
-                            out.push(whi);
-                        }
+                    Dist::Local | Dist::Wrapped(_) => {}
+                    Dist::Blocked { sub, size } => {
+                        blocked(sub, block_interval(p_acc as i64, *size, procs as i64));
                     }
-                    MDist::Block2D {
+                    Dist::Block2D {
                         row,
                         col,
                         sr,
@@ -1240,41 +846,27 @@ impl<'a> MPlan<'a> {
                         pc,
                     } => {
                         let (tr, tc) = ((p_acc / pc) as i64, (p_acc % pc) as i64);
-                        for ((a, base, coeffs), (s, g, t)) in [row, col]
-                            .into_iter()
-                            .zip([(*sr, *pr as i64, tr), (*sc, *pc as i64, tc)])
-                        {
-                            let c = eval_flat(*base, coeffs, point);
-                            let (blo, bhi) = block_interval(t, s, g);
-                            if *a == 0 {
-                                out.push(c);
-                                out.push(blo);
-                                out.push(bhi);
-                            } else {
-                                let (wlo, whi) = invert_interval(*a, c, blo, bhi);
-                                out.push(wlo);
-                                out.push(whi);
-                            }
-                        }
+                        blocked(row, block_interval(tr, *sr, *pr as i64));
+                        blocked(col, block_interval(tc, *sc, *pc as i64));
                     }
                 }
             }
         }
-        for t in &self.transfers_at[cl] {
-            let decl = self.spmd.program.array(t.array);
-            let s_val = t.subscript.eval(point, self.params);
+        for t in self.plan.transfers_at[cl].iter().map(|t| t.block) {
+            let decl = self.plan.spmd.program.array(t.array);
+            let s_val = t.subscript.eval(point, self.plan.params);
             match decl.distribution {
                 Distribution::Replicated | Distribution::Wrapped { .. } => {}
                 Distribution::Blocked { dim } => {
-                    let s = block_size(self.extents[t.array.0][dim], self.procs);
-                    let (blo, bhi) = block_interval(p as i64, s, self.procs as i64);
+                    let s = block_size(self.plan.extents[t.array.0][dim], self.plan.procs);
+                    let (blo, bhi) = block_interval(p as i64, s, self.plan.procs as i64);
                     out.push(s_val);
                     out.push(blo);
                     out.push(bhi);
                 }
                 Distribution::Block2D { row_dim, col_dim } => {
-                    let (pr, pc) = grid_shape(self.procs);
-                    let exts = &self.extents[t.array.0];
+                    let (pr, pc) = grid_shape(self.plan.procs);
+                    let exts = &self.plan.extents[t.array.0];
                     let (g, s, tgt) = if t.dim == row_dim {
                         (pr, block_size(exts[row_dim], pr), (p / pc) as i64)
                     } else {
@@ -1311,48 +903,8 @@ pub fn sweep_model(
     machines: &[MachineConfig],
     cfg: &SweepConfig,
 ) -> Result<SweepReport, SimError> {
-    let grid: Vec<(usize, usize, usize)> = (0..machines.len())
-        .flat_map(|mi| {
-            cfg.procs
-                .iter()
-                .flat_map(move |&procs| (0..cfg.param_sets.len()).map(move |pi| (mi, procs, pi)))
-        })
-        .collect();
-    let tracer = cfg.tracer.as_deref();
-    let _span = tracer.map(|t| t.span("sweep"));
-    if let Some(t) = tracer {
-        t.emit(an_obs::EventKind::Counter {
-            name: "sweep.grid_points".into(),
-            value: grid.len() as u64,
-        });
-    }
-    let start = std::time::Instant::now();
-    let results = an_par::par_map(&grid, cfg.jobs, |&(mi, procs, pi)| {
-        model_stats(spmd, &machines[mi], procs, &cfg.param_sets[pi]).map(|stats| SweepPoint {
-            machine: machines[mi].name.clone(),
-            procs,
-            params: cfg.param_sets[pi].clone(),
-            scenario: None,
-            stats,
-        })
-    });
-    let mut points = Vec::with_capacity(results.len());
-    for r in results {
-        points.push(r?);
-    }
-    if let Some(t) = tracer {
-        let m = t.metrics();
-        m.add("sweep.points", points.len() as u64);
-        for pt in &points {
-            m.add("sweep.messages", pt.stats.total_messages());
-            m.add("sweep.transfer_bytes", pt.stats.total_transfer_bytes());
-        }
-    }
-    Ok(SweepReport {
-        points,
-        jobs: an_par::resolve_jobs(cfg.jobs),
-        wall_us: start.elapsed().as_micros(),
-        norm_cache: None,
+    an_numa::sweep_with(machines, cfg, None, |machine, procs, params, _| {
+        model_stats(spmd, machine, procs, params)
     })
 }
 
@@ -1362,7 +914,7 @@ mod tests {
     use an_codegen::spmd::{generate_spmd, SpmdOptions};
     use an_codegen::transform::apply_transform;
     use an_core::{normalize, NormalizeOptions};
-    use an_linalg::IMatrix;
+    use an_linalg::{div_floor, IMatrix};
     use an_numa::simulate_with_jobs;
 
     fn build_spmd(src: &str, transform: Option<IMatrix>, block: bool) -> SpmdProgram {

@@ -185,6 +185,30 @@ pub fn count_wrapped_hits(lo: i64, hi: i64, a: i64, c: i64, procs: usize, p: usi
     }
 }
 
+/// The index interval block `t` of `g` blocks of size `s` is home to,
+/// open-ended at the edges exactly like [`home_of`]'s clamp (the
+/// `i64::MIN / 4` / `i64::MAX / 4` sentinels leave headroom for the
+/// affine arithmetic around them).
+pub fn block_interval(t: i64, s: i64, g: i64) -> (i64, i64) {
+    let lo = if t == 0 { i64::MIN / 4 } else { t * s };
+    let hi = if t == g - 1 {
+        i64::MAX / 4
+    } else {
+        (t + 1) * s - 1
+    };
+    (lo, hi)
+}
+
+/// The `w`-interval on which `a·w + c` lands in `[blo, bhi]`, for
+/// `a != 0`.
+pub fn invert_interval(a: i64, c: i64, blo: i64, bhi: i64) -> (i64, i64) {
+    if a > 0 {
+        (div_ceil(blo - c, a), div_floor(bhi - c, a))
+    } else {
+        (div_ceil(bhi - c, a), div_floor(blo - c, a))
+    }
+}
+
 /// Counts `w ∈ [lo, hi]` with `a·w + c ∈ [blo, bhi]` — the number of
 /// inner-loop iterations whose blocked home is a given block.
 pub fn count_interval_hits(lo: i64, hi: i64, a: i64, c: i64, blo: i64, bhi: i64) -> i64 {
@@ -194,12 +218,7 @@ pub fn count_interval_hits(lo: i64, hi: i64, a: i64, c: i64, blo: i64, bhi: i64)
     if a == 0 {
         return if c >= blo && c <= bhi { hi - lo + 1 } else { 0 };
     }
-    // blo ≤ a·w + c ≤ bhi.
-    let (wlo, whi) = if a > 0 {
-        (div_ceil(blo - c, a), div_floor(bhi - c, a))
-    } else {
-        (div_ceil(bhi - c, a), div_floor(blo - c, a))
-    };
+    let (wlo, whi) = invert_interval(a, c, blo, bhi);
     let s = wlo.max(lo);
     let e = whi.min(hi);
     (e - s + 1).max(0)

@@ -39,7 +39,8 @@
 
 use crate::distribution::{home_of, validate_extents, Home};
 use crate::machine::MachineConfig;
-use crate::simulate::{simulate_with_jobs, Plan};
+use crate::plan::{evaluate, Plan};
+use crate::simulate::{simulate_with_jobs, Sim};
 use crate::stats::{FaultStats, ProcStats, SimStats};
 use crate::SimError;
 use an_codegen::spmd::SpmdProgram;
@@ -356,6 +357,7 @@ impl FaultPlan {
 /// simulated processor index back to the original processor id (identity
 /// before any failure, the survivor list after), keeping every hashed
 /// fault decision stable across redistribution.
+#[derive(Clone, Copy)]
 pub(crate) struct ChaosCtx<'a> {
     pub(crate) plan: &'a FaultPlan,
     pub(crate) proc_ids: &'a [usize],
@@ -430,7 +432,7 @@ fn count_owned_outer(
     if from > to {
         return 0;
     }
-    let plan = Plan::build(spmd, machine, alive.len(), params, None);
+    let plan = Plan::build(spmd, machine, alive.len(), params);
     (from..=to)
         .filter(|&v| plan.executes_level(0, j, v))
         .count() as u64
@@ -547,24 +549,21 @@ fn run_segment(
         return Ok(());
     }
     let clipped = clip_outer(spmd, seg_lo, seg_hi);
-    let ctx = ChaosCtx {
+    let chaos = Some(ChaosCtx {
         plan,
         proc_ids: alive,
-    };
-    let engine = Plan::build(&clipped, machine, alive.len(), params, Some(ctx));
-    let results = an_par::par_map_indexed(alive.len(), jobs, |j| engine.run_processor(j));
-    let mut seg_stats = Vec::with_capacity(alive.len());
-    for r in results {
-        seg_stats.push(r?);
-    }
+    });
+    let seg_stats = evaluate(&clipped, machine, alive.len(), params, jobs, |domain, j| {
+        Sim {
+            plan: domain,
+            chaos,
+        }
+        .run_processor(j)
+    })?;
     // Segments end in a barrier (the fault boundary or the final join),
     // so each contributes its own completion time.
-    *time_us += if spmd.outer_carried {
-        seg_stats.iter().map(|s| s.busy_us).sum()
-    } else {
-        seg_stats.iter().map(|s| s.busy_us).fold(0.0, f64::max)
-    };
-    for (j, s) in seg_stats.iter().enumerate() {
+    *time_us += seg_stats.time_us;
+    for (j, s) in seg_stats.per_proc.iter().enumerate() {
         per_proc[alive[j]].absorb(s);
     }
     Ok(())
@@ -888,7 +887,7 @@ pub fn run_chaos_with_policy(
     }
     let engines: Vec<Plan> = stages
         .iter()
-        .map(|(_, alive)| Plan::build(spmd, &machine, alive.len(), params, None))
+        .map(|(_, alive)| Plan::build(spmd, &machine, alive.len(), params))
         .collect();
     let claims_at = |si: usize, pt: &[i64]| -> usize {
         let n = stages[si].1.len();

@@ -13,7 +13,11 @@
 //! The engine ([`simulate()`]) walks each processor's loop prefixes and
 //! prices the innermost loop in closed form (counting which iterations
 //! hit local vs. remote homes by modular arithmetic), so full paper-sized
-//! problems (400×400 GEMM) simulate in milliseconds.
+//! problems (400×400 GEMM) simulate in milliseconds. What it prices —
+//! extents, flattened subscripts, the outer-assignment filter, transfer
+//! homes, the walk over the loop levels — is the per-processor domain
+//! plan of [`plan`], which the closed-form `an-model` crate evaluates
+//! too.
 //!
 //! ```
 //! use an_numa::{simulate, MachineConfig};
@@ -50,6 +54,7 @@ pub mod faults;
 pub mod machine;
 pub mod model;
 pub mod ownership;
+pub mod plan;
 pub mod simulate;
 pub mod stats;
 pub mod sweep;
@@ -67,4 +72,4 @@ pub use model::{predict, ModelPrediction};
 pub use ownership::simulate_ownership;
 pub use simulate::{simulate, simulate_traced, simulate_with_jobs};
 pub use stats::{FaultStats, ProcStats, SimStats};
-pub use sweep::{sweep, ChaosSweep, SweepConfig, SweepPoint, SweepReport};
+pub use sweep::{sweep, sweep_with, ChaosSweep, SweepConfig, SweepPoint, SweepReport};

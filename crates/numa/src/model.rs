@@ -19,9 +19,10 @@
 //! to *rank* code versions, which is all a compiler needs.
 
 use crate::machine::MachineConfig;
+use crate::plan::covered;
 use crate::SimError;
 use an_codegen::spmd::{OuterAssignment, SpmdProgram};
-use an_ir::{Distribution, Expr, Stmt};
+use an_ir::{Distribution, Stmt};
 
 /// The model's prediction.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,7 +91,7 @@ pub fn predict(
         let Stmt::Assign { lhs, rhs } = stmt else {
             continue;
         };
-        per_iter += count_ops(rhs) as f64 * machine.compute_per_op;
+        per_iter += rhs.op_count() as f64 * machine.compute_per_op;
         let mut refs = vec![(lhs, true)];
         for r in rhs.reads() {
             refs.push((r, false));
@@ -98,13 +99,7 @@ pub fn predict(
         for (r, is_write) in refs {
             let decl = program.array(r.array);
             let dims = decl.distribution.dims();
-            let covered = !is_write
-                && !dims.is_empty()
-                && dims.iter().all(|&dim| {
-                    spmd.transfers.iter().any(|t| {
-                        t.array == r.array && t.dim == dim && t.subscript == r.subscripts[dim]
-                    })
-                });
+            let covered = covered(spmd, r, is_write);
             // Local by ownership when the distribution subscript equals
             // the owner-assignment subscript *and* the home function is
             // the same: wrapped distributions share `s mod P` regardless
@@ -169,14 +164,6 @@ pub fn predict(
         messages,
         imbalance,
     })
-}
-
-fn count_ops(e: &Expr) -> u64 {
-    match e {
-        Expr::Access(_) | Expr::Lit(_) | Expr::Coef(_) => 0,
-        Expr::Neg(a) => 1 + count_ops(a),
-        Expr::Bin(_, a, b) => 1 + count_ops(a) + count_ops(b),
-    }
 }
 
 #[cfg(test)]

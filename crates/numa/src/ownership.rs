@@ -64,7 +64,7 @@ pub fn simulate_ownership(
                     }
                     // The owner executes the statement.
                     stats.outer_iterations += 1;
-                    let ops = count_ops(rhs);
+                    let ops = rhs.op_count();
                     stats.busy_us += ops as f64 * machine.compute_per_op;
                     let mut refs = vec![lhs.clone()];
                     refs.extend(rhs.reads().into_iter().cloned());
@@ -96,15 +96,6 @@ pub fn simulate_ownership(
         per_proc,
         faults: FaultStats::default(),
     })
-}
-
-fn count_ops(e: &an_ir::Expr) -> u64 {
-    use an_ir::Expr;
-    match e {
-        Expr::Access(_) | Expr::Lit(_) | Expr::Coef(_) => 0,
-        Expr::Neg(a) => 1 + count_ops(a),
-        Expr::Bin(_, a, b) => 1 + count_ops(a) + count_ops(b),
-    }
 }
 
 #[cfg(test)]

@@ -1,25 +1,21 @@
 //! The SPMD cost-model execution engine.
 //!
-//! Each processor's loop nest is walked explicitly down to the
-//! second-innermost level; the innermost loop is priced in closed form
-//! by counting, with modular arithmetic, how many of its iterations hit
-//! local vs. remote homes. That makes paper-sized problems (400×400
+//! The enumerating evaluator of the shared domain plan
+//! ([`crate::plan`]): each processor's loop nest is walked explicitly
+//! down to the second-innermost level; the innermost loop is priced in
+//! closed form by counting, with modular arithmetic, how many of its
+//! iterations hit local vs. remote homes. That makes paper-sized problems (400×400
 //! GEMM on 28 processors) simulate in milliseconds while charging
 //! *exactly* the same per-access costs as an element-by-element walk —
 //! a property the test suite checks against a reference implementation.
 
-use crate::distribution::{
-    block_size, count_interval_hits, count_wrapped_hits, grid_shape, home_of, validate_extents,
-};
+use crate::distribution::{block_interval, count_interval_hits, count_wrapped_hits, home_of};
 use crate::faults::ChaosCtx;
 use crate::machine::MachineConfig;
-use crate::stats::{FaultStats, ProcStats, SimStats};
+use crate::plan::{evaluate, Dist, Evaluator, Plan, Transfer};
+use crate::stats::{ProcStats, SimStats};
 use crate::SimError;
-use an_codegen::spmd::{OuterAssignment, SpmdProgram};
-use an_codegen::transfers::BlockTransfer;
-use an_ir::{ArrayId, Distribution, Expr, Program, Stmt};
-use an_linalg::mod_floor;
-use an_poly::Affine;
+use an_codegen::spmd::SpmdProgram;
 
 /// Simulates the SPMD program on `procs` processors.
 ///
@@ -110,402 +106,56 @@ pub fn simulate_with_jobs(
     params: &[i64],
     jobs: usize,
 ) -> Result<SimStats, SimError> {
-    if procs == 0 {
-        return Err(SimError::NoProcessors);
-    }
-    let program = &spmd.program;
-    if params.len() != program.params.len() {
-        return Err(SimError::BadParameters {
-            expected: program.params.len(),
-            got: params.len(),
-        });
-    }
-    validate_extents(program, params)?;
-    let plan = Plan::build(spmd, machine, procs, params, None);
-    let results = an_par::par_map_indexed(procs, jobs, |p| plan.run_processor(p));
-    let mut per_proc = Vec::with_capacity(procs);
-    for r in results {
-        per_proc.push(r?);
-    }
-    let time_us = if spmd.outer_carried {
-        per_proc.iter().map(|s| s.busy_us).sum()
-    } else {
-        per_proc.iter().map(|s| s.busy_us).fold(0.0, f64::max)
-    };
-    Ok(SimStats {
-        procs,
-        time_us,
-        per_proc,
-        faults: FaultStats::default(),
+    evaluate(spmd, machine, procs, params, jobs, |plan, p| {
+        Sim { plan, chaos: None }.run_processor(p)
     })
 }
 
-/// One array access with pre-resolved costing info.
-struct AccessPlan {
-    array: ArrayId,
-    subscripts: Vec<Affine>,
-    /// `Some(dim)` for 1-D wrapped/blocked distributions.
-    dist: DistPlan,
-    /// `true` if a hoisted block transfer supplies this element locally.
-    covered: bool,
-}
-
-/// Pricing plan with the distribution subscript flattened at build time:
-/// the constant-plus-parameter part is folded into `base` and the outer
-/// variable coefficients sit in a dense slice, so the per-processor
-/// inner loop prices an access with one dot product over the iteration
-/// point — no `Affine` re-walk, no mutation of shared plan state.
-enum DistPlan {
-    Local,
-    Wrapped {
-        inner_coeff: i64,
-        base: i128,
-        outer_coeffs: Vec<i64>,
-    },
-    Blocked {
-        inner_coeff: i64,
-        base: i128,
-        outer_coeffs: Vec<i64>,
-        size: i64,
-    },
-    Block2D,
-}
-
-/// `(inner coefficient, params-resolved base, coefficients with the
-/// innermost slot zeroed)` for a distribution subscript.
-fn flatten_subscript(s: &Affine, inner: usize, params: &[i64]) -> (i64, i128, Vec<i64>) {
-    let mut base = s.constant_term() as i128;
-    for (c, v) in s.param_coeffs().iter().zip(params) {
-        base += *c as i128 * *v as i128;
-    }
-    let mut outer = s.var_coeffs().to_vec();
-    let inner_coeff = outer.get(inner).copied().unwrap_or(0);
-    if inner < outer.len() {
-        outer[inner] = 0;
-    }
-    (inner_coeff, base, outer)
-}
-
-/// Evaluates a flattened subscript at `point` (the innermost slot's
-/// coefficient is zero, so its current value never matters).
-#[inline]
-fn eval_flat(base: i128, coeffs: &[i64], point: &[i64]) -> i64 {
-    let mut acc = base;
-    for (c, v) in coeffs.iter().zip(point) {
-        acc += *c as i128 * *v as i128;
-    }
-    i64::try_from(acc).expect("affine evaluation overflow")
-}
-
-pub(crate) struct Plan<'a> {
-    spmd: &'a SpmdProgram,
-    machine: &'a MachineConfig,
-    procs: usize,
-    params: &'a [i64],
-    extents: Vec<Vec<i64>>,
-    /// Per statement: (operation count, access plans).
-    stmts: Vec<(u64, Vec<AccessPlan>)>,
-    /// Transfers grouped by hoist level.
-    transfers_at: Vec<Vec<&'a BlockTransfer>>,
-    remote_us: f64,
+/// The enumerating evaluator of a [`Plan`]: the shared walk visits every
+/// iteration prefix down to the second-innermost level and this prices
+/// the innermost loop there by counting home hits.
+pub(crate) struct Sim<'p, 'a> {
+    pub(crate) plan: &'p Plan<'a>,
     /// Armed fault-injection context; `None` keeps every chaos hook a
     /// single-branch no-op on the fault-free path.
-    chaos: Option<ChaosCtx<'a>>,
+    pub(crate) chaos: Option<ChaosCtx<'a>>,
 }
 
-impl<'a> Plan<'a> {
-    pub(crate) fn build(
-        spmd: &'a SpmdProgram,
-        machine: &'a MachineConfig,
-        procs: usize,
-        params: &'a [i64],
-        chaos: Option<ChaosCtx<'a>>,
-    ) -> Plan<'a> {
-        let program = &spmd.program;
-        let extents: Vec<Vec<i64>> = program.arrays.iter().map(|a| a.extents(params)).collect();
-        let n = program.nest.depth();
-        let mut transfers_at = vec![Vec::new(); n];
-        for t in &spmd.transfers {
-            transfers_at[t.level].push(t);
+impl Evaluator for Sim<'_, '_> {
+    /// Prices the innermost loop at `point` — the whole loop for nests
+    /// deeper than 1, the single iteration `point[0]` for depth-1 nests
+    /// (whose only loop the shared walk enumerates).
+    fn leaf(&self, p: usize, point: &mut [i64], stats: &mut ProcStats) -> Result<bool, SimError> {
+        let plan = self.plan;
+        let inner = point.len() - 1;
+        if inner == 0 {
+            let v = point[0];
+            self.cost_innermost(v, v, p, point, stats);
+            point[0] = v; // cost_innermost resets the slot
+            return Ok(true);
         }
-        let stmts = program
-            .nest
-            .body
-            .iter()
-            .map(|stmt| {
-                let Stmt::Assign { lhs, rhs } = stmt else {
-                    return (0, Vec::new());
-                };
-                let reads = rhs.reads();
-                let mut accesses = Vec::with_capacity(1 + reads.len());
-                accesses.push(Self::plan_access(
-                    program, procs, &extents, spmd, params, lhs, true,
-                ));
-                for r in reads {
-                    accesses.push(Self::plan_access(
-                        program, procs, &extents, spmd, params, r, false,
-                    ));
-                }
-                (count_ops(rhs), accesses)
-            })
-            .collect();
-        Plan {
-            spmd,
-            machine,
-            procs,
-            params,
-            extents,
-            stmts,
-            transfers_at,
-            remote_us: machine.remote_effective(procs),
-            chaos,
-        }
-    }
-
-    fn plan_access(
-        program: &Program,
-        procs: usize,
-        extents: &[Vec<i64>],
-        spmd: &SpmdProgram,
-        params: &[i64],
-        r: &an_ir::ArrayRef,
-        is_write: bool,
-    ) -> AccessPlan {
-        let decl = program.array(r.array);
-        let inner = program.nest.depth() - 1;
-        let dist = match decl.distribution {
-            Distribution::Replicated => DistPlan::Local,
-            _ if procs == 1 => DistPlan::Local,
-            Distribution::Wrapped { dim } => {
-                let (inner_coeff, base, outer_coeffs) =
-                    flatten_subscript(&r.subscripts[dim], inner, params);
-                DistPlan::Wrapped {
-                    inner_coeff,
-                    base,
-                    outer_coeffs,
-                }
-            }
-            Distribution::Blocked { dim } => {
-                let (inner_coeff, base, outer_coeffs) =
-                    flatten_subscript(&r.subscripts[dim], inner, params);
-                DistPlan::Blocked {
-                    inner_coeff,
-                    base,
-                    outer_coeffs,
-                    size: block_size(extents[r.array.0][dim], procs),
-                }
-            }
-            Distribution::Block2D { .. } => DistPlan::Block2D,
-        };
-        // A read is covered when every distribution dimension has a
-        // matching hoisted transfer.
-        let covered = !is_write
-            && !decl.distribution.dims().is_empty()
-            && decl.distribution.dims().iter().all(|&dim| {
-                spmd.transfers
-                    .iter()
-                    .any(|t| t.array == r.array && t.dim == dim && t.subscript == r.subscripts[dim])
-            });
-        AccessPlan {
-            array: r.array,
-            subscripts: r.subscripts.clone(),
-            dist,
-            covered,
-        }
-    }
-
-    pub(crate) fn run_processor(&self, p: usize) -> Result<ProcStats, SimError> {
-        let mut stats = ProcStats::default();
-        let n = self.spmd.program.nest.depth();
-        let mut point = vec![0i64; n];
-        self.walk(0, p, &mut point, &mut stats)?;
-        Ok(stats)
-    }
-
-    /// Walks one loop level; returns `true` if any full-depth iteration
-    /// executed below this level. Hoisted transfers (and outer-iteration
-    /// counting) fire only for prefixes with real work, matching an
-    /// element-by-element execution.
-    fn walk(
-        &self,
-        level: usize,
-        p: usize,
-        point: &mut Vec<i64>,
-        stats: &mut ProcStats,
-    ) -> Result<bool, SimError> {
-        let n = self.spmd.program.nest.depth();
-        let bounds = &self.spmd.program.nest.bounds[level];
-        let (lo, hi) = bounds
-            .eval(point, self.params)
-            .ok_or(SimError::UnboundedLoop { var: level })?;
-        // Innermost level (of a nest deeper than 1): closed form. When
-        // 2-D tiling distributes this level (depth-2 nests), restrict the
-        // range to the processor's column block first.
-        if level == n - 1 && level > 0 {
-            let (lo, hi) = if level == 1 {
-                self.restrict_to_grid_column(p, lo, hi)
-            } else {
-                (lo, hi)
-            };
-            self.cost_innermost(lo, hi, p, point, stats);
-            return Ok(lo <= hi);
-        }
-        let mut any = false;
-        for v in lo..=hi {
-            point[level] = v;
-            if level <= 1 && !self.executes_level(level, p, v) {
-                continue;
-            }
-            let worked = if level == n - 1 {
-                // Depth-1 nest: price this single iteration.
-                self.cost_innermost(v, v, p, point, stats);
-                point[level] = v; // cost_innermost resets the slot
-                true
-            } else {
-                self.walk(level + 1, p, point, stats)?
-            };
-            if worked {
-                any = true;
-                if level == 0 {
-                    stats.outer_iterations += 1;
-                }
-                for t in &self.transfers_at[level] {
-                    self.cost_transfer(t, p, point, stats);
-                }
-            }
-        }
-        point[level] = 0;
-        Ok(any)
-    }
-
-    /// Intersects `[lo, hi]` with the second-loop values processor `p`
-    /// owns under 2-D tiling (the whole range for other assignments).
-    fn restrict_to_grid_column(&self, p: usize, lo: i64, hi: i64) -> (i64, i64) {
-        let OuterAssignment::ByHome2D {
-            array,
-            col_dim,
-            col_coeff,
-            col_offset,
-            ..
-        } = &self.spmd.outer
-        else {
-            return (lo, hi);
-        };
-        if self.procs == 1 {
-            return (lo, hi);
-        }
-        let (_, gc) = grid_shape(self.procs);
-        let pc = (p % gc) as i64;
-        let nvars = self.spmd.program.nest.space.num_vars();
-        let zeros = vec![0i64; nvars];
-        let off = col_offset.eval(&zeros, self.params);
-        let sc = block_size(self.extents[array.0][*col_dim], gc);
-        let blo = if pc == 0 { i64::MIN / 4 } else { pc * sc };
-        let bhi = if pc == gc as i64 - 1 {
-            i64::MAX / 4
+        let (lo, hi) = plan.spmd.program.nest.bounds[inner]
+            .eval(point, plan.params)
+            .ok_or(SimError::UnboundedLoop { var: inner })?;
+        // When 2-D tiling distributes this level (depth-2 nests),
+        // restrict the range to the processor's column block first.
+        let (lo, hi) = if inner == 1 {
+            plan.restrict_to_grid_column(p, lo, hi)
         } else {
-            (pc + 1) * sc - 1
+            (lo, hi)
         };
-        // blo <= c·v + off <= bhi.
-        let c = *col_coeff;
-        let (vlo, vhi) = if c > 0 {
-            (
-                an_linalg::div_ceil(blo - off, c),
-                an_linalg::div_floor(bhi - off, c),
-            )
-        } else {
-            (
-                an_linalg::div_ceil(bhi - off, c),
-                an_linalg::div_floor(blo - off, c),
-            )
-        };
-        (lo.max(vlo), hi.min(vhi))
+        self.cost_innermost(lo, hi, p, point, stats);
+        Ok(lo <= hi)
     }
 
-    /// Whether processor `p` executes iterations with `value` at `level`
-    /// (level 0 for every assignment; level 1 additionally for 2-D
-    /// tiling).
-    pub(crate) fn executes_level(&self, level: usize, p: usize, value: i64) -> bool {
-        if self.procs == 1 {
-            return true;
-        }
-        match &self.spmd.outer {
-            OuterAssignment::RoundRobin => {
-                level != 0 || mod_floor(value, self.procs as i64) == p as i64
-            }
-            OuterAssignment::ByHome {
-                array,
-                dim: _,
-                coeff,
-                offset,
-            } => {
-                if level != 0 {
-                    return true;
-                }
-                let nvars = self.spmd.program.nest.space.num_vars();
-                let zeros = vec![0i64; nvars];
-                let s_val = coeff * value + offset.eval(&zeros, self.params);
-                let decl = self.spmd.program.array(*array);
-                // Home along the (single) distribution dimension.
-                let dims = decl.distribution.dims();
-                let d = dims[0];
-                let mut idx = vec![0i64; decl.rank()];
-                idx[d] = s_val;
-                home_of(decl, &self.extents[array.0], &idx, self.procs).is_local_to(p)
-            }
-            OuterAssignment::ByHome2D {
-                array,
-                row_dim,
-                col_dim,
-                row_coeff,
-                row_offset,
-                col_coeff,
-                col_offset,
-            } => {
-                let (gr, gc) = grid_shape(self.procs);
-                let nvars = self.spmd.program.nest.space.num_vars();
-                let zeros = vec![0i64; nvars];
-                let extents = &self.extents[array.0];
-                match level {
-                    0 => {
-                        let s_val = row_coeff * value + row_offset.eval(&zeros, self.params);
-                        let sr = block_size(extents[*row_dim], gr);
-                        let hr = an_linalg::div_floor(s_val, sr).clamp(0, gr as i64 - 1);
-                        hr as usize == p / gc
-                    }
-                    1 => {
-                        let s_val = col_coeff * value + col_offset.eval(&zeros, self.params);
-                        let sc = block_size(extents[*col_dim], gc);
-                        let hc = an_linalg::div_floor(s_val, sc).clamp(0, gc as i64 - 1);
-                        hc as usize == p % gc
-                    }
-                    _ => true,
-                }
-            }
-        }
-    }
-
-    fn cost_transfer(&self, t: &BlockTransfer, p: usize, point: &[i64], stats: &mut ProcStats) {
-        if self.procs == 1 {
-            return;
-        }
-        let decl = self.spmd.program.array(t.array);
-        if decl.distribution == Distribution::Replicated {
-            return;
-        }
-        let s_val = t.subscript.eval(point, self.params);
-        let mut idx = vec![0i64; decl.rank()];
-        idx[t.dim] = s_val;
-        let home = home_of(decl, &self.extents[t.array.0], &idx, self.procs);
-        if home.is_local_to(p) {
+    /// Charges a firing transfer; under an armed chaos scenario, through
+    /// the resilient retry protocol.
+    fn transfer(&self, t: &Transfer<'_>, p: usize, point: &[i64], stats: &mut ProcStats) {
+        if !self.plan.transfer_fires(t.block, p, point) {
             return; // the slice is already local
         }
-        let elements = t.elements(&self.spmd.program, self.params);
-        let bytes = (elements.max(0) as u64) * self.machine.element_bytes as u64;
         let Some(ctx) = &self.chaos else {
-            stats.messages += 1;
-            stats.transfer_bytes += bytes;
-            stats.busy_us += self.machine.transfer_cost(elements, self.procs);
+            t.charge(stats);
             return;
         };
         // Resilient protocol: each attempt can be dropped (timeout, then
@@ -516,13 +166,13 @@ impl<'a> Plan<'a> {
         let spike = ctx.plan.spike_factor(point[0]);
         let mseed = ctx
             .plan
-            .message_seed(ctx.proc_ids[p], t.array.0, t.dim, point);
+            .message_seed(ctx.proc_ids[p], t.block.array.0, t.block.dim, point);
         let mut attempt: u32 = 0;
         loop {
             stats.messages += 1;
-            stats.transfer_bytes += bytes;
+            stats.transfer_bytes += t.bytes;
             if !ctx.plan.roll_drop(mseed, attempt) {
-                let mut cost = self.machine.transfer_cost(elements, self.procs) * spike;
+                let mut cost = t.cost_us * spike;
                 if ctx.plan.roll_delay(mseed, attempt) {
                     cost += ctx.plan.delay_us;
                 }
@@ -536,13 +186,23 @@ impl<'a> Plan<'a> {
                 // Retries exhausted against a live home: the slow-switch
                 // path falls back to element-wise remote fetches. The data
                 // still arrives, so semantics are unaffected — only time.
-                stats.busy_us += elements.max(0) as f64 * self.remote_us * spike;
+                stats.busy_us += t.elements.max(0) as f64 * self.plan.remote_us * spike;
                 return;
             }
             attempt += 1;
             stats.retries += 1;
             stats.busy_us += ctx.plan.retry.backoff_us(mseed, attempt);
         }
+    }
+}
+
+impl Sim<'_, '_> {
+    /// Takes over from the shared walk at the innermost loop — or, for
+    /// depth-1 nests, below it, so the walk still applies the outer
+    /// filter and the transfers per iteration.
+    pub(crate) fn run_processor(&self, p: usize) -> Result<ProcStats, SimError> {
+        let depth = self.plan.spmd.program.nest.depth();
+        self.plan.run_processor(self, depth.max(2) - 1, p)
     }
 
     /// Effective per-element remote latency at outer iteration `outer` —
@@ -551,8 +211,8 @@ impl<'a> Plan<'a> {
     #[inline]
     fn remote_at(&self, outer: i64) -> f64 {
         match &self.chaos {
-            None => self.remote_us,
-            Some(ctx) => self.remote_us * ctx.plan.spike_factor(outer),
+            None => self.plan.remote_us,
+            Some(ctx) => self.plan.remote_us * ctx.plan.spike_factor(outer),
         }
     }
 
@@ -561,68 +221,51 @@ impl<'a> Plan<'a> {
         if lo > hi {
             return;
         }
+        let plan = self.plan;
+        let procs = plan.procs;
         let trips = (hi - lo + 1) as u64;
-        let inner = self.spmd.program.nest.depth() - 1;
+        let inner = point.len() - 1;
         let remote_us = self.remote_at(point[0]);
         let mut local_total: u64 = 0;
         let mut remote_total: u64 = 0;
-        for (ops, accesses) in &self.stmts {
-            stats.busy_us += trips as f64 * *ops as f64 * self.machine.compute_per_op;
+        for (ops, accesses) in &plan.stmts {
+            stats.busy_us += trips as f64 * *ops as f64 * plan.machine.compute_per_op;
             for acc in accesses {
-                let (local, remote) = match &acc.dist {
-                    _ if acc.covered && self.procs > 1 => (trips as i64, 0),
-                    DistPlan::Local => (trips as i64, 0),
-                    DistPlan::Wrapped {
-                        inner_coeff,
-                        base,
-                        outer_coeffs,
-                    } => {
-                        let c = eval_flat(*base, outer_coeffs, point);
-                        let l = count_wrapped_hits(lo, hi, *inner_coeff, c, self.procs, p);
-                        (l, trips as i64 - l)
+                let local = match &acc.dist {
+                    _ if acc.covered && procs > 1 => trips as i64,
+                    Dist::Local => trips as i64,
+                    Dist::Wrapped(sub) => {
+                        count_wrapped_hits(lo, hi, sub.a, sub.eval(point), procs, p)
                     }
-                    DistPlan::Blocked {
-                        inner_coeff,
-                        base,
-                        outer_coeffs,
-                        size,
-                    } => {
-                        let c = eval_flat(*base, outer_coeffs, point);
-                        let pp = p as i64;
-                        let blo = if p == 0 { i64::MIN / 4 } else { pp * size };
-                        let bhi = if p + 1 == self.procs {
-                            i64::MAX / 4
-                        } else {
-                            (pp + 1) * size - 1
-                        };
-                        let l = count_interval_hits(lo, hi, *inner_coeff, c, blo, bhi);
-                        (l, trips as i64 - l)
+                    Dist::Blocked { sub, size } => {
+                        let (blo, bhi) = block_interval(p as i64, *size, procs as i64);
+                        count_interval_hits(lo, hi, sub.a, sub.eval(point), blo, bhi)
                     }
-                    DistPlan::Block2D => {
-                        // Slow path: per-element homes.
-                        let decl = self.spmd.program.array(acc.array);
+                    Dist::Block2D { .. } => {
+                        // Slow path: per-element homes. Kept independent
+                        // of the flattened row/column subscripts on
+                        // purpose — it is the reference the model's
+                        // closed-form Block2D count is checked against.
+                        let decl = plan.spmd.program.array(acc.r.array);
                         let mut l = 0i64;
                         for w in lo..=hi {
                             point[inner] = w;
-                            let idx: Vec<i64> = acc
-                                .subscripts
-                                .iter()
-                                .map(|s| s.eval(point, self.params))
-                                .collect();
-                            if home_of(decl, &self.extents[acc.array.0], &idx, self.procs)
+                            let idx = acc.r.eval_subscripts(point, plan.params);
+                            if home_of(decl, &plan.extents[acc.r.array.0], &idx, procs)
                                 .is_local_to(p)
                             {
                                 l += 1;
                             }
                         }
                         point[inner] = 0;
-                        (l, trips as i64 - l)
+                        l
                     }
                 };
+                let remote = trips as i64 - local;
                 local_total += local as u64;
                 remote_total += remote as u64;
                 stats.busy_us +=
-                    local as f64 * self.machine.local_access + remote as f64 * remote_us;
+                    local as f64 * plan.machine.local_access + remote as f64 * remote_us;
             }
         }
         stats.local_accesses += local_total;
@@ -631,20 +274,14 @@ impl<'a> Plan<'a> {
     }
 }
 
-fn count_ops(e: &Expr) -> u64 {
-    match e {
-        Expr::Access(_) | Expr::Lit(_) | Expr::Coef(_) => 0,
-        Expr::Neg(a) => 1 + count_ops(a),
-        Expr::Bin(_, a, b) => 1 + count_ops(a) + count_ops(b),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::FaultStats;
     use an_codegen::spmd::{generate_spmd, SpmdOptions};
     use an_codegen::transform::apply_transform;
     use an_core::{normalize, NormalizeOptions};
+    use an_ir::Stmt;
     use an_linalg::IMatrix;
 
     /// Element-by-element reference simulator: walks every iteration and
@@ -666,7 +303,7 @@ mod tests {
                 .nest
                 .for_each_iteration(params, |pt| {
                     // Outer filter.
-                    let plan = Plan::build(spmd, machine, procs, params, None);
+                    let plan = Plan::build(spmd, machine, procs, params);
                     if !plan.executes_level(0, p, pt[0])
                         || (pt.len() > 1 && !plan.executes_level(1, p, pt[1]))
                     {
@@ -680,11 +317,12 @@ mod tests {
                             if lvl == 0 {
                                 st.outer_iterations += 1;
                             }
-                            for t in &spmd.transfers {
-                                if t.level == lvl {
-                                    let plan2 = Plan::build(spmd, machine, procs, params, None);
-                                    plan2.cost_transfer(t, p, pt, &mut st);
-                                }
+                            let sim = Sim {
+                                plan: &plan,
+                                chaos: None,
+                            };
+                            for t in &plan.transfers_at[lvl] {
+                                sim.transfer(t, p, pt, &mut st);
                             }
                         }
                     }
@@ -693,7 +331,7 @@ mod tests {
                         let Stmt::Assign { lhs, rhs } = stmt else {
                             continue;
                         };
-                        st.busy_us += count_ops(rhs) as f64 * machine.compute_per_op;
+                        st.busy_us += rhs.op_count() as f64 * machine.compute_per_op;
                         let mut refs = vec![(lhs, true)];
                         for r in rhs.reads() {
                             refs.push((r, false));

@@ -154,7 +154,7 @@ impl SweepReport {
                  \"time_us\": {:.3}, \"remote_fraction\": {:.6}, \"local\": {}, \
                  \"remote\": {}, \"messages\": {}, \"transfer_bytes\": {}, \
                  \"imbalance\": {:.4}{}}}{}\n",
-                json_escape(&pt.machine),
+                an_obs::json_escape(&pt.machine),
                 pt.procs,
                 params,
                 pt.stats.time_us,
@@ -173,18 +173,6 @@ impl SweepReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Evaluates `spmd` on every (machine, procs, params) grid point in
 /// parallel (`cfg.jobs` workers; each point simulates serially).
 ///
@@ -197,18 +185,49 @@ pub fn sweep(
     machines: &[MachineConfig],
     cfg: &SweepConfig,
 ) -> Result<SweepReport, SimError> {
-    // Scenario axis: the fault-free baseline (None) always runs; a chaos
-    // config appends one point per scenario, innermost in the grid.
-    let scenarios: Vec<Option<Scenario>> = match &cfg.chaos {
-        None => vec![None],
-        Some(c) => std::iter::once(None)
-            .chain(c.scenarios.iter().copied().map(Some))
-            .collect(),
-    };
-    let grid: Vec<(usize, usize, usize, Option<Scenario>)> = machines
-        .iter()
-        .enumerate()
-        .flat_map(|(mi, _)| {
+    let seed = cfg.chaos.as_ref().map_or(1, |c| c.seed);
+    sweep_with(
+        machines,
+        cfg,
+        cfg.chaos.as_ref(),
+        |machine, procs, params, sc| match sc {
+            None => simulate_with_jobs(spmd, machine, procs, params, 1),
+            Some(scenario) => {
+                simulate_chaos(spmd, machine, procs, params, scenario, seed, 1).map(|r| r.stats)
+            }
+        },
+    )
+}
+
+/// The grid runner behind [`sweep`] and `an_model::sweep_model`: lays
+/// out the (machine × procs × params × scenario) grid, prices every
+/// point with `price` on `cfg.jobs` workers, and assembles the report
+/// in grid order. The scenario axis is the fault-free baseline (`None`)
+/// followed by each of `chaos`'s scenarios, innermost in the grid;
+/// `cfg.chaos` itself is not consulted, so a pricing function with no
+/// notion of faults passes `None`.
+///
+/// # Errors
+///
+/// The first failing grid point's [`SimError`], in grid order.
+pub fn sweep_with<F>(
+    machines: &[MachineConfig],
+    cfg: &SweepConfig,
+    chaos: Option<&ChaosSweep>,
+    price: F,
+) -> Result<SweepReport, SimError>
+where
+    F: Fn(&MachineConfig, usize, &[i64], Option<Scenario>) -> Result<SimStats, SimError> + Sync,
+{
+    let scenarios: Vec<Option<Scenario>> = std::iter::once(None)
+        .chain(
+            chaos
+                .into_iter()
+                .flat_map(|c| c.scenarios.iter().copied().map(Some)),
+        )
+        .collect();
+    let grid: Vec<(usize, usize, usize, Option<Scenario>)> = (0..machines.len())
+        .flat_map(|mi| {
             let scenarios = &scenarios;
             cfg.procs.iter().flat_map(move |&procs| {
                 (0..cfg.param_sets.len())
@@ -226,23 +245,7 @@ pub fn sweep(
     }
     let start = Instant::now();
     let results = an_par::par_map(&grid, cfg.jobs, |&(mi, procs, pi, sc)| {
-        let stats = match sc {
-            None => simulate_with_jobs(spmd, &machines[mi], procs, &cfg.param_sets[pi], 1),
-            Some(scenario) => {
-                let seed = cfg.chaos.as_ref().map_or(1, |c| c.seed);
-                simulate_chaos(
-                    spmd,
-                    &machines[mi],
-                    procs,
-                    &cfg.param_sets[pi],
-                    scenario,
-                    seed,
-                    1,
-                )
-                .map(|r| r.stats)
-            }
-        };
-        stats.map(|stats| SweepPoint {
+        price(&machines[mi], procs, &cfg.param_sets[pi], sc).map(|stats| SweepPoint {
             machine: machines[mi].name.clone(),
             procs,
             params: cfg.param_sets[pi].clone(),

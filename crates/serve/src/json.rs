@@ -381,6 +381,30 @@ mod tests {
     }
 
     #[test]
+    fn every_control_character_round_trips_through_the_escaper() {
+        // The one escaper (`an_obs::json_escape`, re-exported as
+        // `an_diag::escape_json`) against this parser, one character per
+        // row: all of C0, DEL, the two characters JSON must escape, and
+        // one from each UTF-8 length class.
+        let rows = (0u8..0x20)
+            .map(char::from)
+            .chain(['\u{7f}', '"', '\\', '/', 'é', '€', '😀']);
+        for c in rows {
+            let s = format!("a{c}b");
+            let escaped = an_diag::escape_json(&s);
+            assert!(
+                escaped.chars().all(|e| e >= ' '),
+                "{c:?} left a raw control character in {escaped:?}"
+            );
+            assert_eq!(
+                parse(&format!("\"{escaped}\"")),
+                Ok(Json::Str(s)),
+                "{c:?} escaped as {escaped:?}"
+            );
+        }
+    }
+
+    #[test]
     fn rejects_garbage_without_panicking() {
         for bad in [
             "",

@@ -219,3 +219,76 @@ fn search_scores_match_between_pricings_on_the_corpus() {
         );
     }
 }
+
+#[test]
+fn both_evaluators_conserve_work_against_nest_counting() {
+    // The layer the two evaluators share — `executes_level` and
+    // `restrict_to_grid_column` in `an_numa::plan` — must *partition*
+    // the iteration space over the processors: every iteration priced
+    // exactly once. Checked against `Nest::iteration_count` (an
+    // independent walk of the loop bounds), not against the other
+    // evaluator, so a fault in the shared filter cannot cancel out.
+    use access_normalization::codegen::OuterAssignment;
+    use access_normalization::ir::Stmt;
+
+    // The corpus has no block2d kernel, so 2-D tiling gets its own row
+    // (with a transposed read, so some of the counted accesses are remote).
+    let tiled = "param N = 20;
+         array A[N, N] distribute block2d(0, 1);
+         array B[N, N] distribute block2d(0, 1);
+         for i = 0, N - 1 { for j = 0, N - 1 {
+             A[i, j] = A[i, j] + B[j, i];
+         } }"
+    .to_string();
+    let kernels = CORPUS
+        .iter()
+        .map(|name| (*name, kernel_source(name)))
+        .chain([("tiled", tiled)]);
+
+    let machine = MachineConfig::butterfly_gp1000();
+    let mut seen = [false; 3];
+    for (name, src) in kernels {
+        for transfers in [true, false] {
+            let opts = CompileOptions {
+                spmd: access_normalization::codegen::SpmdOptions {
+                    block_transfers: transfers,
+                },
+                ..CompileOptions::default()
+            };
+            let compiled = compile(&src, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let spmd = &compiled.spmd;
+            seen[match spmd.outer {
+                OuterAssignment::ByHome { .. } => 0,
+                OuterAssignment::ByHome2D { .. } => 1,
+                OuterAssignment::RoundRobin => 2,
+            }] = true;
+            let params = compiled.program.default_param_values();
+            let per_iteration: u64 = spmd
+                .program
+                .nest
+                .body
+                .iter()
+                .map(|stmt| match stmt {
+                    Stmt::Assign { rhs, .. } => 1 + rhs.reads().len() as u64,
+                    _ => 0,
+                })
+                .sum();
+            let expected = per_iteration * spmd.program.nest.iteration_count(&params).unwrap();
+            for procs in [1usize, 2, 3, 5, 8] {
+                let at = format!("{name} P={procs} transfers={transfers}");
+                for (evaluator, stats) in [
+                    ("simulate", simulate(spmd, &machine, procs, &params)),
+                    ("model_stats", model_stats(spmd, &machine, procs, &params)),
+                ] {
+                    let stats = stats.unwrap_or_else(|e| panic!("{at}: {evaluator}: {e}"));
+                    assert_eq!(
+                        stats.total_local() + stats.total_remote(),
+                        expected,
+                        "{at}: {evaluator} did not price every iteration exactly once"
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(seen, [true; 3], "an outer assignment went unexercised");
+}
