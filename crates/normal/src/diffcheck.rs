@@ -111,10 +111,13 @@ fn choose_params(p: &an_ir::Program) -> Option<Vec<i64>> {
     candidates.into_iter().find(|vals| {
         let zeros = vec![0; depth];
         let assumed = p.assumptions.iter().all(|a| a.eval(&zeros, vals) >= 0);
+        // Capped: the defaults of a deep nest can be hundreds of
+        // millions of points, not worth walking to learn they are over.
         assumed
-            && p.nest
-                .iteration_count(vals)
-                .is_ok_and(|n| n <= ITERATION_BUDGET)
+            && matches!(
+                p.nest.iteration_count_capped(vals, ITERATION_BUDGET),
+                Ok(Some(_))
+            )
     })
 }
 
@@ -168,6 +171,33 @@ mod tests {
                 n.report.render_human()
             );
         }
+    }
+
+    #[test]
+    fn oversized_defaults_are_rejected_without_walking_them() {
+        // 600^3 = 216 M points at the defaults: counting them outright
+        // takes seconds, the capped probe gives up after 200 k.
+        let src = "param N = 600;
+            array A[N, N]; array B[N, N];
+            for i = 0, N - 1 {
+              for j = 0, N - 1 {
+                r = 0;
+                for k = 0, N - 1 {
+                  B[i, r] = B[i, r] + A[j, k];
+                  r = r + 1;
+                }
+              }
+            }";
+        let started = std::time::Instant::now();
+        let n = normalize(&parse(src), &Options::default());
+        assert!(n.changed);
+        assert!(!n.report.has_errors(), "{}", n.report.render_human());
+        assert_eq!(n.report.checked_params, Some(vec![16]));
+        assert!(
+            started.elapsed() < std::time::Duration::from_millis(500),
+            "took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and caches the enumerated original and transformed iteration sets.
 
 use an_ir::interp::run_seeded;
-use an_ir::{collect_accesses, AccessInfo, Program};
+use an_ir::{collect_accesses, AccessInfo, ArrayRef, Program};
 use an_linalg::lex_negative;
 use std::collections::BTreeSet;
 
@@ -165,37 +165,96 @@ pub fn is_uniform_pair(a: &AccessInfo, b: &AccessInfo) -> bool {
 /// parameters: all (source, sink) iteration pairs touching the same
 /// element with at least one write, canonicalized to lexicographically
 /// positive form. The zero vector (same iteration) is excluded.
+///
+/// A dependence exists only between iterations that touch the *same
+/// element*, so the element is the join key: each access orders the
+/// points by the flat offset it touches there, and a conflicting pair
+/// is a merge of two such orders —
+/// `O(accesses · points · log points + matches)`, and no two points
+/// that touch different elements are ever compared. The offset only
+/// labels a bucket; a match is confirmed on the subscript values, so a
+/// subscript outside the declared extents cannot merge two elements.
 pub fn oracle_distances(
     program: &Program,
     points: &[Vec<i64>],
     params: &[i64],
 ) -> BTreeSet<Vec<i64>> {
     let accesses = collect_accesses(program);
+    let pairs = conflicting_pairs(&accesses);
     let mut out = BTreeSet::new();
-    for (i, j) in conflicting_pairs(&accesses) {
-        let (a, b) = (&accesses[i], &accesses[j]);
-        for x in points {
-            for y in points {
-                if x == y && i == j {
-                    continue;
+    let mut d = vec![0i64; program.nest.depth()];
+    for (array, decl) in program.arrays.iter().enumerate() {
+        // One table per access to this array, dropped before the next
+        // array's are built.
+        let extents = decl.extents(params);
+        let touched: Vec<Option<Touched>> = (accesses.iter())
+            .map(|a| &a.reference)
+            .map(|r| (r.array.0 == array).then(|| Touched::by(r, &extents, points, params)))
+            .collect();
+        for &(i, j) in &pairs {
+            let (Some(ti), Some(tj)) = (&touched[i], &touched[j]) else {
+                continue;
+            };
+            let (ri, rj) = (&accesses[i].reference, &accesses[j].reference);
+            ti.join(tj, |px, py| {
+                let (x, y) = (&points[px], &points[py]);
+                let mut subscripts = ri.subscripts.iter().zip(&rj.subscripts);
+                if !subscripts.all(|(s, t)| s.eval(x, params) == t.eval(y, params)) {
+                    return;
                 }
-                if a.reference.eval_subscripts(x, params) == b.reference.eval_subscripts(y, params)
-                {
-                    let d: Vec<i64> = y.iter().zip(x).map(|(yv, xv)| yv - xv).collect();
-                    if d.iter().all(|&v| v == 0) {
-                        continue;
-                    }
-                    let canon = if lex_negative(&d) {
-                        d.iter().map(|v| -v).collect()
-                    } else {
-                        d
-                    };
-                    out.insert(canon);
+                for (dv, (yv, xv)) in d.iter_mut().zip(y.iter().zip(x)) {
+                    *dv = yv - xv;
                 }
-            }
+                if lex_negative(&d) {
+                    d.iter_mut().for_each(|v| *v = -*v);
+                }
+                if d.iter().any(|&v| v != 0) && !out.contains(d.as_slice()) {
+                    out.insert(d.clone());
+                }
+            });
         }
     }
     out
+}
+
+/// Where one access lands at every point.
+struct Touched {
+    /// Row-major element offset per point (wrapping when a subscript
+    /// leaves the extents: still equal for equal subscripts).
+    offsets: Vec<i64>,
+    /// Point indices ordered by `offsets`.
+    order: Vec<usize>,
+}
+
+impl Touched {
+    fn by(r: &ArrayRef, extents: &[i64], points: &[Vec<i64>], params: &[i64]) -> Touched {
+        let offset = |x: &Vec<i64>| {
+            (r.subscripts.iter().zip(extents)).fold(0i64, |flat, (s, &e)| {
+                flat.wrapping_mul(e).wrapping_add(s.eval(x, params))
+            })
+        };
+        let offsets: Vec<i64> = points.iter().map(offset).collect();
+        let mut order: Vec<usize> = (0..points.len()).collect();
+        order.sort_unstable_by_key(|&p| offsets[p]);
+        Touched { offsets, order }
+    }
+
+    /// Calls `matched(p, q)` for every two point indices at which
+    /// `self` and `other` land on the same offset: a merge of the two
+    /// orders, so points on different offsets never meet.
+    fn join(&self, other: &Touched, mut matched: impl FnMut(usize, usize)) {
+        let mut lo = 0;
+        for &p in &self.order {
+            let offset = self.offsets[p];
+            while lo < other.order.len() && other.offsets[other.order[lo]] < offset {
+                lo += 1;
+            }
+            let run = other.order[lo..].iter();
+            for &q in run.take_while(|&&q| other.offsets[q] == offset) {
+                matched(p, q);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -245,6 +304,24 @@ mod tests {
         assert!(ds.contains(&vec![0, 0, 1]), "{ds:?}");
         // No distance moves across i for B writes.
         assert!(ds.iter().all(|d| d[0] == 0), "{ds:?}");
+    }
+
+    #[test]
+    fn offsets_that_alias_outside_the_extents_do_not_merge_elements() {
+        // `j` runs past the extent: (0, 4) lands on the row-major
+        // offset of (1, 0) — the same bucket, not the same element.
+        // Each element is written once, so no distance is realized.
+        let p = an_lang::parse(
+            "param N = 4;
+             array A[N, N];
+             for i = 0, N - 1 { for j = 0, 2 * N - 1 { A[i, j] = 1.0; } }",
+        )
+        .unwrap();
+        let mut points = Vec::new();
+        p.nest
+            .for_each_iteration(&[4], |pt| points.push(pt.to_vec()))
+            .unwrap();
+        assert!(oracle_distances(&p, &points, &[4]).is_empty());
     }
 
     #[test]

@@ -17,7 +17,8 @@ use access_normalization::linalg::solve::solve_integer;
 use access_normalization::linalg::{IMatrix, IVec};
 use an_deps::distance::{representatives, DistanceSet};
 use an_ir::build::NestBuilder;
-use an_ir::{interp, pretty, Distribution, Expr, PreparedBody, Program};
+use an_ir::{interp, pretty, Distribution, Expr, IrError, PreparedBody, Program};
+use an_normal::eval::{run_messy, EvalError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -140,6 +141,109 @@ fn opcode_program(depth: usize, ops: &[u32]) -> Program {
     }
     b.assign(lhs, rhs);
     b.finish()
+}
+
+/// Source text for a two-statement depth-2 kernel over `extent`-sized
+/// arrays (`N = 4`): subscripts `i + off`, `j + off` stray outside
+/// small extents, and the opcode stream folds the right-hand side
+/// (shared reads, negation, a coefficient, division by a literal that
+/// is sometimes zero).
+fn faulting_source(extent: i64, offs: &[i64], ops: &[u32]) -> String {
+    let sub = |v: &str, off: i64| match off {
+        0 => v.to_string(),
+        o if o < 0 => format!("{v} - {}", -o),
+        o => format!("{v} + {o}"),
+    };
+    let at = |a: &str, oi: i64, oj: i64| format!("{a}[{}, {}]", sub("i", oi), sub("j", oj));
+    let mut rhs = at("A", offs[2], offs[3]);
+    for op in ops {
+        rhs = match op % 7 {
+            0 => format!("({rhs} + 1.0)"),
+            1 => format!("(-{rhs})"),
+            2 => format!("({rhs} * alpha)"),
+            3 => format!("({rhs} - {})", at("B", offs[4], offs[5])),
+            4 => format!("({rhs} / 2.0)"),
+            5 => format!("({rhs} + {})", at("A", offs[2], offs[3])),
+            _ => format!("({rhs} / 0.0)"),
+        };
+    }
+    format!(
+        "param N = 4; coef alpha = 1.5;
+         array A[{extent}, {extent}]; array B[{extent}, {extent}];
+         for i = 0, N - 1 {{ for j = 0, N - 1 {{
+           {} = {rhs};
+           {} = {} * 0.5;
+         }} }}",
+        at("A", offs[0], offs[1]),
+        at("B", offs[6], offs[7]),
+        at("A", offs[0], offs[1]),
+    )
+}
+
+/// What the messy evaluator reports for an interpreter fault.
+fn as_eval_error(e: IrError) -> EvalError {
+    match e {
+        IrError::OutOfBounds { array, .. } => EvalError::OutOfBounds(array),
+        IrError::DivisionByZero => EvalError::DivisionByZero,
+        other => panic!("not an interpreter fault: {other}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `interp::run` and `run_messy` against the boxed `execute_point`
+    /// walk, faults included: the same `Err` value (array, dimension,
+    /// index and extent of the first access out of bounds; division by
+    /// zero; budget) and bitwise the same partially written store.
+    #[test]
+    fn interpreters_match_the_boxed_path_faults_included(
+        extent in 4i64..=8,
+        offs in proptest::collection::vec(-1i64..=3, 8),
+        ops in proptest::collection::vec(0u32..=6, 0..6),
+        budget_points in 0usize..=20,
+    ) {
+        let src = faulting_source(extent, &offs, &ops);
+        let p = an_lang::parse(&src).expect("lowers");
+        let ast = an_lang::parser::parse_tokens(&an_lang::lexer::lex(&src).expect("lexes"))
+            .expect("parses");
+        let params = p.default_param_values();
+        let mut points = Vec::new();
+        p.nest
+            .for_each_iteration(&params, |pt| points.push(pt.to_vec()))
+            .expect("iteration");
+        // The reference: point by point, stopping at the first fault.
+        let boxed = |limit: usize| {
+            let mut store = interp::ArrayStore::seeded(&p, &params, 7);
+            let status = points
+                .iter()
+                .take(limit)
+                .try_for_each(|pt| interp::execute_point(&p, pt, &params, &mut store));
+            (status, store)
+        };
+
+        let (expected, expected_store) = boxed(points.len());
+        let mut store = interp::ArrayStore::seeded(&p, &params, 7);
+        prop_assert_eq!(interp::run(&p, &params, &mut store), expected.clone());
+        prop_assert_eq!(&store, &expected_store);
+
+        let mut store = interp::ArrayStore::seeded(&p, &params, 7);
+        let messy = run_messy(&ast, &params, &mut store, u64::MAX);
+        prop_assert_eq!(messy, expected.map_err(as_eval_error));
+        prop_assert_eq!(&store, &expected_store);
+
+        // A budget of whole points: the fault if one comes first, else
+        // `Budget` exactly when a statement is left to run.
+        let (expected, expected_store) = boxed(budget_points);
+        let expected = match expected {
+            Ok(()) if budget_points < points.len() => Err(EvalError::Budget),
+            other => other.map_err(as_eval_error),
+        };
+        let statements = (budget_points * p.nest.body.len()) as u64;
+        let mut store = interp::ArrayStore::seeded(&p, &params, 7);
+        prop_assert_eq!(run_messy(&ast, &params, &mut store, statements), expected);
+        prop_assert_eq!(&store, &expected_store);
+    }
 }
 
 proptest! {
