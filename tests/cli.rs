@@ -734,8 +734,8 @@ fn lint_reports_parse_errors_with_exit_1() {
 /// The exit-code contract (0 success, 1 compile/verify failure, 2
 /// usage, 3 contained panic) — table-driven sweep of malformed flags
 /// across every subcommand, including `serve`. Each case must exit 2
-/// with a single-line diagnostic on stderr, never 0/1 and never a
-/// panic.
+/// with exactly one line on stderr that names the offending flag (the
+/// first `--flag` of the case), never 0/1 and never a panic.
 #[test]
 fn usage_errors_exit_2_across_every_subcommand() {
     let gemm = kernel_path("gemm.an");
@@ -743,12 +743,13 @@ fn usage_errors_exit_2_across_every_subcommand() {
         // main driver
         &["--bogus"],
         &["--emit", "bogus"],
-        &["--emit"],
+        &["--emit", "--no-input"],
         &["--jobs", "banana"],
         &["--ordering", "sideways"],
         &["--simulate", "banana"],
         &["--autodist", "banana"],
         &["--price", "banana"],
+        &["--machine", "vax"],
         // check
         &["check", "--bogus"],
         &["check", "--mutate", "bogus"],
@@ -756,13 +757,26 @@ fn usage_errors_exit_2_across_every_subcommand() {
         &["sweep", "--procs", "banana"],
         &["sweep", "--bogus"],
         &["sweep", "--price", "banana"],
+        &["sweep", "--machines", "vax"],
+        &["sweep", "--params", "banana"],
         // chaos
         &["chaos", "--scenario", "meteor"],
         &["chaos", "--procs", "banana"],
+        &["chaos", "--seed", "x"],
         // profile
         &["profile", "--bogus"],
         &["profile", "--jobs", "x"],
-        // fuzz (takes no input file)
+        &["profile", "--top", "x"],
+        // Bugfix pins: no processors is a usage error wherever
+        // processors are counted. These used to exit 1 through the
+        // simulator, and `--autodist 0` exited 0 having skipped every
+        // candidate.
+        &["--autodist", "0"],
+        &["--simulate", "4,0"],
+        &["sweep", "--procs", "0"],
+        &["chaos", "--procs", "0"],
+        &["profile", "--procs", "0"],
+        // fuzz (takes no input file: `--no-input` keeps the kernel off)
         &["fuzz", "--iters", "x", "--no-input"],
         &["fuzz", "--bogus", "--no-input"],
         // lint
@@ -784,21 +798,25 @@ fn usage_errors_exit_2_across_every_subcommand() {
             cmd.arg(&gemm);
         }
         let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(
             out.status.code(),
             Some(2),
-            "{case:?}: expected exit 2, got {:?}\nstderr: {}",
+            "{case:?}: expected exit 2, got {:?}\nstderr: {stderr}",
             out.status.code(),
-            String::from_utf8_lossy(&out.stderr)
         );
         assert!(
-            !out.stderr.is_empty(),
-            "{case:?}: usage error must explain itself on stderr"
+            out.stdout.is_empty(),
+            "{case:?}: usage errors print nothing"
         );
+        let flag = case.iter().find(|a| a.starts_with("--")).unwrap();
+        assert_eq!(stderr.lines().count(), 1, "{case:?}: {stderr}");
+        assert!(stderr.contains(flag), "{case:?}: {stderr} must name {flag}");
     }
     // No input at all is also a usage error.
     let out = anc().output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    assert_eq!(String::from_utf8_lossy(&out.stderr).lines().count(), 1);
 }
 
 /// Bugfix pins: an unknown `--param` name is a usage error (exit 2, one
@@ -816,16 +834,115 @@ fn unknown_param_binding_exits_2() {
     assert!(stderr.contains("unknown parameter"), "{stderr}");
 }
 
-/// Bugfix pin: `check` rejects unknown options as usage errors instead
-/// of misreading them as input file names ("cannot read --bogus").
+/// Bugfix pin: an unknown `--param` name is caught against the parsed
+/// program before anything is printed — `--emit deps --param Q=3` used
+/// to write the graph to stdout and only then exit 2.
+#[test]
+fn unknown_param_is_rejected_before_any_output() {
+    for cmd in [
+        &["--emit", "deps"][..],
+        &["check"],
+        &["chaos"],
+        &["profile"],
+    ] {
+        let out = anc()
+            .args(cmd)
+            .args(["--param", "Q=3", &kernel_path("gemm.an")])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd:?}");
+        assert!(out.stdout.is_empty(), "{cmd:?} printed before failing");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(stderr.lines().count(), 1, "{cmd:?}: {stderr}");
+        assert!(stderr.contains("unknown parameter"), "{cmd:?}: {stderr}");
+    }
+}
+
+/// The eight commands; the compile driver is the one without a name.
+const COMMANDS: [&str; 8] = [
+    "", "sweep", "check", "lint", "chaos", "profile", "fuzz", "serve",
+];
+
+/// Bugfix pin: every command rejects an unknown option as a usage error
+/// instead of misreading it as an input file name ("cannot read
+/// --bogus", which the compile driver, `sweep`, `chaos` and `profile`
+/// used to answer).
 #[test]
 fn check_unknown_option_is_not_treated_as_a_file() {
+    for name in COMMANDS {
+        let out = anc()
+            .args(name.split_whitespace())
+            .args(["--bogus", &kernel_path("gemm.an")])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "anc {name}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let prog = format!("anc {name}");
+        let expected = format!("{}: unknown option '--bogus'\n", prog.trim_end());
+        assert_eq!(stderr, expected);
+    }
+}
+
+/// `anc <cmd> --help` as the left column of its flag rows: `--flag`,
+/// `--flag METAVAR` or `--flag[=FILE]`.
+fn help_flags(name: &str) -> Vec<String> {
     let out = anc()
-        .args(["check", "--bogus", &kernel_path("gemm.an")])
+        .args(name.split_whitespace())
+        .arg("--help")
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("unknown option '--bogus'"), "{stderr}");
-    assert!(!stderr.contains("cannot read"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "anc {name} --help");
+    assert!(out.stderr.is_empty(), "anc {name} --help wrote to stderr");
+    let help = String::from_utf8(out.stdout).unwrap();
+    assert!(help.starts_with("usage: anc"), "{help}");
+    let rows = help.lines().filter(|l| l.starts_with("  --"));
+    rows.map(|l| l.trim().split("  ").next().unwrap().to_string())
+        .collect()
+}
+
+/// `--help` is generated from the table the parser reads, so it cannot
+/// drift from what is accepted: every valued flag it lists is known to
+/// the parser (a missing operand is a one-line exit 2 naming the flag),
+/// and every flag README.md shows on an `anc ...` line is listed.
+#[test]
+fn help_is_the_flag_table() {
+    for name in COMMANDS {
+        let flags = help_flags(name);
+        assert!(!flags.is_empty(), "anc {name} --help lists no flags");
+        for valued in flags.iter().filter(|f| f.contains(' ')) {
+            let flag = valued.split(' ').next().unwrap();
+            let out = anc()
+                .args(name.split_whitespace())
+                .arg(flag)
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(2), "anc {name} {flag}");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(stderr.lines().count(), 1, "anc {name} {flag}: {stderr}");
+            assert!(stderr.contains(flag), "anc {name} {flag}: {stderr}");
+        }
+    }
+
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"));
+    // Join `\`-continued lines, keep what is inside fenced blocks.
+    let readme = readme.unwrap().replace("\\\n", " ");
+    let fenced = readme.split("```").skip(1).step_by(2);
+    let mut checked = 0;
+    for line in fenced.flat_map(str::lines) {
+        let line = line.trim_start_matches("$ ").split(" #").next().unwrap();
+        let mut words = line.split_whitespace();
+        if words.next() != Some("anc") {
+            continue;
+        }
+        let words: Vec<&str> = words.collect();
+        let name = words.first().filter(|w| COMMANDS.contains(w));
+        let listed = help_flags(name.copied().unwrap_or(""));
+        for flag in words.iter().filter(|w| w.starts_with("--")) {
+            let flag = flag.split('=').next().unwrap();
+            let known = |row: &String| row.split([' ', '[']).next() == Some(flag);
+            assert!(listed.iter().any(known), "README: `{line}`: {flag}");
+            checked += 1;
+        }
+    }
+    assert!(checked >= 30, "README flag scan found only {checked} flags");
 }
