@@ -7,7 +7,7 @@
 use an_bench::{paper_variants, verdict};
 use an_numa::{simulate, ContentionModel, MachineConfig};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let n: i64 = 200;
     let b: i64 = 50;
     let src = an_bench::syr2k_source(n, b);
@@ -86,4 +86,5 @@ fn main() {
         "long messages beat per-element access even with 2x per-byte inflation",
         still_wins,
     );
+    an_bench::exit_code()
 }

@@ -54,7 +54,7 @@ fn run(src: &str, params: &[i64], label: &str) {
     );
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     run(&an_bench::gemm_source(128), &[128], "GEMM 128");
     run(
         &an_bench::syr2k_source(160, 40),
@@ -66,4 +66,5 @@ fn main() {
         &[160, 40, 160],
         "Figure 1 kernel 160/40/160",
     );
+    an_bench::exit_code()
 }

@@ -99,7 +99,7 @@ fn kernels() -> Vec<Kernel> {
     ]
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let machine = MachineConfig::butterfly_gp1000();
     let procs = 16;
     println!(
@@ -145,4 +145,5 @@ fn main() {
         "normalization + transfers never lose to the naive distribution at P=16",
         all_improved,
     );
+    an_bench::exit_code()
 }

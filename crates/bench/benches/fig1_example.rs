@@ -6,7 +6,7 @@ use an_bench::{paper_variants, print_speedup_table, speedup_table, verdict, PAPE
 use an_codegen::{apply_transform, emit::emit_spmd, generate_spmd, SpmdOptions};
 use an_numa::MachineConfig;
 
-fn main() {
+fn main() -> std::process::ExitCode {
     // Paper-style sizes: a banded access pattern.
     let (n1, b, n2) = (400i64, 100, 400);
     let src = an_bench::fig1_source(n1, b, n2);
@@ -60,4 +60,5 @@ fn main() {
         "restructured code beats the naive distribution",
         last.entries[2].0 > 2.0 * last.entries[0].0,
     );
+    an_bench::exit_code()
 }

@@ -10,7 +10,7 @@
 use an_bench::{paper_variants, print_speedup_table, speedup_table, verdict, PAPER_PROCS};
 use an_numa::MachineConfig;
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let n: i64 = 400; // the paper's array size
     let src = an_bench::gemm_source(n);
     let (variants, norm) = paper_variants(&src, "gemm");
@@ -54,4 +54,5 @@ fn main() {
         "block transfers contribute a smaller boost than normalization",
         (s(2) / s(1)) < (s(1) / s(0)),
     );
+    an_bench::exit_code()
 }

@@ -10,7 +10,7 @@
 use an_bench::{paper_variants, print_speedup_table, speedup_table, verdict, PAPER_PROCS};
 use an_numa::MachineConfig;
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let n: i64 = 400; // matrix order
     let b: i64 = 100; // band width
     let src = an_bench::syr2k_source(n, b);
@@ -54,4 +54,5 @@ fn main() {
         "block transfers matter more than in GEMM",
         s(2) / s(1) > 1.2,
     );
+    an_bench::exit_code()
 }

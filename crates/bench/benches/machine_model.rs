@@ -17,7 +17,7 @@ fn break_even_elements(m: &MachineConfig, procs: usize) -> i64 {
         .unwrap_or(i64::MAX)
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     println!("=== machine profiles (paper §1 and §8) ===");
     println!(
         "{:<24} {:>10} {:>10} {:>12} {:>12}",
@@ -72,4 +72,5 @@ fn main() {
         "a handful of elements amortize the GP-1000 startup",
         break_even_elements(&gp, 8) <= 8,
     );
+    an_bench::exit_code()
 }

@@ -46,7 +46,7 @@ fn run(label: &str, src: &str, params: &[i64]) -> (f64, f64, f64) {
     last
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     // Show the generated ownership-rule code once.
     let p = an_lang::parse(&an_bench::fig1_source(8, 4, 8)).unwrap();
     println!("=== ownership-rule node program for Figure 1(a) (§2.1) ===");
@@ -67,4 +67,5 @@ fn main() {
         "normalization beats the ownership rule on GEMM",
         norm_g > own_g && blk_g > own_g,
     );
+    an_bench::exit_code()
 }

@@ -13,6 +13,8 @@ use an_codegen::{apply_transform, generate_spmd, SpmdOptions, SpmdProgram};
 use an_core::{normalize, NormalizeOptions, NormalizeResult};
 use an_ir::Program;
 use an_numa::{simulate, MachineConfig, SimStats};
+use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The paper's processor counts for Figures 4 and 5.
 pub const PAPER_PROCS: [usize; 9] = [1, 2, 4, 8, 12, 16, 20, 24, 28];
@@ -204,10 +206,29 @@ pub fn print_speedup_table(title: &str, labels: &[&str], rows: &[SpeedupRow]) {
     }
 }
 
+/// Set by the first `[FAIL]` verdict of the process; [`exit_code`] reads it.
+static ANY_FAILED: AtomicBool = AtomicBool::new(false);
+
 /// Checks the paper's qualitative claims for a two-curve comparison and
 /// prints a PASS/FAIL verdict line (benches must not silently drift).
+/// A failed claim does not stop the bench: the remaining verdicts still
+/// print, and [`exit_code`] fails the process afterwards.
 pub fn verdict(name: &str, ok: bool) {
     println!("[{}] {}", if ok { "PASS" } else { "FAIL" }, name);
+    if !ok {
+        ANY_FAILED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// What a bench's `main` returns once every verdict is printed: failure
+/// if any of them was `[FAIL]`, so `cargo bench -p an-bench` gates on
+/// the paper's claims.
+pub fn exit_code() -> ExitCode {
+    if ANY_FAILED.load(Ordering::Relaxed) {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// Convenience: parse + normalize only.
@@ -215,4 +236,19 @@ pub fn parse_and_normalize(src: &str) -> (Program, NormalizeResult) {
     let program = an_lang::parse(src).expect("source must parse");
     let norm = normalize(&program, &NormalizeOptions::default()).expect("normalize");
     (program, norm)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_failed_verdict_fails_the_bench_after_the_rest_have_printed() {
+        let code = |c: ExitCode| format!("{c:?}");
+        verdict("first claim holds", true);
+        assert_eq!(code(exit_code()), code(ExitCode::SUCCESS));
+        verdict("second claim does not", false);
+        verdict("third claim holds", true);
+        assert_eq!(code(exit_code()), code(ExitCode::FAILURE));
+    }
 }

@@ -5,8 +5,7 @@
 //! This module extracts the raw material: every array reference with its
 //! read/write role.
 
-use crate::arena::PreparedBody;
-use crate::{ArrayRef, Program};
+use crate::{ArrayRef, Program, Stmt};
 
 /// One array access occurrence in the loop body.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,15 +22,14 @@ pub struct AccessInfo {
 /// each statement (matching evaluation relevance for dependence
 /// analysis).
 pub fn collect_accesses(program: &Program) -> Vec<AccessInfo> {
-    let body = PreparedBody::new(program);
     let mut out = Vec::new();
-    for (stmt_index, (lhs, rhs)) in body.stmts.iter().enumerate() {
+    for (stmt_index, Stmt::Assign { lhs, rhs }) in program.nest.body.iter().enumerate() {
         out.push(AccessInfo {
             reference: lhs.clone(),
             is_write: true,
             stmt_index,
         });
-        for r in body.arena.reads(*rhs) {
+        for r in rhs.reads() {
             out.push(AccessInfo {
                 reference: r.clone(),
                 is_write: false,

@@ -1,26 +1,22 @@
-//! Arena-interned expression storage.
+//! Arena-interned expression storage: the interpreter's compiled form.
 //!
 //! [`Expr`] is a pointer tree: every operator node is a separate heap
-//! `Box`, so the walks the pipeline performs constantly — read
-//! collection during normalization, statement rendering during code
-//! generation, per-iteration evaluation in the interpreter — chase one
-//! cache line per node. [`ExprArena`] stores the same expressions as a
+//! `Box`, so evaluating a statement once per iteration chases one cache
+//! line per node. [`ExprArena`] stores the same expressions as a
 //! contiguous slab of `Copy` [`ExprNode`]s addressed by [`ExprId`]
 //! handles, with hash-consing so structurally identical subexpressions
-//! intern to the same id. Walking a statement is then an index chase
+//! intern to the same id. Evaluating a statement is then an index chase
 //! through one dense vector.
 //!
 //! The arena is a *view*, not a new IR: programs are still built and
 //! stored as boxed [`Expr`] trees, and [`PreparedBody`] interns a
-//! program's body on entry to a hot path. Every operation here mirrors
-//! its boxed counterpart exactly (same traversal order, same rendered
-//! text, same evaluation semantics), so switching a caller to the arena
-//! changes no observable output.
+//! program's body when [`crate::interp::run`] starts — the one caller
+//! that walks a body often enough to repay the interning. Printers and
+//! access collection walk a body once and read the boxed tree directly.
 
 use crate::stmt::ArrayRef;
 use crate::{BinOp, Expr, Program, Stmt};
 use std::collections::HashMap;
-use std::fmt;
 
 /// Handle to an interned expression node. Copyable and 4 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -189,64 +185,6 @@ impl ExprArena {
             ExprNode::Neg(a) => Expr::Neg(Box::new(self.to_expr(a))),
         }
     }
-
-    /// All array reads under `id` in evaluation order, one entry per
-    /// occurrence — the arena twin of [`Expr::reads`].
-    pub fn reads(&self, id: ExprId) -> Vec<&ArrayRef> {
-        let mut out = Vec::new();
-        self.collect_reads(id, &mut out);
-        out
-    }
-
-    fn collect_reads<'a>(&'a self, id: ExprId, out: &mut Vec<&'a ArrayRef>) {
-        match self.node(id) {
-            ExprNode::Access(r) => out.push(self.array_ref(r)),
-            ExprNode::Lit(_) | ExprNode::Coef(_) => {}
-            ExprNode::Bin(_, a, b) => {
-                self.collect_reads(a, out);
-                self.collect_reads(b, out);
-            }
-            ExprNode::Neg(a) => self.collect_reads(a, out),
-        }
-    }
-
-    /// A [`fmt::Display`] adapter producing exactly the text of the
-    /// boxed [`Expr`]'s `Display`.
-    pub fn display(&self, id: ExprId) -> ExprDisplay<'_> {
-        ExprDisplay { arena: self, id }
-    }
-}
-
-/// Displays an interned expression identically to [`Expr`]'s `Display`.
-pub struct ExprDisplay<'a> {
-    arena: &'a ExprArena,
-    id: ExprId,
-}
-
-impl fmt::Display for ExprDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_node(self.arena, self.id, f)
-    }
-}
-
-fn fmt_node(arena: &ExprArena, id: ExprId, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    match arena.node(id) {
-        ExprNode::Access(r) => write!(f, "{}", arena.array_ref(r)),
-        ExprNode::Lit(v) => write!(f, "{v}"),
-        ExprNode::Coef(i) => write!(f, "c#{i}"),
-        ExprNode::Bin(op, a, b) => {
-            write!(f, "(")?;
-            fmt_node(arena, a, f)?;
-            write!(f, " {} ", op.symbol())?;
-            fmt_node(arena, b, f)?;
-            write!(f, ")")
-        }
-        ExprNode::Neg(a) => {
-            write!(f, "(-")?;
-            fmt_node(arena, a, f)?;
-            write!(f, ")")
-        }
-    }
 }
 
 /// A program body interned into one arena: the entry point hot paths
@@ -300,7 +238,6 @@ mod tests {
         let mut arena = ExprArena::new();
         let id = arena.intern(&e);
         assert_eq!(arena.to_expr(id), e);
-        assert_eq!(arena.display(id).to_string(), e.to_string());
     }
 
     #[test]
@@ -313,15 +250,5 @@ mod tests {
         let before = arena.len();
         arena.intern(&e);
         assert_eq!(arena.len(), before);
-    }
-
-    #[test]
-    fn reads_match_boxed_order() {
-        let e = sample_expr();
-        let mut arena = ExprArena::new();
-        let id = arena.intern(&e);
-        let boxed: Vec<_> = e.reads().into_iter().cloned().collect();
-        let slab: Vec<_> = arena.reads(id).into_iter().cloned().collect();
-        assert_eq!(boxed, slab);
     }
 }

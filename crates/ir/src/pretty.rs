@@ -1,6 +1,5 @@
 //! Pseudo-code pretty printing in the paper's presentation style.
 
-use crate::arena::{ExprArena, ExprId, ExprNode, PreparedBody};
 use crate::{ArrayRef, Expr, Program, Stmt};
 use std::fmt::Write as _;
 
@@ -67,14 +66,8 @@ pub fn print_source(program: &Program) -> String {
         );
     }
     let indent = "  ".repeat(nest.depth());
-    let body = PreparedBody::new(program);
-    for (lhs, rhs) in &body.stmts {
-        let _ = writeln!(
-            out,
-            "{indent}{} = {};",
-            render_ref(program, lhs),
-            render_expr_arena(program, &body.arena, *rhs)
-        );
+    for stmt in &nest.body {
+        let _ = writeln!(out, "{indent}{}", render_stmt(program, stmt));
     }
     for depth in (0..nest.depth()).rev() {
         let _ = writeln!(out, "{}}}", "  ".repeat(depth));
@@ -97,14 +90,8 @@ pub fn print_nest(program: &Program) -> String {
         );
     }
     let indent = "  ".repeat(nest.depth());
-    let body = PreparedBody::new(program);
-    for (lhs, rhs) in &body.stmts {
-        let _ = writeln!(
-            out,
-            "{indent}{} = {};",
-            render_ref(program, lhs),
-            render_expr_arena(program, &body.arena, *rhs)
-        );
+    for stmt in &nest.body {
+        let _ = writeln!(out, "{indent}{}", render_stmt(program, stmt));
     }
     out
 }
@@ -124,30 +111,6 @@ pub fn render_ref(program: &Program, r: &ArrayRef) -> String {
     let name = &program.array(r.array).name;
     let subs: Vec<String> = r.subscripts.iter().map(|s| s.to_string()).collect();
     format!("{}[{}]", name, subs.join(", "))
-}
-
-/// Renders an interned expression with array names resolved — the
-/// arena twin of [`render_expr`], producing identical text.
-pub fn render_expr_arena(program: &Program, arena: &ExprArena, id: ExprId) -> String {
-    match arena.node(id) {
-        ExprNode::Access(r) => render_ref(program, arena.array_ref(r)),
-        ExprNode::Lit(v) => format!("{v}"),
-        ExprNode::Coef(i) => program.coefs[i].name.clone(),
-        ExprNode::Bin(op, a, b) => format!(
-            "{} {} {}",
-            render_operand_arena(program, arena, a),
-            op.symbol(),
-            render_operand_arena(program, arena, b)
-        ),
-        ExprNode::Neg(a) => format!("-{}", render_operand_arena(program, arena, a)),
-    }
-}
-
-fn render_operand_arena(program: &Program, arena: &ExprArena, id: ExprId) -> String {
-    match arena.node(id) {
-        ExprNode::Bin(..) => format!("({})", render_expr_arena(program, arena, id)),
-        _ => render_expr_arena(program, arena, id),
-    }
 }
 
 /// Renders an expression with array names resolved.

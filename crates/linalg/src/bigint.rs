@@ -1,7 +1,7 @@
 //! Arbitrary-precision signed integers — the overflow-proof fallback
 //! ring behind the `i64` fast paths.
 //!
-//! The compiler's algebra (HNF/SNF reduction, Bareiss determinants, the
+//! The compiler's algebra (HNF reduction, Bareiss determinants, the
 //! `LegalInvt` projection) is exact over ℤ, but the working
 //! representation is `i64`. Adversarially large subscript coefficients
 //! can push intermediates past 64 (or even 128) bits; when the checked

@@ -16,7 +16,7 @@
 //! chosen — and it is several times faster than SipHash on the short
 //! integer sequences `Matrix::hash` emits.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -87,9 +87,10 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// Hit/miss counters of a [`MemoCache`] (or several, summed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered from the cache, or computed only to find another
+    /// thread's value already stored.
     pub hits: u64,
-    /// Lookups that had to compute (and then stored the result).
+    /// Lookups that computed and stored the result: one per distinct key.
     pub misses: u64,
 }
 
@@ -145,7 +146,7 @@ impl std::fmt::Display for CacheStats {
 /// runs, so concurrent misses on different keys do not serialize; two
 /// threads racing on the *same* key may both compute, and the first
 /// insertion wins (results must be deterministic functions of the key,
-/// so either copy is correct).
+/// so either copy is correct) and is the one counted as the miss.
 pub struct MemoCache<K, V> {
     map: Mutex<FxHashMap<K, V>>,
     hits: AtomicU64,
@@ -196,9 +197,9 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
     /// `CacheHit`/`CacheMiss` event labelled `label` on `tracer`.
     ///
     /// Only pass a tracer from single-threaded (coordinator) lookups:
-    /// two workers racing the same key may *both* record a miss (see
-    /// `concurrent_use_is_consistent`), which would make traced event
-    /// streams scheduler-dependent.
+    /// two workers racing the same key *both* emit `CacheMiss` (only the
+    /// counters settle a race, see `concurrent_use_is_consistent`),
+    /// which would make traced event streams scheduler-dependent.
     pub fn get_or_insert_traced(
         &self,
         key: K,
@@ -216,18 +217,26 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
             return v.clone();
         }
         // Compute outside the lock: misses on distinct keys overlap.
-        self.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = tracer {
             t.emit(an_obs::EventKind::CacheMiss {
                 cache: label.to_string(),
             });
         }
         let v = compute();
-        self.map
-            .lock()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert_with(|| v.clone());
+        // Counted when the insert lands, not before computing: of the
+        // workers racing one key only the one whose value is stored had
+        // the miss, and a lost race is the hit it would have been a
+        // moment later. So hits = lookups − distinct keys on every
+        // schedule, and what callers print does not depend on `--jobs`.
+        match self.map.lock().expect("cache poisoned").entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(v.clone());
+                self.misses.fetch_add(1, Ordering::Relaxed);
+            }
+            Entry::Occupied(_) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         v
     }
 
@@ -283,9 +292,10 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 100);
-        // Racing threads may each count a miss for the same key, but
-        // hits + misses always equals the number of lookups.
-        assert_eq!(cache.stats().lookups(), 400);
+        // Racing threads may each compute the same key, but only the
+        // insert that lands counts as a miss: one per distinct key.
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (300, 100));
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub mod matrix;
 pub mod projection;
 pub mod rational;
 pub mod smallmat;
-pub mod snf;
 pub mod solve;
 pub mod vector;
 

@@ -44,7 +44,7 @@ pub trait Scalar:
     }
 }
 
-/// Integer rings the Euclidean reduction algorithms (HNF/SNF) run over:
+/// Integer rings the Euclidean reduction algorithm (HNF) runs over:
 /// `i64` (the fallible fast path, where every hook detects overflow —
 /// including the `i64::MIN` edge cases of negation and division) and
 /// [`crate::bigint::BigInt`] (the infallible exact path).

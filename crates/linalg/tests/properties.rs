@@ -2,7 +2,6 @@
 
 use an_linalg::hnf::{column_hnf, row_hnf};
 use an_linalg::lattice::Lattice;
-use an_linalg::snf::smith_normal_form;
 use an_linalg::solve::{integer_kernel, solve_integer};
 use an_linalg::{basis, det, IMatrix, LinalgError};
 use proptest::prelude::*;
@@ -162,38 +161,6 @@ proptest! {
         prop_assert_eq!(a.inverse(), Err(LinalgError::Singular));
         prop_assert!(Lattice::from_transform(&a).is_err());
         prop_assert!(!a.is_invertible());
-    }
-
-    #[test]
-    fn smith_normal_form_postconditions(a in small_matrix(4)) {
-        let s = smith_normal_form(&a).unwrap();
-        prop_assert_eq!(s.u.mul(&a).unwrap().mul(&s.v).unwrap(), s.d.clone());
-        prop_assert!(s.u.is_unimodular());
-        prop_assert!(s.v.is_unimodular());
-        for i in 0..s.d.rows() {
-            for j in 0..s.d.cols() {
-                if i != j {
-                    prop_assert_eq!(s.d.get(i, j), 0);
-                }
-            }
-        }
-        let f = s.invariant_factors();
-        prop_assert!(f.iter().all(|&x| x > 0));
-        for w in f.windows(2) {
-            prop_assert_eq!(w[1] % w[0], 0);
-        }
-        prop_assert_eq!(s.rank(), a.rank());
-        // First invariant factor is the gcd of all entries.
-        if let Some(&d1) = f.first() {
-            let g = (0..a.rows())
-                .flat_map(|r| a.row(r).to_vec())
-                .fold(0i64, an_linalg::gcd);
-            prop_assert_eq!(d1, g);
-        }
-        // Square case: product of factors = |det|.
-        if a.is_square() && a.determinant() != 0 {
-            prop_assert_eq!(s.lattice_index(), a.determinant().abs());
-        }
     }
 
     #[test]

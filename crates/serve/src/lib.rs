@@ -9,9 +9,11 @@
 //! - **JSON-lines protocol** ([`proto`]): one request per line over a
 //!   Unix socket ([`serve_unix`]), TCP ([`serve_tcp`]) or stdin/stdout
 //!   ([`serve_lines`]); verbs `compile`, `status`, `health`, `ping`,
-//!   `shutdown`. Both socket transports serve byte-identical responses
-//!   for the same frames, with slow-loris read deadlines, byte-level
-//!   max-frame enforcement and connection-cap shedding ([`net`]).
+//!   `shutdown`. All three split frames with one byte-level framer
+//!   (lossy UTF-8, max-frame enforcement while buffering); both socket
+//!   transports serve byte-identical responses for the same frames and
+//!   add slow-loris read deadlines and connection-cap shedding
+//!   ([`net`]).
 //! - **Fault cells** ([`core`]): every compile runs under
 //!   `catch_unwind` with a full [`an_driver::CompileBudget`]; a panic
 //!   or budget blow-up produces a structured `AN07xx` error
@@ -49,6 +51,7 @@
 
 pub mod core;
 pub mod diag;
+mod frame;
 pub mod fuzz;
 pub mod json;
 pub mod net;
@@ -76,7 +79,7 @@ use std::thread;
 /// response writer thread.
 pub fn serve_lines<R: BufRead, W: Write + Send>(
     server: &Server,
-    reader: R,
+    mut reader: R,
     mut writer: W,
 ) -> io::Result<()> {
     let (tx, rx) = mpsc::channel::<String>();
@@ -88,32 +91,31 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
             }
             Ok(())
         });
-        let mut read_error = None;
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(e) => {
-                    read_error = Some(e);
-                    break;
-                }
+        let mut framer = frame::Framer::new(server);
+        let read_result = loop {
+            let chunk = match reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => break Err(e),
             };
-            if line.trim().is_empty() {
-                continue;
+            if chunk.is_empty() {
+                framer.finish(&tx);
+                break Ok(());
             }
-            if server.submit(&line, &tx) == Submit::Shutdown {
-                break;
+            let n = chunk.len();
+            let outcome = framer.feed(chunk, &tx);
+            reader.consume(n);
+            if outcome == Submit::Shutdown {
+                break Ok(());
             }
-        }
+        };
         // Drain before dropping the sender: every admitted job sends
         // its response through a clone of `tx`, and drain() blocks
         // until they all have.
         server.drain();
         drop(tx);
         let write_result = writer_thread.join().expect("serve writer thread");
-        match read_error {
-            Some(e) => Err(e),
-            None => write_result,
-        }
+        read_result.and(write_result)
     })
 }
 

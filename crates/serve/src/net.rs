@@ -3,26 +3,20 @@
 //!
 //! Both transports speak the identical JSON-lines protocol — a client
 //! moved from `--socket` to `--tcp` sees byte-identical responses for
-//! the same frames. The handler is deliberately byte-oriented rather
-//! than `BufRead::read_line`-based, because a network peer is allowed
-//! to be hostile in ways a pipe is not:
+//! the same frames — and split it with the framer stdio uses too
+//! (`frame.rs`: lossy UTF-8, `AN0702` at the buffer). What only a
+//! network peer can do is handled here:
 //!
 //! - **Slow-loris partial frames.** A connection that trickles bytes
 //!   without ever sending a newline holds memory, not a worker. After
 //!   [`crate::ServeConfig::frame_read_deadline_ms`] with an unfinished
 //!   frame, the daemon answers one `AN0709` line and closes the
 //!   connection.
-//! - **Byte-level max-frame enforcement.** A newline-less stream is cut
-//!   off at `max_frame_bytes` *while buffering* — one `AN0702` line,
-//!   then everything up to the next newline is discarded and the
-//!   connection continues. The parser-level check still guards complete
-//!   lines; this one guards the buffer itself.
 //! - **Connection cap with shedding.** Beyond
 //!   [`crate::ServeConfig::max_conns`] concurrent connections per
 //!   listener, new arrivals get one `AN0707` line (with the jittered
 //!   `retry_after_ms` hint) and a close, instead of sitting invisibly
 //!   in the accept backlog.
-//! - **Non-UTF-8 bytes** are handled lossily, never fatally.
 //!
 //! Shutdown is cooperative and signal-free (the workspace forbids
 //! `unsafe`/libc): listeners poll a shared [`Shutdown`] latch from a
@@ -32,6 +26,7 @@
 
 use crate::core::{Server, Submit};
 use crate::diag::ServeCode;
+use crate::frame::Framer;
 use crate::json::Json;
 use crate::proto::render_error;
 use std::io::{self, Read, Write};
@@ -150,7 +145,6 @@ fn handle_framed<S: NetStream>(server: &Server, mut stream: S, shutdown: &Shutdo
         Ok(s) => s,
         Err(_) => return Submit::Handled,
     };
-    let max_frame = server.config().max_frame_bytes;
     let frame_deadline = server
         .config()
         .frame_read_deadline_ms
@@ -166,14 +160,13 @@ fn handle_framed<S: NetStream>(server: &Server, mut stream: S, shutdown: &Shutdo
             }
         });
         let mut outcome = Submit::Handled;
-        let mut buf: Vec<u8> = Vec::new();
+        let mut framer = Framer::new(server);
         let mut chunk = [0u8; 4096];
-        // When did the currently-unfinished frame start sitting in
-        // `buf`? `Some` while bytes are buffered without a newline (or
+        // When did the currently-unfinished frame start sitting in the
+        // framer? `Some` while bytes are buffered without a newline (or
         // while discarding an oversize frame's tail).
         let mut partial_since: Option<Instant> = None;
-        let mut discarding = false;
-        'read: loop {
+        loop {
             if shutdown.is_triggered() {
                 break;
             }
@@ -195,42 +188,11 @@ fn handle_framed<S: NetStream>(server: &Server, mut stream: S, shutdown: &Shutdo
             match stream.read(&mut chunk) {
                 Ok(0) => break,
                 Ok(n) => {
-                    buf.extend_from_slice(&chunk[..n]);
-                    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                        let line: Vec<u8> = buf.drain(..=pos).collect();
-                        if discarding {
-                            // The tail of an already-rejected oversize
-                            // frame; the connection is clean again.
-                            discarding = false;
-                            continue;
-                        }
-                        let text = String::from_utf8_lossy(&line);
-                        let text = text.trim();
-                        if text.is_empty() {
-                            continue;
-                        }
-                        if server.submit(text, &tx) == Submit::Shutdown {
-                            outcome = Submit::Shutdown;
-                            break 'read;
-                        }
+                    if framer.feed(&chunk[..n], &tx) == Submit::Shutdown {
+                        outcome = Submit::Shutdown;
+                        break;
                     }
-                    if discarding {
-                        buf.clear();
-                    } else if buf.len() > max_frame {
-                        // Enforced at the buffer, not just the parser:
-                        // a newline-less flood cannot grow memory past
-                        // the frame limit.
-                        server.metrics().inc("serve.fault.frame_too_large");
-                        let _ = tx.send(render_error(
-                            &Json::Null,
-                            ServeCode::FrameTooLarge,
-                            &format!("frame exceeds {max_frame} bytes; discarding to next newline"),
-                            None,
-                        ));
-                        buf.clear();
-                        discarding = true;
-                    }
-                    if buf.is_empty() && !discarding {
+                    if !framer.mid_frame() {
                         partial_since = None;
                     } else if partial_since.is_none() {
                         partial_since = Some(Instant::now());

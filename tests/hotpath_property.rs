@@ -17,7 +17,7 @@ use access_normalization::linalg::solve::solve_integer;
 use access_normalization::linalg::{IMatrix, IVec};
 use an_deps::distance::{representatives, DistanceSet};
 use an_ir::build::NestBuilder;
-use an_ir::{interp, pretty, Distribution, Expr, IrError, PreparedBody, Program};
+use an_ir::{interp, Distribution, Expr, IrError, PreparedBody, Program};
 use an_normal::eval::{run_messy, EvalError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -348,7 +348,7 @@ proptest! {
         prop_assert_eq!(got, reference_representatives(&set, reach));
     }
 
-    /// Arena-built IR pretty-prints and interprets identically to the
+    /// Arena-built IR round-trips to, and interprets identically to, the
     /// boxed trees it interns.
     #[test]
     fn arena_ir_matches_boxed(
@@ -359,14 +359,7 @@ proptest! {
         let params = p.default_param_values();
         let body = PreparedBody::new(&p);
         prop_assert_eq!(body.stmts.len(), p.nest.body.len());
-        for (stmt, (lhs, rhs)) in p.nest.body.iter().zip(&body.stmts) {
-            // Identical text through the arena renderer.
-            let arena_text = format!(
-                "{} = {};",
-                pretty::render_ref(&p, lhs),
-                pretty::render_expr_arena(&p, &body.arena, *rhs)
-            );
-            prop_assert_eq!(pretty::render_stmt(&p, stmt), arena_text);
+        for (stmt, (_, rhs)) in p.nest.body.iter().zip(&body.stmts) {
             // Round trip: interning then rebuilding is the identity.
             let an_ir::Stmt::Assign { rhs: boxed, .. } = stmt else {
                 unreachable!("assign-only bodies")

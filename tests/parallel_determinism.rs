@@ -98,3 +98,31 @@ fn sweep_reports_are_independent_of_jobs() {
         assert_eq!(par.points, serial.points, "jobs={jobs}");
     }
 }
+
+/// Everything `--autodist` prints is a function of the input: apart
+/// from the `N workers` token of the header, stdout is byte-identical
+/// for any `--jobs` — the `pipeline cache H/L hits` line included, whose
+/// counters must not depend on which worker won a race for a key.
+#[test]
+fn autodist_stdout_is_byte_identical_for_any_jobs() {
+    let run = |jobs: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_anc"))
+            .args(["--autodist", "8", "--jobs", jobs])
+            .arg(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/examples/kernels/syr2k.an"
+            ))
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "jobs={jobs}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let workers = format!(", {jobs} workers) ==");
+        assert_eq!(stdout.matches(&workers).count(), 1, "{stdout}");
+        stdout.replacen(&workers, ", N workers) ==", 1)
+    };
+    let serial = run("1");
+    assert!(serial.contains(", pipeline cache "), "{serial}");
+    for attempt in 0..5 {
+        assert_eq!(run("8"), serial, "--jobs 8, run {attempt}");
+    }
+}

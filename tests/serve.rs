@@ -450,7 +450,27 @@ fn malformed_and_oversized_frames_are_structured_errors() {
         "{}",
         v[&4]
     );
-    daemon.send("{\"id\":5,\"verb\":\"shutdown\"}");
+    // Stdio frames bytes exactly as the sockets do. A line that is not
+    // UTF-8 is one malformed frame, not a transport error: the ping
+    // behind it is answered.
+    daemon.stdin.write_all(b"\xff\xfe x\n").unwrap();
+    daemon.send("{\"id\":5,\"verb\":\"ping\"}");
+    let line = daemon.lines.recv_timeout(RESPONSE_WAIT).unwrap();
+    assert_eq!(error_code(&json::parse(&line).unwrap()), "AN0701", "{line}");
+    let v = daemon.collect(1);
+    assert_eq!(v[&5].get("pong").and_then(Json::as_bool), Some(true));
+    // A 16 KiB line is cut off at the 4 KiB limit while it streams in:
+    // one AN0702 (a second would have no integer id and fail the
+    // collect), its tail discarded up to the newline, the ping behind
+    // it answered.
+    daemon.send(&"y".repeat(16384));
+    daemon.send("{\"id\":6,\"verb\":\"ping\"}");
+    let line = daemon.lines.recv_timeout(RESPONSE_WAIT).unwrap();
+    assert_eq!(error_code(&json::parse(&line).unwrap()), "AN0702", "{line}");
+    let v = daemon.collect(1);
+    assert_eq!(v[&6].get("pong").and_then(Json::as_bool), Some(true));
+
+    daemon.send("{\"id\":7,\"verb\":\"shutdown\"}");
     daemon.collect(1);
     daemon.finish();
 }
