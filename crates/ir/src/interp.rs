@@ -5,7 +5,6 @@
 //! iff the transformed program leaves every array in the same state as
 //! the original.
 
-use crate::arena::{ExprArena, ExprId, ExprNode, PreparedBody};
 use crate::{ArrayId, ArrayRef, BinOp, Expr, IrError, Program, Stmt};
 
 /// Concrete storage for every array of a program.
@@ -151,38 +150,19 @@ pub fn execute_point(
     Ok(())
 }
 
-/// Runs the program sequentially, mutating `store`.
-///
-/// The body is interned into an [`ExprArena`] once up front, so the
-/// per-iteration evaluation walks a contiguous node slab instead of the
-/// boxed statement trees. Traversal order, arithmetic, and error cases
-/// are identical to [`execute_point`].
+/// Runs the program sequentially, mutating `store`: [`execute_point`]
+/// at every iteration in lexicographic order, stopping at the first
+/// fault.
 ///
 /// # Errors
 ///
 /// [`IrError::OutOfBounds`] for bad accesses, [`IrError::UnboundedLoop`]
 /// for malformed nests, [`IrError::DivisionByZero`] on division by zero.
 pub fn run(program: &Program, param_values: &[i64], store: &mut ArrayStore) -> Result<(), IrError> {
-    let body = PreparedBody::new(program);
     let mut status = Ok(());
     program.nest.for_each_iteration(param_values, |point| {
-        if status.is_err() {
-            return;
-        }
-        for (lhs, rhs) in &body.stmts {
-            let v = match eval_node(program, &body.arena, *rhs, point, param_values, store) {
-                Ok(v) => v,
-                Err(e) => {
-                    status = Err(e);
-                    return;
-                }
-            };
-            let idx = lhs.eval_subscripts(point, param_values);
-            let name = &program.array(lhs.array).name;
-            if let Err(e) = store.write(lhs.array, &idx, name, v) {
-                status = Err(e);
-                return;
-            }
+        if status.is_ok() {
+            status = execute_point(program, point, param_values, store);
         }
     })?;
     status
@@ -218,40 +198,6 @@ fn eval_expr(
         Expr::Bin(op, a, b) => {
             let x = eval_expr(program, a, point, params, store)?;
             let y = eval_expr(program, b, point, params, store)?;
-            match op {
-                BinOp::Add => Ok(x + y),
-                BinOp::Sub => Ok(x - y),
-                BinOp::Mul => Ok(x * y),
-                BinOp::Div => {
-                    if y == 0.0 {
-                        Err(IrError::DivisionByZero)
-                    } else {
-                        Ok(x / y)
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The arena twin of [`eval_expr`]: same traversal, same semantics,
-/// over slab nodes instead of boxed ones.
-fn eval_node(
-    program: &Program,
-    arena: &ExprArena,
-    id: ExprId,
-    point: &[i64],
-    params: &[i64],
-    store: &ArrayStore,
-) -> Result<f64, IrError> {
-    match arena.node(id) {
-        ExprNode::Lit(v) => Ok(v),
-        ExprNode::Coef(i) => Ok(program.coefs[i].value),
-        ExprNode::Access(r) => read_ref(program, arena.array_ref(r), point, params, store),
-        ExprNode::Neg(a) => Ok(-eval_node(program, arena, a, point, params, store)?),
-        ExprNode::Bin(op, a, b) => {
-            let x = eval_node(program, arena, a, point, params, store)?;
-            let y = eval_node(program, arena, b, point, params, store)?;
             match op {
                 BinOp::Add => Ok(x + y),
                 BinOp::Sub => Ok(x - y),

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod arena;
 pub mod array;
 pub mod build;
 pub mod expr;
@@ -51,7 +50,6 @@ pub mod stmt;
 mod error;
 
 pub use access::{collect_accesses, AccessInfo};
-pub use arena::{ExprArena, ExprId, ExprNode, PreparedBody, RefId};
 pub use array::{ArrayDecl, ArrayId, Distribution};
 pub use error::IrError;
 pub use expr::{BinOp, Expr};

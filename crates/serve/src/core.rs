@@ -28,14 +28,17 @@
 //! Artifacts are cached by content hash and inserted only after a fully
 //! successful compile — errors, budget exhaustions and panics never
 //! populate the cache, so a transient deadline failure cannot poison
-//! future responses. The resident tier is LRU-evicted at an optional
-//! byte budget ([`ServeConfig::cache_cap_bytes`]); with a
-//! [`ServeConfig::cache_dir`] configured, every successful compile is
-//! also persisted through the crash-safe [`crate::store::CacheStore`],
-//! so eviction only demotes an entry to disk and a restarted daemon
-//! reloads artifacts lazily on first miss. Disk entries are validated
-//! end to end before anything in them is served; a corrupt entry is
-//! deleted, counted (`AN0710`), and transparently recompiled.
+//! future responses. The resident tier always has a byte budget
+//! ([`ServeConfig::cache_cap_bytes`]) and evicts least-recently-used
+//! entries to keep it: like the queue, it refuses to grow rather than
+//! grow without bound. Without a [`ServeConfig::cache_dir`] an evicted
+//! entry is forgotten and recompiled on its next request; with one,
+//! every successful compile is also persisted through the crash-safe
+//! [`crate::store::CacheStore`], so eviction only demotes an entry to
+//! disk and a restarted daemon reloads artifacts lazily on first miss.
+//! Disk entries are validated end to end before anything in them is
+//! served; a corrupt entry is deleted, counted (`AN0710`), and
+//! transparently recompiled.
 //!
 //! # Coalescing
 //!
@@ -91,9 +94,14 @@ pub struct ServeConfig {
     /// default) keeps the cache memory-only.
     pub cache_dir: Option<PathBuf>,
     /// Byte budget for the resident artifact cache; least-recently-used
-    /// entries are evicted once the budget is exceeded. `None` means
-    /// unbounded. Eviction never touches the disk tier.
-    pub cache_cap_bytes: Option<u64>,
+    /// entries are evicted once the budget is exceeded. Eviction never
+    /// touches the disk tier. The budget counts artifact text plus 48
+    /// bytes an artifact, of which the heap pays about 2.5 times (`Arc`,
+    /// `Vec`, map slot, `String` capacity); the 64 KiB default is some
+    /// 190 corpus-sized SPMD artifacts and was sized against the
+    /// daemon's peak RSS when every request is a never-seen source
+    /// (DESIGN.md §16).
+    pub cache_cap_bytes: u64,
     /// Maximum quarantined poison-pill hashes retained; the oldest is
     /// dropped (memory and disk) once the cap is exceeded.
     pub quarantine_cap: usize,
@@ -117,7 +125,7 @@ impl Default for ServeConfig {
             retry_after_ms: 50,
             retry_jitter_seed: 0,
             cache_dir: None,
-            cache_cap_bytes: None,
+            cache_cap_bytes: 64 << 10,
             quarantine_cap: 256,
             max_conns: 64,
             frame_read_deadline_ms: Some(10_000),
@@ -196,7 +204,7 @@ impl CacheMap {
     /// entries until the byte budget holds again. A single entry larger
     /// than the whole budget is kept alone rather than thrashed —
     /// serving it beats recompiling it every time.
-    fn insert(&mut self, hash: u64, artifacts: Artifacts, cap: Option<u64>, metrics: &Metrics) {
+    fn insert(&mut self, hash: u64, artifacts: Artifacts, cap: u64, metrics: &Metrics) {
         let bytes = entry_bytes(&artifacts);
         self.tick += 1;
         let entry = CacheEntry {
@@ -208,7 +216,6 @@ impl CacheMap {
             self.bytes -= old.bytes;
         }
         self.bytes += bytes;
-        let Some(cap) = cap else { return };
         while self.bytes > cap && self.entries.len() > 1 {
             let victim = self
                 .entries
@@ -722,10 +729,7 @@ impl Server {
             timeouts,
             cache_entries,
             cache_bytes,
-            inner
-                .config
-                .cache_cap_bytes
-                .map_or("null".to_string(), |c| c.to_string()),
+            inner.config.cache_cap_bytes,
             inner.store.is_some(),
             hits,
             disk_hits,
@@ -1518,7 +1522,7 @@ mod tests {
         let dir = scratch_dir("lru");
         let server = Server::start(ServeConfig {
             workers: 1,
-            cache_cap_bytes: Some(600),
+            cache_cap_bytes: 600,
             cache_dir: Some(dir.clone()),
             ..ServeConfig::default()
         });
@@ -1566,6 +1570,52 @@ mod tests {
         );
         assert!(r.contains("\"cached\":true"), "{r}");
         assert!(server.metrics().counter("serve.cache.disk_hit") >= 1);
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Feeds `server` 1 000 distinct one-statement kernels, checks the
+    /// resident tier held its budget, and returns how the first kernel
+    /// is answered afterwards.
+    fn first_kernel_after_a_thousand(server: &Server) -> String {
+        let source = |n: u64| {
+            format!(
+                "param N = {};\narray A[N];\nfor i = 0, N - 1 {{ A[i] = A[i] + 1; }}\n",
+                n + 2
+            )
+        };
+        for n in 0..1000 {
+            let r = server.request_sync(&frame(n, &source(n), ""), WAIT);
+            assert!(r.contains("\"cached\":false"), "{r}");
+        }
+        let status = server.request_sync("{\"id\":0,\"verb\":\"status\"}", WAIT);
+        let v = crate::json::parse(&status).unwrap();
+        let cache = v.get("status").unwrap().get("cache").unwrap();
+        let field = |name| cache.get(name).unwrap().as_u64();
+        let cap = field("cap_bytes").expect("cap_bytes is a number");
+        assert_eq!(cap, server.config().cache_cap_bytes, "{status}");
+        assert!(field("bytes").unwrap() <= cap, "{status}");
+        assert!(field("evicted").unwrap() > 0, "{status}");
+        server.request_sync(&frame(1000, &source(0), ""), WAIT)
+    }
+
+    #[test]
+    fn default_cap_bounds_the_resident_tier() {
+        // No disk tier: what the budget evicts is forgotten.
+        let server = Server::start(ServeConfig::default());
+        let again = first_kernel_after_a_thousand(&server);
+        assert!(again.contains("\"cached\":false"), "{again}");
+        server.join();
+
+        // With one, eviction only demoted it.
+        let dir = scratch_dir("defaultcap");
+        let server = Server::start(ServeConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let again = first_kernel_after_a_thousand(&server);
+        assert!(again.contains("\"cached\":true"), "{again}");
+        assert_eq!(server.metrics().counter("serve.cache.disk_hit"), 1);
         server.join();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,6 +1,7 @@
-//! Newline framing: the one implementation of bytes → frames that
-//! stdio, Unix and TCP all drive, so a frame is split, decoded and
-//! bounded identically whichever way it arrived.
+//! Newline framing, both directions: the one implementation of bytes →
+//! frames that stdio, Unix and TCP all drive, so a frame is split,
+//! decoded and bounded identically whichever way it arrived, and the one
+//! function ([`write_response`]) through which every answer leaves.
 //!
 //! The framer is byte-oriented rather than `BufRead::lines`-based,
 //! because a peer is allowed to be hostile:
@@ -17,7 +18,21 @@ use crate::core::{Server, Submit};
 use crate::diag::ServeCode;
 use crate::json::Json;
 use crate::proto::render_error;
+use std::io::{self, Write};
 use std::sync::mpsc::Sender;
+
+/// Writes one response line to a transport — the only code in the
+/// crate that does; the flush is for buffered writers (stdout), sockets
+/// ignore it. `writeln!` hands an unbuffered stream the line and its
+/// newline as two writes, as the three sites this replaced did, and
+/// over TCP the one-byte second segment waits out Nagle and the peer's
+/// delayed ACK: ~44 ms a round trip. Pushing the newline onto the line
+/// and issuing one `write_all` removes that, and is deliberately not
+/// done here — DESIGN.md §16, "Known stall", says what holds it back.
+pub(crate) fn write_response<W: Write>(transport: &mut W, line: &str) -> io::Result<()> {
+    writeln!(transport, "{line}")?;
+    transport.flush()
+}
 
 /// The bytes of the frame being received, and whether they are the tail
 /// of an already-rejected oversize frame.

@@ -10,10 +10,12 @@
 //!   Unix socket ([`serve_unix`]), TCP ([`serve_tcp`]) or stdin/stdout
 //!   ([`serve_lines`]); verbs `compile`, `status`, `health`, `ping`,
 //!   `shutdown`. All three split frames with one byte-level framer
-//!   (lossy UTF-8, max-frame enforcement while buffering); both socket
-//!   transports serve byte-identical responses for the same frames and
-//!   add slow-loris read deadlines and connection-cap shedding
-//!   ([`net`]).
+//!   (lossy UTF-8, max-frame enforcement while buffering) and answer
+//!   through one response writer; the two socket entry points share
+//!   one accept loop, take the shutdown latch that lets a `shutdown`
+//!   frame on either stop both, serve byte-identical responses for the
+//!   same frames and add slow-loris read deadlines and connection-cap
+//!   shedding ([`net`]).
 //! - **Fault cells** ([`core`]): every compile runs under
 //!   `catch_unwind` with a full [`an_driver::CompileBudget`]; a panic
 //!   or budget blow-up produces a structured `AN07xx` error
@@ -31,7 +33,9 @@
 //! - **Two-tier commit-on-success cache**: artifacts are cached by
 //!   content hash only after a fully successful compile, so transient
 //!   failures (deadlines, panics) can never poison future responses.
-//!   The resident tier LRU-evicts at a byte budget; with `--cache-dir`
+//!   The resident tier LRU-evicts at a byte budget it always has
+//!   (64 KiB unless `--cache-cap` says otherwise) and forgets what it
+//!   evicts; with `--cache-dir` eviction only demotes, because
 //!   the [`store`] tier persists entries crash-safely (checksummed,
 //!   length-framed, version-stamped) and survives `kill -9` —
 //!   validation on load deletes and recompiles anything corrupt
@@ -60,9 +64,9 @@ pub mod store;
 
 pub use crate::core::{ServeConfig, Server, Submit};
 pub use diag::ServeCode;
-pub use net::{serve_tcp, serve_tcp_shared, Shutdown};
 #[cfg(unix)]
-pub use net::{serve_unix, serve_unix_shared};
+pub use net::serve_unix;
+pub use net::{serve_tcp, Shutdown};
 
 use std::io::{self, BufRead, Write};
 use std::sync::mpsc;
@@ -86,8 +90,7 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
     thread::scope(|scope| {
         let writer_thread = scope.spawn(move || -> io::Result<()> {
             for line in rx {
-                writeln!(writer, "{line}")?;
-                writer.flush()?;
+                frame::write_response(&mut writer, &line)?;
             }
             Ok(())
         });
@@ -177,7 +180,7 @@ mod tests {
         let result = thread::scope(|scope| {
             let srv = &server;
             let p = path.clone();
-            let listener = scope.spawn(move || serve_unix(srv, &p));
+            let listener = scope.spawn(move || serve_unix(srv, &p, &Shutdown::new()));
             // Wait for the socket to exist, then talk to it.
             let mut tries = 0;
             let mut stream = loop {

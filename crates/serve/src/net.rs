@@ -1,11 +1,14 @@
-//! Socket transports: the Unix-domain listener and its TCP sibling,
-//! built on one shared byte-level framed connection handler.
+//! Socket transports: the Unix-domain listener and its TCP sibling.
+//! [`serve_unix`] and [`serve_tcp`] differ only in how the listener is
+//! bound and cleaned up; one accept loop and one framed connection
+//! handler, both generic over the stream type, serve either.
 //!
 //! Both transports speak the identical JSON-lines protocol — a client
 //! moved from `--socket` to `--tcp` sees byte-identical responses for
-//! the same frames — and split it with the framer stdio uses too
-//! (`frame.rs`: lossy UTF-8, `AN0702` at the buffer). What only a
-//! network peer can do is handled here:
+//! the same frames — split with the framer and answered through the
+//! response writer that stdio uses too (`frame.rs`: lossy UTF-8,
+//! `AN0702` at the buffer). What only a network peer can do is handled
+//! here:
 //!
 //! - **Slow-loris partial frames.** A connection that trickles bytes
 //!   without ever sending a newline holds memory, not a worker. After
@@ -26,7 +29,7 @@
 
 use crate::core::{Server, Submit};
 use crate::diag::ServeCode;
-use crate::frame::Framer;
+use crate::frame::{write_response, Framer};
 use crate::json::Json;
 use crate::proto::render_error;
 use std::io::{self, Read, Write};
@@ -39,7 +42,7 @@ use std::time::{Duration, Instant};
 /// How long a blocked `read` waits before re-checking the shutdown
 /// latch and the partial-frame deadline.
 const READ_POLL: Duration = Duration::from_millis(100);
-/// How long the non-blocking accept loops sleep between polls.
+/// How long the non-blocking accept loop sleeps between polls.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// A shared, clonable shutdown latch. All listeners and connection
@@ -94,13 +97,12 @@ fn shed_connection<W: Write>(server: &Server, mut stream: W) {
         "connection limit reached; retry later",
         Some(server.retry_hint()),
     );
-    let _ = writeln!(stream, "{line}");
-    let _ = stream.flush();
+    let _ = write_response(&mut stream, &line);
 }
 
-/// The two stream types the framed handler runs over. `configure` puts
-/// the stream in blocking mode with the poll read-timeout; `split`
-/// clones a handle for the writer thread.
+/// The two stream types the accept loop and the framed handler run
+/// over. `configure` puts the stream in blocking mode with the poll
+/// read-timeout; `split` clones a handle for the writer thread.
 trait NetStream: Read + Write + Send {
     fn configure(&self) -> io::Result<()>;
     fn split(&self) -> io::Result<Self>
@@ -154,7 +156,7 @@ fn handle_framed<S: NetStream>(server: &Server, mut stream: S, shutdown: &Shutdo
         let writer_thread = scope.spawn(move || {
             let mut w = write_half;
             for line in rx {
-                if writeln!(w, "{line}").and_then(|()| w.flush()).is_err() {
+                if write_response(&mut w, &line).is_err() {
                     break;
                 }
             }
@@ -215,6 +217,46 @@ fn handle_framed<S: NetStream>(server: &Server, mut stream: S, shutdown: &Shutdo
     })
 }
 
+/// The accept loop of either listener, handed its `accept`: poll the
+/// latch, take a connection, give it a slot and a [`handle_framed`]
+/// thread of its own — or shed it when [`ServeConfig::max_conns`] are
+/// already open — and sleep [`ACCEPT_POLL`] when nobody is waiting.
+/// Returns once the latch has tripped, every connection has wound down
+/// and the daemon has drained.
+///
+/// [`ServeConfig::max_conns`]: crate::ServeConfig::max_conns
+fn accept_loop<S: NetStream>(
+    server: &Server,
+    shutdown: &Shutdown,
+    accept: impl Fn() -> io::Result<S>,
+) {
+    let active = AtomicUsize::new(0);
+    thread::scope(|scope| {
+        while !shutdown.is_triggered() {
+            match accept() {
+                Ok(stream) => match claim_slot(server, &active) {
+                    Some(slot) => {
+                        scope.spawn(move || {
+                            let _slot = slot;
+                            if handle_framed(server, stream, shutdown) == Submit::Shutdown {
+                                shutdown.trigger();
+                            }
+                        });
+                    }
+                    None => {
+                        let _ = stream.configure();
+                        shed_connection(server, stream);
+                    }
+                },
+                // Nobody waiting (`WouldBlock`), or an accept that
+                // failed for this one peer: poll again shortly.
+                Err(_) => thread::sleep(ACCEPT_POLL),
+            }
+        }
+    });
+    server.drain();
+}
+
 /// Serves connections from a pre-bound TCP listener until the shared
 /// latch trips (a `shutdown` frame on any connection of any transport
 /// trips it). Binding is the caller's job so the resolved address —
@@ -224,52 +266,12 @@ fn handle_framed<S: NetStream>(server: &Server, mut stream: S, shutdown: &Shutdo
 ///
 /// Listener configuration errors. Per-connection I/O errors only
 /// terminate that connection.
-pub fn serve_tcp_shared(
-    server: &Server,
-    listener: TcpListener,
-    shutdown: &Shutdown,
-) -> io::Result<()> {
+pub fn serve_tcp(server: &Server, listener: TcpListener, shutdown: &Shutdown) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let active = AtomicUsize::new(0);
-    thread::scope(|scope| loop {
-        if shutdown.is_triggered() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => match claim_slot(server, &active) {
-                Some(slot) => {
-                    scope.spawn(move || {
-                        let _slot = slot;
-                        if handle_framed(server, stream, shutdown) == Submit::Shutdown {
-                            shutdown.trigger();
-                        }
-                    });
-                }
-                None => {
-                    let _ = stream.set_nonblocking(false);
-                    shed_connection(server, stream);
-                }
-            },
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => thread::sleep(ACCEPT_POLL),
-        }
+    accept_loop(server, shutdown, || {
+        listener.accept().map(|(stream, _peer)| stream)
     });
-    server.drain();
     Ok(())
-}
-
-/// Single-transport TCP serve: binds its own latch, drains on the
-/// first `shutdown` frame.
-///
-/// # Errors
-///
-/// See [`serve_tcp_shared`].
-pub fn serve_tcp(server: &Server, listener: TcpListener) -> io::Result<()> {
-    serve_tcp_shared(server, listener, &Shutdown::new())
 }
 
 /// Binds `path` and serves connections until the shared latch trips.
@@ -282,55 +284,14 @@ pub fn serve_tcp(server: &Server, listener: TcpListener) -> io::Result<()> {
 /// Bind errors. Per-connection I/O errors only terminate that
 /// connection.
 #[cfg(unix)]
-pub fn serve_unix_shared(
-    server: &Server,
-    path: &std::path::Path,
-    shutdown: &Shutdown,
-) -> io::Result<()> {
+pub fn serve_unix(server: &Server, path: &std::path::Path, shutdown: &Shutdown) -> io::Result<()> {
     let listener = std::os::unix::net::UnixListener::bind(path)?;
     listener.set_nonblocking(true)?;
-    let active = AtomicUsize::new(0);
-    thread::scope(|scope| loop {
-        if shutdown.is_triggered() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _addr)) => match claim_slot(server, &active) {
-                Some(slot) => {
-                    scope.spawn(move || {
-                        let _slot = slot;
-                        if handle_framed(server, stream, shutdown) == Submit::Shutdown {
-                            shutdown.trigger();
-                        }
-                    });
-                }
-                None => {
-                    let _ = stream.set_nonblocking(false);
-                    shed_connection(server, stream);
-                }
-            },
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => thread::sleep(ACCEPT_POLL),
-        }
+    accept_loop(server, shutdown, || {
+        listener.accept().map(|(stream, _addr)| stream)
     });
-    server.drain();
     let _ = std::fs::remove_file(path);
     Ok(())
-}
-
-/// Single-transport Unix-socket serve (the historical entry point):
-/// binds its own latch, drains on the first `shutdown` frame.
-///
-/// # Errors
-///
-/// See [`serve_unix_shared`].
-#[cfg(unix)]
-pub fn serve_unix(server: &Server, path: &std::path::Path) -> io::Result<()> {
-    serve_unix_shared(server, path, &Shutdown::new())
 }
 
 #[cfg(test)]
@@ -390,7 +351,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         thread::scope(|scope| {
             let srv = &server;
-            let t = scope.spawn(move || serve_tcp(srv, listener));
+            let t = scope.spawn(move || serve_tcp(srv, listener, &Shutdown::new()));
             let stream = connect_tcp(addr);
             let lines = roundtrip(
                 &stream,
@@ -430,8 +391,8 @@ mod tests {
             let srv = &server;
             let (sd1, sd2) = (shutdown.clone(), shutdown.clone());
             let sock_path = sock.clone();
-            let tu = scope.spawn(move || serve_unix_shared(srv, &sock_path, &sd1));
-            let tt = scope.spawn(move || serve_tcp_shared(srv, listener, &sd2));
+            let tu = scope.spawn(move || serve_unix(srv, &sock_path, &sd1));
+            let tt = scope.spawn(move || serve_tcp(srv, listener, &sd2));
 
             // Prime the cache so the compile response is deterministic
             // (cached=true, compile_us=0) on both transports.
@@ -500,7 +461,7 @@ mod tests {
         thread::scope(|scope| {
             let srv = &server;
             let sd = shutdown.clone();
-            let t = scope.spawn(move || serve_tcp_shared(srv, listener, &sd));
+            let t = scope.spawn(move || serve_tcp(srv, listener, &sd));
             let stream = connect_tcp(addr);
             let mut w = stream.try_clone().unwrap();
             // A frame that never finishes.
@@ -534,7 +495,7 @@ mod tests {
         thread::scope(|scope| {
             let srv = &server;
             let sd = shutdown.clone();
-            let t = scope.spawn(move || serve_tcp_shared(srv, listener, &sd));
+            let t = scope.spawn(move || serve_tcp(srv, listener, &sd));
             let stream = connect_tcp(addr);
             let mut w = stream.try_clone().unwrap();
             // 4 KiB of newline-less garbage trips the buffer guard
@@ -572,7 +533,7 @@ mod tests {
         thread::scope(|scope| {
             let srv = &server;
             let sd = shutdown.clone();
-            let t = scope.spawn(move || serve_tcp_shared(srv, listener, &sd));
+            let t = scope.spawn(move || serve_tcp(srv, listener, &sd));
             let held = connect_tcp(addr);
             // Prove the first connection owns its slot before piling on.
             let lines = roundtrip(&held, &["{\"id\":1,\"verb\":\"ping\"}"]);

@@ -32,7 +32,7 @@ use crate::{compile_program_with, BudgetExceeded, CompileOptions, Compiled, Erro
 use an_ir::{Distribution, Program, Stmt};
 use an_linalg::CacheStats;
 use an_model::model_stats;
-use an_numa::{predict, simulate_with_jobs, MachineConfig, SimStats};
+use an_numa::{simulate_with_jobs, MachineConfig, SimStats};
 
 /// How the search prices each candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,12 +88,6 @@ pub struct AutoDistOptions {
     /// How many winners to materialize as full [`DistributionCandidate`]s
     /// (the ranking always covers every candidate).
     pub top_k: usize,
-    /// Early pruning: `Some(f)` scores every candidate with a cheap
-    /// transfer-free compile first and fully evaluates only those within
-    /// factor `f` of the cheap best. Deterministic but heuristic — a
-    /// candidate whose standing improves with block transfers can be
-    /// pruned — so it is off by default.
-    pub prune: Option<f64>,
     /// Run the independent soundness verifier (`an-verify`) on every
     /// compiled candidate and reject those with error-severity findings
     /// (counted in [`SearchReport::rejected`]). Off by default — the
@@ -116,7 +110,6 @@ impl Default for AutoDistOptions {
             compile: CompileOptions::default(),
             jobs: 0,
             top_k: 8,
-            prune: None,
             verify: false,
             price: Pricing::Model,
             validate_top_k: 8,
@@ -137,9 +130,6 @@ pub struct SearchReport {
     /// Assignments whose pipeline failed (silently dropped before; now
     /// counted and surfaced here).
     pub skipped: usize,
-    /// Assignments eliminated by the cheap pre-pass
-    /// ([`AutoDistOptions::prune`]).
-    pub pruned: usize,
     /// Assignments that compiled but failed independent verification
     /// ([`AutoDistOptions::verify`]).
     pub rejected: usize,
@@ -171,7 +161,6 @@ enum Eval {
         compiled: Option<Box<Compiled>>,
     },
     Failed,
-    Pruned,
     /// Compiled, but the independent verifier found an error.
     Rejected,
 }
@@ -179,9 +168,9 @@ enum Eval {
 /// Searches per-array distributions for a program, returning candidates
 /// sorted by predicted time (best first).
 ///
-/// Equivalent to [`search_report`] with an unbounded top-k and no
-/// pruning, returning just the candidate list (every candidate carries
-/// its [`Compiled`] artifacts, as this function always did).
+/// Equivalent to [`search_report`] with an unbounded top-k, returning
+/// just the candidate list (every candidate carries its [`Compiled`]
+/// artifacts, as this function always did).
 ///
 /// # Errors
 ///
@@ -195,14 +184,13 @@ pub fn search_distributions(
 ) -> Result<Vec<DistributionCandidate>, Error> {
     let opts = AutoDistOptions {
         top_k: usize::MAX,
-        prune: None,
         ..opts.clone()
     };
     Ok(search_report(program, machine, &opts)?.candidates)
 }
 
 /// Searches per-array distributions in parallel, returning the ranked
-/// scores, the compiled top-k, and search accounting (skipped/pruned
+/// scores, the compiled top-k, and search accounting (skipped/rejected
 /// counts, cache statistics).
 ///
 /// # Determinism
@@ -282,42 +270,12 @@ pub fn search_report(
     ctx.precompute_deps(program, &opts.compile.normalize.deps)?;
     let params = program.default_param_values();
 
-    // Optional cheap pre-pass: transfer-free compiles, keep only
-    // assignments within `factor` of the cheap best.
-    let survives: Option<Vec<bool>> = match opts.prune {
-        None => None,
-        Some(factor) => {
-            let mut cheap_opts = worker_compile.clone();
-            cheap_opts.spmd.block_transfers = false;
-            let cheap: Vec<Option<f64>> = an_par::par_map_indexed(total, opts.jobs, |i| {
-                let p = with_dists(&decode(i));
-                compile_program_with(&p, &cheap_opts, &ctx)
-                    .ok()
-                    .and_then(|c| predict(&c.spmd, machine, opts.procs, &params).ok())
-                    .map(|m| m.time_us)
-            });
-            let best = cheap.iter().flatten().fold(f64::INFINITY, |a, &b| a.min(b));
-            Some(
-                cheap
-                    .iter()
-                    // Failures stay in: the full pass counts them as skipped.
-                    .map(|t| t.is_none_or(|t| t <= best * factor))
-                    .collect(),
-            )
-        }
-    };
-
     // Main scoring fan-out. Full `Compiled` artifacts are only retained
     // when the top-k covers the whole space (then a recompile pass would
     // just redo everything); otherwise each worker drops them and the
     // winners are recompiled through the warm cache at the end.
     let keep_all = total <= opts.top_k;
     let evals: Vec<Eval> = an_par::par_map_indexed(total, opts.jobs, |i| {
-        if let Some(s) = &survives {
-            if !s[i] {
-                return Eval::Pruned;
-            }
-        }
         let p = with_dists(&decode(i));
         match compile_program_with(&p, &worker_compile, &ctx) {
             Ok(compiled) => {
@@ -350,7 +308,6 @@ pub fn search_report(
     });
 
     let skipped = evals.iter().filter(|e| matches!(e, Eval::Failed)).count();
-    let pruned = evals.iter().filter(|e| matches!(e, Eval::Pruned)).count();
     let rejected = evals.iter().filter(|e| matches!(e, Eval::Rejected)).count();
 
     // Rank: stable sort over assignment order, so equal times keep
@@ -435,7 +392,6 @@ pub fn search_report(
         for (name, value) in [
             ("search.evaluated", order.len() as u64),
             ("search.skipped", skipped as u64),
-            ("search.pruned", pruned as u64),
             ("search.rejected", rejected as u64),
             ("search.validated", validated as u64),
             ("search.mismatches", mismatches as u64),
@@ -452,7 +408,6 @@ pub fn search_report(
         ranking,
         evaluated: order.len(),
         skipped,
-        pruned,
         rejected,
         cache: ctx.stats(),
         jobs: an_par::resolve_jobs(opts.jobs),
@@ -588,10 +543,7 @@ mod tests {
         };
         let report = search_report(&gemm(), &machine, &opts).unwrap();
         // 4 options for C, 5 (incl. replication) for A and B.
-        assert_eq!(
-            report.evaluated + report.skipped + report.pruned + report.rejected,
-            100
-        );
+        assert_eq!(report.evaluated + report.skipped + report.rejected, 100);
         assert_eq!(report.rejected, 0, "verification is off by default");
         assert_eq!(report.ranking.len(), report.evaluated);
         assert_eq!(report.candidates.len(), 3);
@@ -653,10 +605,7 @@ mod tests {
             ..AutoDistOptions::default()
         };
         let report = search_report(&p, &machine, &opts).unwrap();
-        assert_eq!(
-            report.evaluated + report.skipped + report.pruned + report.rejected,
-            4
-        );
+        assert_eq!(report.evaluated + report.skipped + report.rejected, 4);
         assert_eq!(report.rejected, 0, "sound candidates must not be rejected");
         assert!(report.best().is_some());
     }
@@ -705,38 +654,5 @@ mod tests {
                 (c.predicted_time_us - sim_best_t).abs() / scale < 1e-9
             })
             .any(|c| c.assignment == best.assignment));
-    }
-
-    #[test]
-    fn pruned_search_still_finds_the_winner() {
-        let machine = MachineConfig::butterfly_gp1000();
-        let exhaustive = search_report(
-            &gemm(),
-            &machine,
-            &AutoDistOptions {
-                procs: 8,
-                allow_replication: true,
-                top_k: 1,
-                ..AutoDistOptions::default()
-            },
-        )
-        .unwrap();
-        let pruned = search_report(
-            &gemm(),
-            &machine,
-            &AutoDistOptions {
-                procs: 8,
-                allow_replication: true,
-                top_k: 1,
-                prune: Some(2.0),
-                ..AutoDistOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(pruned.pruned > 0, "prune factor 2 should eliminate some");
-        assert_eq!(
-            pruned.best().unwrap().assignment,
-            exhaustive.best().unwrap().assignment
-        );
     }
 }

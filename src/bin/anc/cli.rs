@@ -181,7 +181,7 @@ static COMMANDS: [Command; 8] = [
             "--retry-after-ms N  base retry hint on a shed request",
             "--retry-jitter-seed N  seed of the retry-hint jitter",
             "--cache-dir PATH    persist compiles here and reload them on restart",
-            "--cache-cap BYTES   resident cache budget (LRU demote to disk)",
+            "--cache-cap BYTES   resident cache budget (default 65536; LRU, demotes to --cache-dir)",
             "--quarantine-cap N  poison-pill quarantine entries kept",
             "--max-conns N       concurrent connections accepted",
             "--frame-deadline-ms N  drop a connection whose frame stalls this long",

@@ -6,7 +6,7 @@
 
 use crate::cli::Args;
 use crate::Stop;
-use access_normalization::serve::{serve_lines, serve_tcp_shared, ServeConfig, Server, Shutdown};
+use access_normalization::serve::{serve_lines, serve_tcp, ServeConfig, Server, Shutdown};
 use std::process::ExitCode;
 
 pub fn run(args: &Args) -> Result<ExitCode, Stop> {
@@ -19,7 +19,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
         retry_after_ms: args.number_or("--retry-after-ms", base.retry_after_ms)?,
         retry_jitter_seed: args.number_or("--retry-jitter-seed", base.retry_jitter_seed)?,
         cache_dir: args.value("--cache-dir").map(std::path::PathBuf::from),
-        cache_cap_bytes: args.number("--cache-cap")?,
+        cache_cap_bytes: args.number_or("--cache-cap", base.cache_cap_bytes)?,
         quarantine_cap: args.number_or("--quarantine-cap", base.quarantine_cap)?,
         max_conns: args.number_or("--max-conns", base.max_conns)?,
         frame_read_deadline_ms: args
@@ -91,7 +91,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
                         let srv = &server;
                         let sd = &shutdown;
                         scope.spawn(move || {
-                            access_normalization::serve::serve_unix_shared(
+                            access_normalization::serve::serve_unix(
                                 srv,
                                 std::path::Path::new(path),
                                 sd,
@@ -104,7 +104,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
                     }
                 });
                 let tcp_result = match tcp_listener {
-                    Some((listener, _)) => serve_tcp_shared(&server, listener, &shutdown),
+                    Some((listener, _)) => serve_tcp(&server, listener, &shutdown),
                     // Unix-only mode still needs the latch honoured on
                     // this thread; just wait for the listener below.
                     None => Ok(()),

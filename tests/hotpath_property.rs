@@ -1,10 +1,10 @@
 //! Differential properties for the hot-path fast rungs.
 //!
 //! Each fast path added for raw speed — the stack-allocated `SmallMat`
-//! kernels, the bitset distance lattices, and the arena-interned IR —
-//! must be *observationally invisible*: bit-for-bit the same results as
-//! the generic path it short-circuits. These tests pin that down on
-//! fuzzed inputs by running both paths and comparing exactly.
+//! kernels and the bitset distance lattices — must be *observationally
+//! invisible*: bit-for-bit the same results as the generic path it
+//! short-circuits. These tests pin that down on fuzzed inputs by running
+//! both paths and comparing exactly.
 //!
 //! (`solve_integer` is column HNF plus deterministic forward
 //! substitution, so the HNF differential below covers it; a directed
@@ -16,8 +16,7 @@ use access_normalization::linalg::projection::{project_generic, project_onto_col
 use access_normalization::linalg::solve::solve_integer;
 use access_normalization::linalg::{IMatrix, IVec};
 use an_deps::distance::{representatives, DistanceSet};
-use an_ir::build::NestBuilder;
-use an_ir::{interp, Distribution, Expr, IrError, PreparedBody, Program};
+use an_ir::{interp, IrError};
 use an_normal::eval::{run_messy, EvalError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -100,47 +99,6 @@ fn reference_representatives(set: &DistanceSet, reach: i64) -> Vec<IVec> {
         }
     }
     out.into_iter().collect()
-}
-
-/// A small program whose rhs is folded from an opcode stream, giving
-/// diverse expression trees (shared accesses, negation, division).
-fn opcode_program(depth: usize, ops: &[u32]) -> Program {
-    let names: Vec<&str> = ["i", "j", "k"][..depth].to_vec();
-    let mut b = NestBuilder::new(&names, &[("N", 4)]);
-    let extent = b.cst(32);
-    let arr_a = b.array(
-        "A",
-        &[extent.clone(), extent.clone()],
-        Distribution::Wrapped { dim: 0 },
-    );
-    let arr_b = b.array("B", &[extent.clone(), extent], Distribution::Replicated);
-    let alpha = b.coef("alpha", 1.5);
-    for k in 0..depth {
-        b.bounds(k, b.cst(0), b.par(0).sub(&b.cst(1)));
-    }
-    let sub = |b: &NestBuilder, off: i64| {
-        let mut e = b.cst(8 + off);
-        for v in 0..depth {
-            e = e.add(&b.var(v));
-        }
-        e
-    };
-    let lhs = b.access(arr_a, &[sub(&b, 0), sub(&b, 1)]);
-    let read_a = Expr::access(b.access(arr_a, &[sub(&b, 2), sub(&b, 0)]));
-    let read_b = Expr::access(b.access(arr_b, &[sub(&b, 1), sub(&b, 2)]));
-    let mut rhs = read_a.clone();
-    for op in ops {
-        rhs = match op % 6 {
-            0 => Expr::add(rhs, Expr::lit(1.0)),
-            1 => Expr::neg(rhs),
-            2 => Expr::mul(rhs, alpha.clone()),
-            3 => Expr::sub(rhs, read_b.clone()),
-            4 => Expr::div(rhs, Expr::lit(2.0)),
-            _ => Expr::add(rhs, read_a.clone()),
-        };
-    }
-    b.assign(lhs, rhs);
-    b.finish()
 }
 
 /// Source text for a two-statement depth-2 kernel over `extent`-sized
@@ -346,36 +304,5 @@ proptest! {
         let set = DistanceSet { particular, kernel };
         let (got, _) = representatives(&set, reach);
         prop_assert_eq!(got, reference_representatives(&set, reach));
-    }
-
-    /// Arena-built IR round-trips to, and interprets identically to, the
-    /// boxed trees it interns.
-    #[test]
-    fn arena_ir_matches_boxed(
-        depth in 2usize..=3,
-        ops in proptest::collection::vec(0u32..=5, 0..8),
-    ) {
-        let p = opcode_program(depth, &ops);
-        let params = p.default_param_values();
-        let body = PreparedBody::new(&p);
-        prop_assert_eq!(body.stmts.len(), p.nest.body.len());
-        for (stmt, (_, rhs)) in p.nest.body.iter().zip(&body.stmts) {
-            // Round trip: interning then rebuilding is the identity.
-            let an_ir::Stmt::Assign { rhs: boxed, .. } = stmt else {
-                unreachable!("assign-only bodies")
-            };
-            prop_assert_eq!(&body.arena.to_expr(*rhs), boxed);
-        }
-        // Bitwise-identical interpretation: `run` (arena) vs the boxed
-        // `execute_point` loop over the same iteration order.
-        let mut arena_store = interp::ArrayStore::seeded(&p, &params, 7);
-        interp::run(&p, &params, &mut arena_store).expect("arena run");
-        let mut boxed_store = interp::ArrayStore::seeded(&p, &params, 7);
-        p.nest
-            .for_each_iteration(&params, |pt| {
-                interp::execute_point(&p, pt, &params, &mut boxed_store).expect("boxed run");
-            })
-            .expect("iteration");
-        prop_assert_eq!(arena_store, boxed_store);
     }
 }
