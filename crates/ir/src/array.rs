@@ -15,7 +15,6 @@ pub struct ArrayId(pub usize);
 /// distribution function; subscripts in those dimensions are what access
 /// normalization tries hardest to normalize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Distribution {
     /// Every processor holds a full copy; all accesses are local.
     Replicated,

@@ -423,9 +423,6 @@ impl Scalar for BigInt {
     fn is_zero(&self) -> bool {
         BigInt::is_zero(self)
     }
-}
-
-impl crate::matrix::ExactInt for BigInt {
     fn try_div_floor(&self, rhs: &BigInt) -> Option<BigInt> {
         Some(self.div_floor(rhs))
     }

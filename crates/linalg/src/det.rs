@@ -1,7 +1,7 @@
-//! Determinants, adjugates and inverses of exact matrices.
+//! Fraction-free (Bareiss) determinants and the exact adjugate.
 
 use crate::bigint::{self, BMatrix, BigInt};
-use crate::{IMatrix, LinalgError, QMatrix, Rational};
+use crate::{IMatrix, LinalgError};
 
 /// Determinant of an integer matrix by fraction-free Bareiss elimination.
 ///
@@ -14,25 +14,6 @@ use crate::{IMatrix, LinalgError, QMatrix, Rational};
 /// Returns [`LinalgError::NotSquare`] for non-square input and
 /// [`LinalgError::Overflow`] if the (exact) determinant exceeds `i64`.
 pub fn determinant(m: &IMatrix) -> Result<i64, LinalgError> {
-    // Corpus-sized matrices (n ≤ 4) take the stack-allocated rung of the
-    // ladder; it runs the identical Bareiss reduction, so the promotion
-    // points and results are bit-for-bit the same.
-    let fast = if m.is_square() && m.rows() <= crate::smallmat::SMALL_DIM {
-        crate::smallmat::determinant_small(m)
-    } else {
-        determinant_i128(m)
-    };
-    match fast {
-        Err(LinalgError::Overflow) => determinant_big(m)?.to_i64().ok_or(LinalgError::Overflow),
-        other => other,
-    }
-}
-
-/// [`determinant`] forced onto the generic i128/BigInt rungs, skipping
-/// the stack-allocated fast path — the differential oracle for the
-/// `SmallMat` specializations.
-#[doc(hidden)]
-pub fn determinant_generic(m: &IMatrix) -> Result<i64, LinalgError> {
     match determinant_i128(m) {
         Err(LinalgError::Overflow) => determinant_big(m)?.to_i64().ok_or(LinalgError::Overflow),
         other => other,
@@ -185,122 +166,9 @@ pub fn adjugate_exact(m: &BMatrix) -> Result<BMatrix, LinalgError> {
     Ok(adj)
 }
 
-/// The adjugate matrix: `m * adjugate(m) == determinant(m) * I`.
-///
-/// Computed from cofactors; exact and valid even for singular matrices.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::NotSquare`] for non-square input.
-pub fn adjugate(m: &IMatrix) -> Result<IMatrix, LinalgError> {
-    if !m.is_square() {
-        return Err(LinalgError::NotSquare {
-            shape: (m.rows(), m.cols()),
-        });
-    }
-    let n = m.rows();
-    let mut adj = IMatrix::zero(n, n);
-    if n == 0 {
-        return Ok(adj);
-    }
-    for r in 0..n {
-        for c in 0..n {
-            let minor = minor_matrix(m, r, c);
-            let cof = determinant(&minor)?;
-            let sign = if (r + c) % 2 == 0 { 1 } else { -1 };
-            // Adjugate is the *transpose* of the cofactor matrix.
-            adj[(c, r)] = sign * cof;
-        }
-    }
-    Ok(adj)
-}
-
-fn minor_matrix(m: &IMatrix, skip_r: usize, skip_c: usize) -> IMatrix {
-    let n = m.rows();
-    let mut out = IMatrix::zero(n - 1, n - 1);
-    let mut rr = 0;
-    for r in 0..n {
-        if r == skip_r {
-            continue;
-        }
-        let mut cc = 0;
-        for c in 0..n {
-            if c == skip_c {
-                continue;
-            }
-            out[(rr, cc)] = m[(r, c)];
-            cc += 1;
-        }
-        rr += 1;
-    }
-    out
-}
-
-/// Exact rational inverse of an integer matrix.
-///
-/// # Errors
-///
-/// [`LinalgError::NotSquare`] or [`LinalgError::Singular`].
-pub fn inverse(m: &IMatrix) -> Result<QMatrix, LinalgError> {
-    let d = determinant(m)?;
-    if d == 0 {
-        return Err(LinalgError::Singular);
-    }
-    let adj = adjugate(m)?;
-    let mut out = QMatrix::zero(m.rows(), m.cols());
-    for r in 0..m.rows() {
-        for c in 0..m.cols() {
-            out[(r, c)] = Rational::new(adj[(r, c)], d);
-        }
-    }
-    Ok(out)
-}
-
-/// Exact inverse of a rational matrix by Gauss–Jordan elimination.
-///
-/// # Errors
-///
-/// [`LinalgError::NotSquare`] or [`LinalgError::Singular`].
-pub fn inverse_rational(m: &QMatrix) -> Result<QMatrix, LinalgError> {
-    if !m.is_square() {
-        return Err(LinalgError::NotSquare {
-            shape: (m.rows(), m.cols()),
-        });
-    }
-    let n = m.rows();
-    let mut a = m.clone();
-    let mut inv = QMatrix::identity(n);
-    for col in 0..n {
-        let Some(p) = (col..n).find(|&r| !a[(r, col)].is_zero()) else {
-            return Err(LinalgError::Singular);
-        };
-        a.swap_rows(col, p);
-        inv.swap_rows(col, p);
-        let pivot = a[(col, col)];
-        for c in 0..n {
-            a[(col, c)] /= pivot;
-            inv[(col, c)] /= pivot;
-        }
-        for r in 0..n {
-            if r == col || a[(r, col)].is_zero() {
-                continue;
-            }
-            let factor = a[(r, col)];
-            for c in 0..n {
-                let ac = a[(col, c)];
-                let ic = inv[(col, c)];
-                a[(r, c)] -= factor * ac;
-                inv[(r, c)] -= factor * ic;
-            }
-        }
-    }
-    Ok(inv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matrix;
 
     #[test]
     fn determinant_known_values() {
@@ -327,36 +195,6 @@ mod tests {
             determinant(&IMatrix::zero(2, 3)),
             Err(LinalgError::NotSquare { .. })
         ));
-    }
-
-    #[test]
-    fn adjugate_identity_property() {
-        let m = IMatrix::from_rows(&[&[2, 4, 1], &[1, 5, 0], &[0, 3, 2]]);
-        let d = determinant(&m).unwrap();
-        let adj = adjugate(&m).unwrap();
-        let prod = m.mul(&adj).unwrap();
-        assert_eq!(prod, IMatrix::identity(3).scale(d));
-    }
-
-    #[test]
-    fn inverse_round_trip() {
-        let m = IMatrix::from_rows(&[&[2, 4], &[1, 5]]);
-        let inv = inverse(&m).unwrap();
-        let prod = m.to_rational().mul(&inv).unwrap();
-        assert_eq!(prod, Matrix::identity(2));
-    }
-
-    #[test]
-    fn inverse_of_singular_fails() {
-        let s = IMatrix::from_rows(&[&[1, 2], &[2, 4]]);
-        assert_eq!(inverse(&s), Err(LinalgError::Singular));
-    }
-
-    #[test]
-    fn rational_inverse_round_trip() {
-        let m = IMatrix::from_rows(&[&[3, 1, 0], &[0, 2, 1], &[1, 0, 1]]).to_rational();
-        let inv = inverse_rational(&m).unwrap();
-        assert_eq!(m.mul(&inv).unwrap(), Matrix::identity(3));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Hermite normal forms.
+//! The column Hermite normal form.
 //!
 //! The column-style HNF is the key tool for restructuring loops by
 //! *non-unimodular* invertible matrices (paper Section 3): the image
@@ -14,7 +14,7 @@
 //! entries genuinely do not fit in `i64`.
 
 use crate::bigint;
-use crate::matrix::ExactInt;
+use crate::matrix::Scalar;
 use crate::{IMatrix, LinalgError, Matrix};
 
 /// Result of a column-style Hermite normal form: `h == a * u`, `u`
@@ -72,39 +72,6 @@ struct HnfParts<T> {
 /// assert_eq!(r.h.get(0, 0) * r.h.get(1, 1), 6);
 /// ```
 pub fn column_hnf(a: &IMatrix) -> Result<ColumnHnf, LinalgError> {
-    // Corpus-sized matrices take the stack-allocated rung first; it runs
-    // the identical reduction, so an overflow there is an overflow here
-    // and the BigInt promotion below behaves the same either way.
-    let small = a.rows() <= crate::smallmat::SMALL_DIM && a.cols() <= crate::smallmat::SMALL_DIM;
-    let fast = if small {
-        crate::smallmat::column_hnf_small(a)
-    } else {
-        column_hnf_core(a).map(|p| ColumnHnf {
-            h: p.h,
-            u: p.u,
-            pivots: p.pivots,
-        })
-    };
-    match fast {
-        Ok(r) => Ok(r),
-        Err(LinalgError::Overflow) => {
-            let p =
-                column_hnf_core(&bigint::to_big(a)).expect("BigInt HNF reduction cannot overflow");
-            Ok(ColumnHnf {
-                h: bigint::narrow(&p.h)?,
-                u: bigint::narrow(&p.u)?,
-                pivots: p.pivots,
-            })
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// [`column_hnf`] forced onto the generic i64/BigInt rungs, skipping
-/// the stack-allocated fast path — the differential oracle for the
-/// `SmallMat` specializations.
-#[doc(hidden)]
-pub fn column_hnf_generic(a: &IMatrix) -> Result<ColumnHnf, LinalgError> {
     match column_hnf_core(a) {
         Ok(p) => Ok(ColumnHnf {
             h: p.h,
@@ -124,7 +91,7 @@ pub fn column_hnf_generic(a: &IMatrix) -> Result<ColumnHnf, LinalgError> {
     }
 }
 
-fn column_hnf_core<T: ExactInt>(a: &Matrix<T>) -> Result<HnfParts<T>, LinalgError> {
+fn column_hnf_core<T: Scalar>(a: &Matrix<T>) -> Result<HnfParts<T>, LinalgError> {
     let (m, n) = (a.rows(), a.cols());
     let mut h = a.clone();
     let mut u = Matrix::<T>::identity(n);
@@ -184,50 +151,14 @@ fn column_hnf_core<T: ExactInt>(a: &Matrix<T>) -> Result<HnfParts<T>, LinalgErro
 
 /// `-floor(a / b)`, the column-operation factor; checked at both steps.
 #[inline]
-fn neg_quotient<T: ExactInt>(a: &T, b: &T) -> Result<T, LinalgError> {
+fn neg_quotient<T: Scalar>(a: &T, b: &T) -> Result<T, LinalgError> {
     a.try_div_floor(b)
         .and_then(|q| q.try_neg())
         .ok_or(LinalgError::Overflow)
 }
 
-/// Result of a row-style Hermite normal form: `h == u * a` with `u`
-/// unimodular and `h` in row echelon form with positive pivots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowHnf {
-    /// The Hermite normal form.
-    pub h: IMatrix,
-    /// The unimodular row-operation matrix with `h == u * a`.
-    pub u: IMatrix,
-    /// For each pivot (in order): `(row, col)` position in `h`.
-    pub pivots: Vec<(usize, usize)>,
-}
-
-/// Computes the row-style Hermite normal form `h = u * a`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::Overflow`] only if an entry of the final
-/// `H`/`U` does not fit in `i64`.
-///
-/// ```
-/// use an_linalg::{IMatrix, hnf::row_hnf};
-/// let a = IMatrix::from_rows(&[&[2, 4, 4], &[-6, 6, 12], &[10, 4, 16]]);
-/// let r = row_hnf(&a).unwrap();
-/// assert_eq!(&r.u.mul(&a).unwrap(), &r.h);
-/// assert!(r.u.is_unimodular());
-/// ```
-pub fn row_hnf(a: &IMatrix) -> Result<RowHnf, LinalgError> {
-    let t = column_hnf(&a.transpose())?;
-    let pivots = t.pivots.iter().map(|&(r, c)| (c, r)).collect();
-    Ok(RowHnf {
-        h: t.h.transpose(),
-        u: t.u.transpose(),
-        pivots,
-    })
-}
-
 #[inline]
-fn col_axpy<T: ExactInt>(
+fn col_axpy<T: Scalar>(
     m: &mut Matrix<T>,
     target: usize,
     source: usize,
@@ -242,7 +173,7 @@ fn col_axpy<T: ExactInt>(
 }
 
 #[inline]
-fn col_negate<T: ExactInt>(m: &mut Matrix<T>, col: usize) -> Result<(), LinalgError> {
+fn col_negate<T: Scalar>(m: &mut Matrix<T>, col: usize) -> Result<(), LinalgError> {
     for r in 0..m.rows() {
         let v = m[(r, col)].try_neg().ok_or(LinalgError::Overflow)?;
         m[(r, col)] = v;
@@ -318,14 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn row_hnf_identity() {
-        let a = IMatrix::from_rows(&[&[4, 0], &[0, 6]]);
-        let r = row_hnf(&a).unwrap();
-        assert_eq!(r.u.mul(&a).unwrap(), r.h);
-        assert!(r.u.is_unimodular());
-    }
-
-    #[test]
     fn min_edge_uses_big_fallback() {
         // Reducing [i64::MIN, -1] needs the quotient MIN / -1 = 2^63,
         // which does not fit in i64 — the old checked axpy panicked
@@ -339,6 +262,53 @@ mod tests {
         // overflow on the MIN * -1 intermediate.
         let prod = bigint::to_big(&m).mul(&bigint::to_big(&r.u)).unwrap();
         assert_eq!(prod, bigint::to_big(&r.h));
+    }
+
+    #[test]
+    fn i64_rung_agrees_with_bigint_rung_or_promotes() {
+        // The promotion contract of `column_hnf`, pinned on the two rungs
+        // themselves: where the checked `i64` reduction succeeds it is
+        // the `BigInt` reduction entry for entry (H, U and pivots), and
+        // where it reports `Overflow` the public entry point answers with
+        // the `BigInt` result narrowed, or `Overflow` exactly when that
+        // result does not fit.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut seed = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 11) as i64 - 5
+        };
+        let (mut fast, mut promoted) = (0, 0);
+        for scale in [1, 7, 1 << 20, i64::MAX / 6] {
+            for (rows, cols) in (1..=4).flat_map(|r| (1..=4).map(move |c| (r, c))) {
+                for _ in 0..16 {
+                    let data = (0..rows * cols).map(|_| seed() * scale).collect();
+                    let m = IMatrix::from_vec(rows, cols, data);
+                    let big = column_hnf_core(&bigint::to_big(&m)).unwrap();
+                    match column_hnf_core(&m) {
+                        Ok(p) => {
+                            fast += 1;
+                            assert_eq!(bigint::to_big(&p.h), big.h, "H differs for\n{m}");
+                            assert_eq!(bigint::to_big(&p.u), big.u, "U differs for\n{m}");
+                            assert_eq!(p.pivots, big.pivots, "pivots differ for\n{m}");
+                        }
+                        Err(LinalgError::Overflow) => {
+                            promoted += 1;
+                            match (bigint::narrow(&big.h), bigint::narrow(&big.u)) {
+                                (Ok(h), Ok(u)) => {
+                                    let pivots = big.pivots;
+                                    assert_eq!(column_hnf(&m), Ok(ColumnHnf { h, u, pivots }));
+                                }
+                                _ => assert_eq!(column_hnf(&m), Err(LinalgError::Overflow)),
+                            }
+                        }
+                        Err(e) => panic!("the i64 rung fails only by overflow, got {e}"),
+                    }
+                }
+            }
+        }
+        assert!(fast > 0 && promoted > 0, "{fast} fast, {promoted} promoted");
     }
 
     #[test]

@@ -1,22 +1,23 @@
-//! Exact integer and rational linear algebra for loop transformations.
+//! Exact integer linear algebra for loop transformations.
 //!
 //! This crate is the algebraic substrate of the access-normalization
 //! pipeline (Li & Pingali, ASPLOS 1992). Loop transformations are modeled
 //! as invertible integer matrices acting on iteration spaces, and the
 //! iteration spaces themselves are integer lattices, so everything here is
-//! *exact*: integer arithmetic with `i128` intermediates and a normalized
-//! [`Rational`] type — no floating point anywhere.
+//! *exact* integer arithmetic: checked `i64` with `i128` intermediates,
+//! promoted to [`bigint::BigInt`] on overflow — no division that leaves
+//! ℤ (the Hermite normal form and Cramer's rule take its place) and no
+//! floating point anywhere.
 //!
 //! # Contents
 //!
-//! - [`Rational`] — arbitrary-sign exact rationals over `i64`.
-//! - [`Matrix`] — dense matrices generic over a [`Scalar`] ring, with the
-//!   aliases [`IMatrix`] (integer) and [`QMatrix`] (rational).
-//! - [`hnf`] — row and column Hermite normal forms; the column HNF drives
-//!   lattice-aware code generation for non-unimodular transforms.
-//! - [`det`] — fraction-free (Bareiss) determinants and adjugates.
-//! - [`solve`] — rational linear solving, integer (Diophantine) solving,
-//!   and null-space bases.
+//! - [`Matrix`] — dense matrices generic over a [`Scalar`] integer ring,
+//!   with the aliases [`IMatrix`] (`i64`) and [`bigint::BMatrix`].
+//! - [`hnf`] — the column Hermite normal form, which drives lattice-aware
+//!   code generation for non-unimodular transforms.
+//! - [`det`] — fraction-free (Bareiss) determinants and the exact
+//!   adjugate.
+//! - [`solve`] — integer (Diophantine) solving and null-space bases.
 //! - [`lattice`] — the integer lattice `T·Zⁿ` of a transform.
 //! - [`projection`] — the integer-scaled orthogonal projection used by
 //!   Algorithm `LegalInvt` (paper Figure 3).
@@ -57,8 +58,6 @@ pub mod hnf;
 pub mod lattice;
 pub mod matrix;
 pub mod projection;
-pub mod rational;
-pub mod smallmat;
 pub mod solve;
 pub mod vector;
 
@@ -66,8 +65,7 @@ mod error;
 
 pub use cache::{CacheStats, FxHashMap, MemoCache};
 pub use error::LinalgError;
-pub use matrix::{IMatrix, Matrix, QMatrix, Scalar};
-pub use rational::Rational;
+pub use matrix::{IMatrix, Matrix, Scalar};
 pub use vector::{lex_cmp, lex_negative, lex_positive, IVec};
 
 /// Greatest common divisor of two integers; always non-negative, and

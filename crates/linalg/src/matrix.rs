@@ -1,17 +1,19 @@
-//! Dense matrices over an exact scalar ring.
+//! Dense matrices over an exact integer ring.
 
-use crate::{LinalgError, Rational};
+use crate::LinalgError;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// An exact scalar: the element type of a [`Matrix`].
+/// An exact integer ring: the element type of a [`Matrix`].
 ///
-/// This trait is sealed in spirit — it is implemented for [`i64`],
-/// [`Rational`] and [`crate::bigint::BigInt`], and the crate's algorithms
-/// are written against exactly those instantiations.
+/// This trait is sealed in spirit — it is implemented for [`i64`] (the
+/// fallible fast rung, where every `try_*` hook detects overflow,
+/// including the `i64::MIN` edge cases of negation and division) and
+/// [`crate::bigint::BigInt`] (the infallible exact rung), and the
+/// crate's algorithms are written against exactly those instantiations.
 pub trait Scalar:
     Clone
-    + PartialEq
+    + Ord
     + fmt::Debug
     + fmt::Display
     + std::ops::Add<Output = Self>
@@ -42,13 +44,7 @@ pub trait Scalar:
     fn try_add(a: Self, b: &Self) -> Option<Self> {
         Some(a + b.clone())
     }
-}
 
-/// Integer rings the Euclidean reduction algorithm (HNF) runs over:
-/// `i64` (the fallible fast path, where every hook detects overflow —
-/// including the `i64::MIN` edge cases of negation and division) and
-/// [`crate::bigint::BigInt`] (the infallible exact path).
-pub(crate) trait ExactInt: Scalar + Ord {
     /// Floor division (toward negative infinity), like
     /// [`crate::div_floor`]; `None` if the exact quotient is not
     /// representable (`i64::MIN / -1`).
@@ -57,26 +53,6 @@ pub(crate) trait ExactInt: Scalar + Ord {
     fn try_neg(&self) -> Option<Self>;
     /// Compares absolute values without materializing them.
     fn abs_cmp(&self, other: &Self) -> std::cmp::Ordering;
-}
-
-impl ExactInt for i64 {
-    #[inline]
-    fn try_div_floor(&self, rhs: &i64) -> Option<i64> {
-        let (a, b) = (*self as i128, *rhs as i128);
-        let mut q = a / b;
-        if a % b != 0 && (a < 0) != (b < 0) {
-            q -= 1;
-        }
-        i64::try_from(q).ok()
-    }
-    #[inline]
-    fn try_neg(&self) -> Option<i64> {
-        self.checked_neg()
-    }
-    #[inline]
-    fn abs_cmp(&self, other: &i64) -> std::cmp::Ordering {
-        self.unsigned_abs().cmp(&other.unsigned_abs())
-    }
 }
 
 impl Scalar for i64 {
@@ -96,20 +72,22 @@ impl Scalar for i64 {
     fn try_add(a: i64, b: &i64) -> Option<i64> {
         a.checked_add(*b)
     }
-}
-
-impl Scalar for Rational {
-    fn zero() -> Rational {
-        Rational::ZERO
+    #[inline]
+    fn try_div_floor(&self, rhs: &i64) -> Option<i64> {
+        let (a, b) = (*self as i128, *rhs as i128);
+        let mut q = a / b;
+        if a % b != 0 && (a < 0) != (b < 0) {
+            q -= 1;
+        }
+        i64::try_from(q).ok()
     }
-    fn one() -> Rational {
-        Rational::ONE
+    #[inline]
+    fn try_neg(&self) -> Option<i64> {
+        self.checked_neg()
     }
-    fn try_fma(acc: Rational, a: &Rational, b: &Rational) -> Option<Rational> {
-        acc.checked_add(a.checked_mul(*b)?)
-    }
-    fn try_add(a: Rational, b: &Rational) -> Option<Rational> {
-        a.checked_add(*b)
+    #[inline]
+    fn abs_cmp(&self, other: &i64) -> std::cmp::Ordering {
+        self.unsigned_abs().cmp(&other.unsigned_abs())
     }
 }
 
@@ -127,7 +105,6 @@ impl Scalar for Rational {
 /// assert_eq!(a, b);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix<T> {
     rows: usize,
     cols: usize,
@@ -136,8 +113,6 @@ pub struct Matrix<T> {
 
 /// Integer matrix.
 pub type IMatrix = Matrix<i64>;
-/// Rational matrix.
-pub type QMatrix = Matrix<Rational>;
 
 impl<T: Scalar> Matrix<T> {
     /// Creates a `rows x cols` matrix of zeros.
@@ -473,15 +448,6 @@ impl<T: Scalar> Matrix<T> {
 }
 
 impl IMatrix {
-    /// Converts to a rational matrix.
-    pub fn to_rational(&self) -> QMatrix {
-        QMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| Rational::from(v)).collect(),
-        }
-    }
-
     /// Rank over the rationals.
     pub fn rank(&self) -> usize {
         crate::basis::rank(self)
@@ -509,62 +475,6 @@ impl IMatrix {
     /// Returns `true` if the matrix is square with determinant `±1`.
     pub fn is_unimodular(&self) -> bool {
         crate::det::determinant_big(self).is_ok_and(|d| d.abs().to_i64() == Some(1))
-    }
-
-    /// The exact rational inverse.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotSquare`] or [`LinalgError::Singular`].
-    pub fn inverse(&self) -> Result<QMatrix, LinalgError> {
-        crate::det::inverse(self)
-    }
-
-    /// The adjugate: the integer matrix with `self * adj == det * I`.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotSquare`].
-    pub fn adjugate(&self) -> Result<IMatrix, LinalgError> {
-        crate::det::adjugate(self)
-    }
-}
-
-impl QMatrix {
-    /// Converts to an integer matrix if every entry is integral.
-    pub fn to_integer(&self) -> Option<IMatrix> {
-        let data = self
-            .data
-            .iter()
-            .map(|r| r.to_integer())
-            .collect::<Option<Vec<_>>>()?;
-        Some(IMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Clears denominators: returns `(M, s)` with `M` integer, `s > 0`,
-    /// and `self == M / s`.
-    pub fn clear_denominators(&self) -> (IMatrix, i64) {
-        let s = self
-            .data
-            .iter()
-            .fold(1i64, |acc, r| crate::lcm(acc, r.denom()));
-        let data = self
-            .data
-            .iter()
-            .map(|r| r.numer() * (s / r.denom()))
-            .collect();
-        (
-            IMatrix {
-                rows: self.rows,
-                cols: self.cols,
-                data,
-            },
-            s,
-        )
     }
 }
 
@@ -689,16 +599,6 @@ mod tests {
         let mut c = IMatrix::from_rows(&[&[1, 2, 3], &[4, 5, 6]]);
         c.remove_col(1);
         assert_eq!(c, IMatrix::from_rows(&[&[1, 3], &[4, 6]]));
-    }
-
-    #[test]
-    fn rational_round_trip() {
-        let a = IMatrix::from_rows(&[&[2, 0], &[0, 2]]);
-        let q = a.to_rational();
-        let (m, s) = q.clear_denominators();
-        assert_eq!(s, 1);
-        assert_eq!(m, a);
-        assert_eq!(q.to_integer().unwrap(), a);
     }
 
     #[test]

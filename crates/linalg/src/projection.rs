@@ -13,7 +13,7 @@
 //! via Cramer's rule: `det(ZᵀZ)·(ZᵀZ)⁻¹ = adj(ZᵀZ)`, and `det(ZᵀZ) > 0`
 //! for full-column-rank `Z`, so `Z·adj(ZᵀZ)·Zᵀ·e_k` is the projection
 //! scaled by a *positive* integer — exact, sign-preserving, and immune
-//! to the coefficient blowup that used to overflow the rational path.
+//! to coefficient blowup.
 
 use crate::bigint::{self, BigInt};
 use crate::det::{adjugate_exact, determinant_exact};
@@ -47,22 +47,6 @@ use crate::{IMatrix, IVec, LinalgError};
 /// ```
 pub fn project_onto_column_space(z: &IMatrix, k: usize) -> Result<Option<IVec>, LinalgError> {
     assert!(k < z.rows(), "basis vector index out of range");
-    // Corpus-sized bases go through the checked-i128 stack kernel; it is
-    // exact, so it agrees with the BigInt path wherever it does not
-    // overflow, and overflow falls through to the BigInt path below.
-    if z.rows() <= crate::smallmat::SMALL_DIM && z.cols() <= crate::smallmat::SMALL_DIM {
-        match crate::smallmat::project_small(z, k) {
-            Err(LinalgError::Overflow) => {}
-            other => return other,
-        }
-    }
-    project_generic(z, k)
-}
-
-/// The BigInt Cramer path of [`project_onto_column_space`], without the
-/// stack fast path — the differential oracle for `project_small`.
-#[doc(hidden)]
-pub fn project_generic(z: &IMatrix, k: usize) -> Result<Option<IVec>, LinalgError> {
     let zb = bigint::to_big(z);
     let ztz = zb.transpose().mul(&zb)?;
     let det = determinant_exact(&ztz)?;

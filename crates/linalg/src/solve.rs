@@ -1,5 +1,4 @@
-//! Exact linear solvers: rational systems and integer (Diophantine)
-//! systems.
+//! Exact integer (Diophantine) linear solvers.
 //!
 //! Dependence analysis reduces to integer linear systems: two references
 //! touch the same element when their subscript functions agree, i.e.
@@ -8,7 +7,7 @@
 //! integer null space — via the column Hermite normal form.
 
 use crate::hnf::column_hnf;
-use crate::{IMatrix, IVec, LinalgError, QMatrix, Rational};
+use crate::{IMatrix, IVec, LinalgError};
 
 /// The complete solution set of an integer linear system `A·x = b`:
 /// every integer solution is `particular + Σ λᵢ·kernel[i]` for integer
@@ -112,58 +111,6 @@ pub fn integer_kernel(a: &IMatrix) -> Result<Vec<IVec>, LinalgError> {
         .collect())
 }
 
-/// Solves `A·x = b` over the rationals, returning a particular solution
-/// (free variables set to zero) or `None` if inconsistent.
-pub fn solve_rational(a: &QMatrix, b: &[Rational]) -> Option<Vec<Rational>> {
-    assert_eq!(b.len(), a.rows(), "rational solve shape mismatch");
-    let (rows, cols) = (a.rows(), a.cols());
-    // Gaussian elimination on the augmented matrix.
-    let mut m = QMatrix::zero(rows, cols + 1);
-    for r in 0..rows {
-        for c in 0..cols {
-            m[(r, c)] = a[(r, c)];
-        }
-        m[(r, cols)] = b[r];
-    }
-    let mut pivot_cols = Vec::new();
-    let mut row = 0;
-    for col in 0..cols {
-        let Some(p) = (row..rows).find(|&r| !m[(r, col)].is_zero()) else {
-            continue;
-        };
-        m.swap_rows(row, p);
-        let pivot = m[(row, col)];
-        for c in col..=cols {
-            m[(row, c)] /= pivot;
-        }
-        for r in 0..rows {
-            if r != row && !m[(r, col)].is_zero() {
-                let f = m[(r, col)];
-                for c in col..=cols {
-                    let v = m[(row, c)];
-                    m[(r, c)] -= f * v;
-                }
-            }
-        }
-        pivot_cols.push(col);
-        row += 1;
-        if row == rows {
-            break;
-        }
-    }
-    // Inconsistency check: zero row with non-zero rhs.
-    for r in row..rows {
-        if !m[(r, cols)].is_zero() {
-            return None;
-        }
-    }
-    let mut x = vec![Rational::ZERO; cols];
-    for (i, &c) in pivot_cols.iter().enumerate() {
-        x[c] = m[(i, cols)];
-    }
-    Some(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,21 +172,6 @@ mod tests {
         for v in &k {
             assert_eq!(a.mul_vec(v).unwrap(), vec![0, 0]);
         }
-    }
-
-    #[test]
-    fn rational_solver() {
-        let a = IMatrix::from_rows(&[&[2, 1], &[1, 3]]).to_rational();
-        let b = [Rational::from(5), Rational::from(10)];
-        let x = solve_rational(&a, &b).unwrap();
-        assert_eq!(x, vec![Rational::from(1), Rational::from(3)]);
-        // Inconsistent.
-        let a2 = IMatrix::from_rows(&[&[1, 1], &[1, 1]]).to_rational();
-        assert!(solve_rational(&a2, &[Rational::from(1), Rational::from(2)]).is_none());
-        // Underdetermined: particular solution satisfies the system.
-        let a3 = IMatrix::from_rows(&[&[1, 2, 0]]).to_rational();
-        let x3 = solve_rational(&a3, &[Rational::from(4)]).unwrap();
-        assert_eq!(a3.mul_vec(&x3).unwrap(), vec![Rational::from(4)]);
     }
 
     #[test]

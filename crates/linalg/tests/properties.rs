@@ -1,9 +1,11 @@
 //! Property-based tests for the exact linear-algebra substrate.
 
-use an_linalg::hnf::{column_hnf, row_hnf};
+use an_linalg::bigint::{to_big, BigInt};
+use an_linalg::det::{adjugate_exact, determinant_exact};
+use an_linalg::hnf::column_hnf;
 use an_linalg::lattice::Lattice;
 use an_linalg::solve::{integer_kernel, solve_integer};
-use an_linalg::{basis, det, IMatrix, LinalgError};
+use an_linalg::{basis, IMatrix};
 use proptest::prelude::*;
 
 /// Strategy: a small integer matrix with entries in [-6, 6].
@@ -54,13 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn row_hnf_postconditions(a in small_matrix(4)) {
-        let r = row_hnf(&a).unwrap();
-        prop_assert_eq!(r.u.mul(&a).unwrap(), r.h);
-        prop_assert!(r.u.is_unimodular());
-    }
-
-    #[test]
     fn determinant_multiplicative(a in square_matrix(3), b in square_matrix(3)) {
         prop_assume!(a.rows() == b.rows());
         let da = a.determinant();
@@ -72,20 +67,6 @@ proptest! {
     #[test]
     fn determinant_transpose_invariant(a in square_matrix(4)) {
         prop_assert_eq!(a.determinant(), a.transpose().determinant());
-    }
-
-    #[test]
-    fn adjugate_identity(a in square_matrix(4)) {
-        let adj = det::adjugate(&a).unwrap();
-        let d = a.determinant();
-        prop_assert_eq!(a.mul(&adj).unwrap(), IMatrix::identity(a.rows()).scale(d));
-    }
-
-    #[test]
-    fn inverse_round_trip(a in invertible_matrix(4)) {
-        let inv = a.inverse().unwrap();
-        let prod = a.to_rational().mul(&inv).unwrap();
-        prop_assert_eq!(prod.to_integer().unwrap(), IMatrix::identity(a.rows()));
     }
 
     #[test]
@@ -133,12 +114,13 @@ proptest! {
     fn lattice_contains_exactly_images(t in invertible_matrix(3), p in proptest::collection::vec(-10i64..=10, 1..=3)) {
         prop_assume!(p.len() == t.rows());
         let l = Lattice::from_transform(&t).unwrap();
-        // p is on the lattice iff T⁻¹·p is integral.
-        let inv = t.inverse().unwrap();
-        let pre: Vec<_> = inv
-            .mul_vec(&p.iter().map(|&v| an_linalg::Rational::from(v)).collect::<Vec<_>>())
-            .unwrap();
-        let integral = pre.iter().all(|r| r.is_integer());
+        // p is on the lattice iff T⁻¹·p = adj(T)·p / det(T) is integral —
+        // an oracle that never touches the HNF the lattice is built from.
+        let tb = to_big(&t);
+        let det = determinant_exact(&tb).unwrap();
+        let pb: Vec<BigInt> = p.iter().map(|&v| BigInt::from(v)).collect();
+        let pre = adjugate_exact(&tb).unwrap().mul_vec(&pb).unwrap();
+        let integral = pre.iter().all(|v| v.div_rem(&det).1.is_zero());
         prop_assert_eq!(l.contains(&p), integral);
         if let Some(c) = l.coordinates(&p) {
             prop_assert_eq!(l.point(&c), p);
@@ -158,7 +140,6 @@ proptest! {
             a.set(last, c, v);
         }
         prop_assert_eq!(a.determinant(), 0);
-        prop_assert_eq!(a.inverse(), Err(LinalgError::Singular));
         prop_assert!(Lattice::from_transform(&a).is_err());
         prop_assert!(!a.is_invertible());
     }

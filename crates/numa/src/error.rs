@@ -28,6 +28,15 @@ pub enum SimError {
         /// The offending evaluated extent.
         extent: i64,
     },
+    /// A subscript pricing would evaluate — of an access, a hoisted
+    /// transfer or the outer assignment — can leave `i64` somewhere in
+    /// the nest's bounding box at the given parameters.
+    SubscriptOverflow {
+        /// Array name.
+        array: String,
+        /// Dimension index.
+        dim: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -47,6 +56,11 @@ impl fmt::Display for SimError {
                     "array {array} dimension {dim} has negative extent {extent} at these parameters"
                 )
             }
+            SimError::SubscriptOverflow { array, dim } => write!(
+                f,
+                "a subscript of array {array} in dimension {dim} can leave the 64-bit range \
+                 at these parameters"
+            ),
         }
     }
 }

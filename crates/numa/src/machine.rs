@@ -5,7 +5,6 @@
 /// long messages can increase contention; the knob lets benches explore
 /// that trade-off.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ContentionModel {
     /// No contention: latencies are the unloaded values.
     None,
@@ -23,7 +22,6 @@ pub enum ContentionModel {
 /// Cost parameters of a simulated NUMA machine. All times in
 /// microseconds.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Human-readable name.
     pub name: String,

@@ -2,7 +2,6 @@
 
 /// Per-processor counters.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProcStats {
     /// Element accesses satisfied locally.
     pub local_accesses: u64,
@@ -43,7 +42,6 @@ impl ProcStats {
 /// Recovery accounting for a fault-injected run. All fields are zero or
 /// empty for a fault-free simulation.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultStats {
     /// Transfer retries summed across processors (drops, delays and
     /// failure detection all contribute).
@@ -64,7 +62,6 @@ pub struct FaultStats {
 
 /// Whole-machine simulation result.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimStats {
     /// Number of processors simulated.
     pub procs: usize,

@@ -315,7 +315,9 @@ impl Affine {
     ///
     /// # Panics
     ///
-    /// Panics if the value slices do not match the space.
+    /// Panics if the value slices do not match the space, or if the
+    /// value does not fit in `i64`. Callers that user input can reach
+    /// bound the form first, as `an_numa::plan::evaluate` does.
     pub fn eval(&self, var_values: &[i64], param_values: &[i64]) -> i64 {
         assert_eq!(var_values.len(), self.vars.len(), "variable value count");
         assert_eq!(

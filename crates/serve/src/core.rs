@@ -1172,6 +1172,32 @@ mod tests {
     }
 
     #[test]
+    fn unpriceable_source_still_returns_artifacts() {
+        // `A[i64::MAX * i, j]` compiles but cannot be priced. The model
+        // phase is informational: its typed rejection is counted, never
+        // a panic that would quarantine a source that compiles.
+        let source = "param N = 8; array A[N, N] distribute wrapped(0);\n\
+            for i = 1, N - 1 { for j = 1, N - 1 {\n\
+              A[i, j] = A[i - 1, j] + A[i, j - 1] + A[9223372036854775807 * i, j];\n\
+            } }\n";
+        let server = tiny_server();
+        let cold = server.request_sync(&frame(1, source, ""), WAIT);
+        let warm = server.request_sync(&frame(2, source, ""), WAIT);
+        for r in [&cold, &warm] {
+            assert!(
+                r.contains("\"ok\":true") && r.contains("\"spmd\":\""),
+                "{r}"
+            );
+            assert!(!r.contains("AN0705") && !r.contains("AN0706"), "{r}");
+        }
+        assert!(cold.contains("\"cached\":false"), "{cold}");
+        assert!(warm.contains("\"cached\":true"), "{warm}");
+        assert_eq!(server.metrics().counter("serve.model.errors"), 1);
+        assert_eq!(server.metrics().counter("serve.model.priced"), 0);
+        server.join();
+    }
+
+    #[test]
     fn compile_errors_are_an0703_and_not_cached() {
         let server = tiny_server();
         let bad = frame(1, "for i = 0, { garbage", "");

@@ -160,7 +160,7 @@ enum Eval {
         /// Present when the search keeps every compile (small spaces).
         compiled: Option<Box<Compiled>>,
     },
-    Failed,
+    Failed(Error),
     /// Compiled, but the independent verifier found an error.
     Rejected,
 }
@@ -202,9 +202,10 @@ pub fn search_distributions(
 ///
 /// # Errors
 ///
-/// Propagates pipeline errors from winner materialization; candidates
-/// whose pipeline fails during scoring are counted in
-/// [`SearchReport::skipped`].
+/// Propagates pipeline errors from winner materialization. Candidates
+/// whose pipeline or pricing fails during scoring are counted in
+/// [`SearchReport::skipped`]; when that leaves nothing scored, the first
+/// such failure (in assignment order) is the error.
 pub fn search_report(
     program: &Program,
     machine: &MachineConfig,
@@ -300,14 +301,17 @@ pub fn search_report(
                         remote,
                         compiled: keep_all.then(|| Box::new(compiled)),
                     },
-                    Err(_) => Eval::Failed,
+                    Err(e) => Eval::Failed(e.into()),
                 }
             }
-            Err(_) => Eval::Failed,
+            Err(e) => Eval::Failed(e),
         }
     });
 
-    let skipped = evals.iter().filter(|e| matches!(e, Eval::Failed)).count();
+    let skipped = evals
+        .iter()
+        .filter(|e| matches!(e, Eval::Failed(_)))
+        .count();
     let rejected = evals.iter().filter(|e| matches!(e, Eval::Rejected)).count();
 
     // Rank: stable sort over assignment order, so equal times keep
@@ -322,6 +326,17 @@ pub fn search_report(
             _ => None,
         })
         .collect();
+    // A search that scored nothing has no ranking to report: surface
+    // the first failure (in assignment order, so the same for any `jobs`).
+    if order.is_empty() {
+        let first_failure = evals.iter().find_map(|e| match e {
+            Eval::Failed(e) => Some(e.clone()),
+            _ => None,
+        });
+        if let Some(e) = first_failure {
+            return Err(e);
+        }
+    }
     order.sort_by(|a, b| a.1.total_cmp(&b.1));
     let ranking: Vec<CandidateScore> = order
         .iter()

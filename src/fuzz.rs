@@ -7,10 +7,13 @@
 //! 1. **Small sane kernels** — must compile, and the compiled artifacts
 //!    must pass the independent soundness verifier.
 //! 2. **Adversarial coefficients** — subscripts with huge multipliers
-//!    (up to ~`i64::MAX/40`) must either compile or fail with a *typed*
-//!    error; alongside, random near-`i64::MAX` matrices are pushed
-//!    through the exact linear algebra and the `i64` fast path is
-//!    differentially checked against the arbitrary-precision path.
+//!    (up to ~`i64::MAX/40`, one read up to `i64::MAX`) must either
+//!    compile or fail with a *typed* error, and what compiles must be
+//!    priced alike — or rejected with the same typed error — by the
+//!    simulator and the model; alongside, random near-`i64::MAX`
+//!    matrices are pushed through the exact linear algebra and the `i64`
+//!    fast path is differentially checked against the
+//!    arbitrary-precision path.
 //! 3. **Deep skewed nests under a tiny budget** — compilation must
 //!    return promptly (typed success or [`Error::Budget`]).
 //! 4. **Serve protocol frames** — an eighth of the iteration budget is
@@ -318,8 +321,9 @@ fn sane_source(rng: &mut Rng, depth: usize, n: u64) -> String {
     src
 }
 
-/// Archetype 2: huge subscript multipliers (compile-or-typed-error) plus
-/// a differential check of the `i64` linear-algebra fast path against
+/// Archetype 2: huge subscript multipliers (compile-or-typed-error,
+/// then priced-or-typed-error by both evaluators alike) plus a
+/// differential check of the `i64` linear-algebra fast path against
 /// the arbitrary-precision path.
 fn fuzz_adversarial(rng: &mut Rng, iter: u64, report: &mut FuzzReport) {
     // Multipliers up to ~2e17: extents still evaluate inside i64, while
@@ -327,21 +331,29 @@ fn fuzz_adversarial(rng: &mut Rng, iter: u64, report: &mut FuzzReport) {
     let c1 = rng.range(1_000_000_007, 200_000_000_000_000_000) as i64;
     let c2 = rng.range(1_000_000_007, 200_000_000_000_000_000) as i64;
     let n = rng.range(3, 5);
+    // A third multiplier over the whole of i64: the read it scales
+    // compiles, but for most draws leaves i64 by `i = N - 1`, which
+    // pricing must reject with a typed error rather than evaluate.
+    let c3 = rng.range(1_000_000_007, i64::MAX as u64) as i64;
     let src = format!(
         "param N = {n};\n\
          array A[{c1} * N + {c2} * N] distribute wrapped(0);\n\
          for i = 0, N - 1 {{ for j = 0, N - 1 {{\n\
-             A[{c1} * i + {c2} * j] = A[{c1} * i + {c2} * j] + 1.0;\n\
+             A[{c1} * i + {c2} * j] = A[{c1} * i + {c2} * j] + A[{c3} * i];\n\
          }} }}"
     );
-    // Either outcome is fine; only a panic is a failure.
-    guarded_compile(
+    // Either outcome is fine; only a panic is a failure. What compiles
+    // is priced, and must be priced or rejected alike by both evaluators.
+    let compiled = guarded_compile(
         &src,
         &CompileOptions::default(),
         iter,
         "adversarial kernel",
         report,
     );
+    if let Some(Ok(compiled)) = compiled {
+        guarded_pricing(&compiled, 4, iter, &src, report);
+    }
 
     // Differential: determinant fast path vs. exact BigInt path on a
     // matrix with near-i64::MAX entries.
@@ -466,8 +478,21 @@ fn fuzz_model_differential(rng: &mut Rng, iter: u64, report: &mut FuzzReport) {
     ) else {
         return;
     };
-    let machine = an_numa::MachineConfig::butterfly_gp1000();
     let procs = [1usize, 2, 3, 4, 8, 16][rng.below(6) as usize];
+    guarded_pricing(&compiled, procs, iter, &src, report);
+}
+
+/// Prices `compiled` with the simulator and the analytic model under
+/// `catch_unwind`: every integer counter of every processor must match,
+/// or both must reject with the same typed error.
+fn guarded_pricing(
+    compiled: &crate::Compiled,
+    procs: usize,
+    iter: u64,
+    src: &str,
+    report: &mut FuzzReport,
+) {
+    let machine = an_numa::MachineConfig::butterfly_gp1000();
     let params = compiled.program.default_param_values();
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         let sim = an_numa::simulate(&compiled.spmd, &machine, procs, &params);

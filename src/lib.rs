@@ -5,8 +5,8 @@
 //! crates. This facade crate re-exports the whole pipeline and offers a
 //! one-call [`compile`] driver:
 //!
-//! - [`linalg`] — exact integer/rational linear algebra (Hermite normal
-//!   form, determinants, lattices, projections).
+//! - [`linalg`] — exact integer linear algebra (column Hermite normal
+//!   form, determinants, Diophantine solving, lattices, projections).
 //! - [`poly`] — symbolic affine expressions, constraint systems and
 //!   Fourier–Motzkin elimination.
 //! - [`ir`] — the affine loop-nest intermediate representation with data

@@ -276,6 +276,41 @@ fn sweep_model_and_sim_pricing_agree_on_counts() {
 }
 
 #[test]
+fn unpriceable_subscript_exits_1_with_one_line() {
+    // Compiles and checks clean, but `A[i64::MAX * i, j]` cannot be
+    // evaluated at `i = 2`: pricing must say so in one `anc: ...` line
+    // (exit 1), not panic inside an evaluator (exit 3).
+    let dir = std::env::temp_dir().join("anc-cli-unpriceable");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("overflow.an");
+    std::fs::write(
+        &path,
+        "param N = 8; array A[N, N] distribute wrapped(0);
+         for i = 1, N - 1 { for j = 1, N - 1 {
+           A[i, j] = A[i - 1, j] + A[i, j - 1] + A[9223372036854775807 * i, j];
+         } }",
+    )
+    .unwrap();
+    let path = path.to_str().unwrap();
+    assert!(anc()
+        .args(["check", path])
+        .output()
+        .unwrap()
+        .status
+        .success());
+    for args in [vec![path, "--simulate", "4"], vec!["sweep", path]] {
+        let out = anc().args(&args).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("anc: ") && stderr.contains("subscript of array A"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn unknown_input_path_exits_2_with_one_line() {
     let out = anc().args(["/no/such/kernel.an"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));

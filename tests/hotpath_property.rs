@@ -1,18 +1,16 @@
 //! Differential properties for the hot-path fast rungs.
 //!
-//! Each fast path added for raw speed — the stack-allocated `SmallMat`
-//! kernels and the bitset distance lattices — must be *observationally
-//! invisible*: bit-for-bit the same results as the generic path it
+//! Each fast path added for raw speed — the bitset distance lattices
+//! and the flat interpreters — must be *observationally invisible*:
+//! bit-for-bit the same results as the reference path it
 //! short-circuits. These tests pin that down on fuzzed inputs by running
 //! both paths and comparing exactly.
 //!
-//! (`solve_integer` is column HNF plus deterministic forward
-//! substitution, so the HNF differential below covers it; a directed
-//! solution-validity property guards the substitution itself.)
+//! (`an-linalg` has no fast rung beside its checked-`i64` → `BigInt`
+//! promotion, which `an_linalg::hnf`'s own rung-agreement test and
+//! `tests/overflow_property.rs` pin; a directed solution-validity
+//! property guards `solve_integer`'s forward substitution here.)
 
-use access_normalization::linalg::det::{determinant, determinant_generic};
-use access_normalization::linalg::hnf::{column_hnf, column_hnf_generic};
-use access_normalization::linalg::projection::{project_generic, project_onto_column_space};
 use access_normalization::linalg::solve::solve_integer;
 use access_normalization::linalg::{IMatrix, IVec};
 use an_deps::distance::{representatives, DistanceSet};
@@ -207,31 +205,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The SmallMat HNF rung and the generic i64→BigInt ladder agree
-    /// exactly — H, U, and pivots — including on near-overflow inputs
-    /// that force promotion.
-    #[test]
-    fn small_hnf_bitwise_matches_generic(
-        rows in 1usize..=4,
-        cols in 1usize..=4,
-        seeds in proptest::collection::vec(-5i64..=5, 16),
-        scale in prop_oneof![Just(1i64), Just(7), Just(1 << 20), Just(i64::MAX / 6)],
-    ) {
-        let m = scaled_matrix(rows, cols, &seeds, scale);
-        prop_assert_eq!(column_hnf(&m), column_hnf_generic(&m));
-    }
-
-    /// Same differential for determinants, dims 2–4.
-    #[test]
-    fn small_det_bitwise_matches_generic(
-        dim in 2usize..=4,
-        seeds in proptest::collection::vec(-5i64..=5, 16),
-        scale in prop_oneof![Just(1i64), Just(11), Just(1 << 21), Just(i64::MAX / 6)],
-    ) {
-        let m = scaled_matrix(dim, dim, &seeds, scale);
-        prop_assert_eq!(determinant(&m), determinant_generic(&m));
-    }
-
     /// `solve_integer` rides the HNF dispatch; any solution it returns
     /// must satisfy `A·x = b` exactly and its kernel must annihilate.
     #[test]
@@ -262,21 +235,6 @@ proptest! {
                 prop_assert_eq!(z, 0);
             }
         }
-    }
-
-    /// The stack projection kernel agrees exactly with the BigInt
-    /// Cramer path — value, `None`, and error alike.
-    #[test]
-    fn small_projection_bitwise_matches_generic(
-        rows in 1usize..=4,
-        cols in 1usize..=4,
-        seeds in proptest::collection::vec(-4i64..=4, 16),
-        scale in prop_oneof![Just(1i64), Just(9), Just(1 << 30)],
-        k in 0usize..4,
-    ) {
-        prop_assume!(cols <= rows && k < rows);
-        let z = scaled_matrix(rows, cols, &seeds, scale);
-        prop_assert_eq!(project_onto_column_space(&z, k), project_generic(&z, k));
     }
 
     /// The bitset lattice drains exactly the canonical sample set a

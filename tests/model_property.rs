@@ -20,7 +20,7 @@
 
 use access_normalization::autodist::{search_report, AutoDistOptions, Pricing};
 use access_normalization::model::model_stats;
-use access_normalization::numa::{simulate, MachineConfig, SimStats};
+use access_normalization::numa::{simulate, MachineConfig, SimError, SimStats};
 use access_normalization::{compile, fuzz::generated_kernel, CompileOptions};
 
 const CORPUS: &[&str] = &[
@@ -97,6 +97,36 @@ fn every_corpus_kernel_counts_exactly() {
                 assert_exact(&sim, &model, &at);
             }
         }
+    }
+}
+
+/// A source that compiles and verifies but whose third read,
+/// `A[i64::MAX · i, j]`, leaves `i64` at `i = 2`: with transfers on the
+/// hoisted transfer's subscript overflows, with transfers off the
+/// access's own. Both evaluators must reject it with the same typed
+/// error instead of panicking in their unchecked evaluation.
+#[test]
+fn both_evaluators_reject_an_overflowing_subscript_alike() {
+    let src = "param N = 8; array A[N, N] distribute wrapped(0);
+        for i = 1, N - 1 { for j = 1, N - 1 {
+          A[i, j] = A[i - 1, j] + A[i, j - 1] + A[9223372036854775807 * i, j];
+        } }";
+    let machine = MachineConfig::butterfly_gp1000();
+    for transfers in [true, false] {
+        let opts = CompileOptions {
+            spmd: access_normalization::codegen::SpmdOptions {
+                block_transfers: transfers,
+            },
+            ..CompileOptions::default()
+        };
+        let compiled = compile(src, &opts).unwrap();
+        let params = compiled.program.default_param_values();
+        let expected = Err(SimError::SubscriptOverflow {
+            array: "A".into(),
+            dim: 0,
+        });
+        assert_eq!(simulate(&compiled.spmd, &machine, 4, &params), expected);
+        assert_eq!(model_stats(&compiled.spmd, &machine, 4, &params), expected);
     }
 }
 
