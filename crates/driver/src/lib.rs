@@ -270,14 +270,15 @@ impl PipelineCtx {
     ///
     /// # Errors
     ///
-    /// [`Error::Deps`] if analysis fails.
+    /// [`Error::Ir`] for loop bounds that can leave `i64`, [`Error::Deps`]
+    /// if analysis fails.
     pub fn precompute_deps(
         &self,
         program: &Program,
         opts: &an_deps::DepOptions,
     ) -> Result<(), Error> {
         if self.deps.get().is_none() {
-            let d = an_deps::analyze(program, opts)?;
+            let d = analyze_deps(program, opts, None)?;
             let _ = self.deps.set(d);
         }
         Ok(())
@@ -287,6 +288,18 @@ impl PipelineCtx {
     pub fn stats(&self) -> CacheStats {
         self.norm.stats() + self.transforms.stats()
     }
+}
+
+/// Dependence analysis, the first stage to walk the nest at concrete
+/// parameters: a bound that can leave `i64` there is rejected before
+/// the walk evaluates it.
+fn analyze_deps(
+    program: &Program,
+    opts: &an_deps::DepOptions,
+    tracer: Option<&Tracer>,
+) -> Result<DependenceInfo, Error> {
+    program.nest.reach(&program.default_param_values())?;
+    Ok(an_deps::analyze_traced(program, opts, tracer)?)
 }
 
 /// [`compile_program`] through a shared [`PipelineCtx`].
@@ -332,7 +345,7 @@ pub fn compile_program_with(
             d.clone()
         }
         None => {
-            let d = an_deps::analyze_traced(program, &opts.normalize.deps, tracer)?;
+            let d = analyze_deps(program, &opts.normalize.deps, tracer)?;
             let _ = ctx.deps.set(d.clone());
             d
         }

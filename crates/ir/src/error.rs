@@ -27,6 +27,13 @@ pub enum IrError {
         /// Index of the unbounded loop variable.
         var: usize,
     },
+    /// A bound term or guard of a loop can leave `i64` somewhere in the
+    /// nest's bounding box at the given parameters (see
+    /// [`LoopNest::reach`](crate::LoopNest::reach)).
+    BoundOverflow {
+        /// Index of the loop variable.
+        var: usize,
+    },
     /// An array access evaluated outside the declared extents.
     OutOfBounds {
         /// Array name.
@@ -67,6 +74,10 @@ impl fmt::Display for IrError {
             IrError::UnboundedLoop { var } => {
                 write!(f, "loop variable #{var} has no finite bounds")
             }
+            IrError::BoundOverflow { var } => write!(
+                f,
+                "a bound of loop variable #{var} can leave the 64-bit range at these parameters"
+            ),
             IrError::OutOfBounds {
                 array,
                 dim,

@@ -155,6 +155,60 @@ impl LoopNest {
         point[k] = 0;
         Ok(false)
     }
+
+    /// Bounds `|v_k|` for every loop variable over the nest's bounding
+    /// box at `param_values`, level by level: the loop runs from one of
+    /// its lower terms to one of its upper terms, and a divisor only
+    /// shrinks them, so `reach[k]` is the largest [`magnitude`] of a
+    /// bound term of loop `k` given `reach[..k]`. Stops early at a loop
+    /// with no bound term at all (a walk reports
+    /// [`IrError::UnboundedLoop`] there).
+    ///
+    /// Every walk of the nest evaluates its bounds and guards unchecked
+    /// at concrete points; this is the up-front check that keeps those
+    /// evaluations inside `i64`.
+    ///
+    /// # Errors
+    ///
+    /// [`IrError::BoundOverflow`] naming the first loop a bound term or
+    /// guard of which can leave `i64`.
+    pub fn reach(&self, param_values: &[i64]) -> Result<Vec<i128>, IrError> {
+        let mut reach: Vec<i128> = Vec::with_capacity(self.depth());
+        for (var, b) in self.bounds.iter().enumerate() {
+            let m = |a: &Affine| magnitude(a, param_values, &reach);
+            let terms = b.lowers.iter().chain(&b.uppers).map(|t| m(&t.expr)).max();
+            let guards = b.guards.iter().map(m).max();
+            if terms.max(guards).is_some_and(|w| w > i64::MAX as i128) {
+                return Err(IrError::BoundOverflow { var });
+            }
+            let Some(t) = terms else {
+                break;
+            };
+            reach.push(t);
+        }
+        Ok(reach)
+    }
+}
+
+/// `|constant and parameter part| + Σ |c_k|·reach[k]` of `a` at
+/// `param_values`: a bound on the value of `a`, and of every partial sum
+/// of its terms, wherever `|v_k| ≤ reach[k]` (a variable past the end of
+/// `reach` counts as zero). Arithmetic is saturating `i128`: a
+/// saturated bound is out of range for certain.
+pub fn magnitude(a: &Affine, param_values: &[i64], reach: &[i128]) -> i128 {
+    let fixed = a
+        .param_coeffs()
+        .iter()
+        .zip(param_values)
+        .fold(a.constant_term() as i128, |acc, (c, v)| {
+            acc.saturating_add(*c as i128 * *v as i128)
+        });
+    a.var_coeffs()
+        .iter()
+        .zip(reach)
+        .fold(fixed.saturating_abs(), |acc, (c, m)| {
+            acc.saturating_add((*c as i128).abs().saturating_mul(*m))
+        })
 }
 
 #[cfg(test)]
@@ -198,6 +252,28 @@ mod tests {
     fn empty_iteration_space() {
         let p = triangle();
         assert_eq!(p.nest.iteration_count(&[0]).unwrap(), 0);
+    }
+
+    #[test]
+    fn reach_bounds_every_loop_and_rejects_bounds_past_i64() {
+        let p = triangle();
+        // i ∈ [0, N-1], j ∈ [i, N-1]: both within N - 1 in magnitude.
+        assert_eq!(p.nest.reach(&[4]).unwrap(), vec![3, 3]);
+        // At N = 2⁶² the upper bound `N - 1` still fits, `j`'s does too.
+        assert!(p.nest.reach(&[1 << 62]).is_ok());
+        // A bound `2⁶² · N` leaves i64 at N = 4, where evaluating it
+        // would panic.
+        let mut b = NestBuilder::new(&["i"], &[("N", 4)]);
+        let a = b.array("A", &[b.par(0)], crate::Distribution::Replicated);
+        b.bounds(0, b.cst(0), b.par(0).scale(1 << 62));
+        let lhs = b.access(a, &[b.var(0)]);
+        b.assign(lhs, crate::Expr::lit(1.0));
+        let p = b.finish();
+        assert_eq!(p.nest.reach(&[1]).unwrap(), vec![1 << 62]);
+        assert_eq!(
+            p.nest.reach(&[4]),
+            Err(crate::IrError::BoundOverflow { var: 0 })
+        );
     }
 
     #[test]

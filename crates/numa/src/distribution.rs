@@ -152,12 +152,11 @@ pub fn count_wrapped_hits(lo: i64, hi: i64, a: i64, c: i64, procs: usize, p: usi
     }
     let pp = procs as i64;
     let target = p as i64;
+    // Only residues matter: reduced mod P, the period scan's `a·w + c`
+    // stays below P² however large the subscript's coefficients are.
+    let (a, c) = (mod_floor(a, pp), mod_floor(c, pp));
     if a == 0 {
-        return if mod_floor(c, pp) == target {
-            hi - lo + 1
-        } else {
-            0
-        };
+        return if c == target { hi - lo + 1 } else { 0 };
     }
     // a·w ≡ target − c (mod P): solvable iff g = gcd(a, P) divides rhs.
     let g = gcd(a, pp);
@@ -184,6 +183,14 @@ pub fn count_wrapped_hits(lo: i64, hi: i64, a: i64, c: i64, procs: usize, p: usi
         (hi - first) / period + 1
     }
 }
+
+/// How far from zero pricing lets a blocked coordinate go: the
+/// [`block_interval`] sentinels. Validation (`plan::evaluate`) keeps
+/// every blocked subscript, blocked extent and loop variable within
+/// `±HEADROOM`, so every index lies inside the interval of the block
+/// [`home_of`]'s clamp places it in, and the difference of any two such
+/// values — an interval inversion, a trip count — stays inside `i64`.
+pub const HEADROOM: i64 = i64::MAX / 4;
 
 /// The index interval block `t` of `g` blocks of size `s` is home to,
 /// open-ended at the edges exactly like [`home_of`]'s clamp (the
@@ -290,6 +297,24 @@ mod tests {
                         assert_eq!(fast, slow, "a={a} c={c} P={procs} p={p}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn wrapped_hit_counting_survives_coefficients_near_i64_max() {
+        // `a·w + c` over one period would leave i64 unreduced.
+        let (a, c) = (4_000_000_000_000_000_001i64, -(i64::MAX / 2));
+        for procs in [3usize, 4, 5, 8] {
+            for p in 0..procs {
+                let slow = (-3i128..=9)
+                    .filter(|&w| (a as i128 * w + c as i128).rem_euclid(procs as i128) == p as i128)
+                    .count() as i64;
+                assert_eq!(
+                    count_wrapped_hits(-3, 9, a, c, procs, p),
+                    slow,
+                    "P={procs} p={p}"
+                );
             }
         }
     }

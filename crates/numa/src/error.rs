@@ -19,7 +19,8 @@ pub enum SimError {
         got: usize,
     },
     /// An array extent evaluates to a negative size at the given
-    /// parameters.
+    /// parameters, or, along a blocked dimension, to one past
+    /// [`crate::distribution::HEADROOM`].
     BadExtent {
         /// Array name (empty when the extent has no array context).
         array: String,
@@ -30,12 +31,19 @@ pub enum SimError {
     },
     /// A subscript pricing would evaluate — of an access, a hoisted
     /// transfer or the outer assignment — can leave `i64` somewhere in
-    /// the nest's bounding box at the given parameters.
+    /// the nest's bounding box at the given parameters, or, along a
+    /// blocked dimension, [`crate::distribution::HEADROOM`].
     SubscriptOverflow {
         /// Array name.
         array: String,
         /// Dimension index.
         dim: usize,
+    },
+    /// A loop bound can leave [`crate::distribution::HEADROOM`] somewhere
+    /// in the nest's bounding box at the given parameters.
+    BoundOverflow {
+        /// Loop level.
+        var: usize,
     },
 }
 
@@ -50,16 +58,25 @@ impl fmt::Display for SimError {
             SimError::BadExtent { array, dim, extent } if array.is_empty() => {
                 write!(f, "negative extent {extent} in dimension {dim}")
             }
-            SimError::BadExtent { array, dim, extent } => {
+            SimError::BadExtent { array, dim, extent } if *extent < 0 => {
                 write!(
                     f,
                     "array {array} dimension {dim} has negative extent {extent} at these parameters"
                 )
             }
+            SimError::BadExtent { array, dim, extent } => write!(
+                f,
+                "array {array} dimension {dim} has extent {extent}, too large to price as blocked, \
+                 at these parameters"
+            ),
             SimError::SubscriptOverflow { array, dim } => write!(
                 f,
-                "a subscript of array {array} in dimension {dim} can leave the 64-bit range \
-                 at these parameters"
+                "a subscript of array {array} in dimension {dim} can leave the range pricing \
+                 evaluates at these parameters"
+            ),
+            SimError::BoundOverflow { var } => write!(
+                f,
+                "a bound of loop #{var} can leave the range pricing evaluates at these parameters"
             ),
         }
     }

@@ -119,15 +119,6 @@ impl Metrics {
         inner.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Values of several counters under one lock acquisition, in the
-    /// order requested (zero for counters never touched). Status
-    /// endpoints that render a dozen counters per request use this to
-    /// avoid taking the registry lock once per counter.
-    pub fn counters_many<const N: usize>(&self, names: [&str; N]) -> [u64; N] {
-        let inner = self.inner.lock().expect("metrics lock");
-        names.map(|n| inner.counters.get(n).copied().unwrap_or(0))
-    }
-
     /// All counters, sorted by name.
     pub fn counters(&self) -> Vec<(String, u64)> {
         let inner = self.inner.lock().expect("metrics lock");

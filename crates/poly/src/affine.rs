@@ -317,7 +317,8 @@ impl Affine {
     ///
     /// Panics if the value slices do not match the space, or if the
     /// value does not fit in `i64`. Callers that user input can reach
-    /// bound the form first, as `an_numa::plan::evaluate` does.
+    /// bound the form first, as `an_ir::LoopNest::reach` does for loop
+    /// bounds and `an_numa::plan::evaluate` for what pricing evaluates.
     pub fn eval(&self, var_values: &[i64], param_values: &[i64]) -> i64 {
         assert_eq!(var_values.len(), self.vars.len(), "variable value count");
         assert_eq!(

@@ -3,6 +3,13 @@
 //! artifact cache, in-flight request coalescing, and a poison-pill
 //! quarantine.
 //!
+//! # One answer path
+//!
+//! Every compile request ends in one `Outcome` — artifacts, or an
+//! `AN07xx` code and message — that one function, `Inner::answer`,
+//! renders for each requester, counts (`serve.ok` for every
+//! `"ok":true`, else the code's `serve.fault.*`) and sends.
+//!
 //! # Fault isolation
 //!
 //! Each compile runs inside a *fault cell*: `catch_unwind` around the
@@ -64,8 +71,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -137,12 +144,6 @@ impl Default for ServeConfig {
 /// and in-flight responses without cloning the strings.
 type Artifacts = Arc<Vec<(Emit, String)>>;
 
-/// One queued compile; who gets the answer lives in the flight table.
-struct Job {
-    req: CompileRequest,
-    hash: u64,
-}
-
 /// One requester awaiting a flight's outcome (the leader is member 0
 /// until its deadline drops it).
 struct Member {
@@ -156,24 +157,43 @@ struct Member {
     coalesced: bool,
 }
 
-/// The singleflight group for one content hash: every requester whose
-/// identical request is riding the one queued compile.
-struct Flight {
-    members: Vec<Member>,
-}
-
 #[derive(Default)]
 struct QueueState {
-    queue: VecDeque<Job>,
+    /// Queued compiles with their content hashes; who gets the answer
+    /// lives in the flight table.
+    queue: VecDeque<(CompileRequest, u64)>,
     active: usize,
     draining: bool,
 }
 
-/// Resident artifact cache with LRU byte-budget eviction.
+/// How one compile request ends.
+enum Outcome {
+    /// The artifacts, with the compile's `compile_us` — `None` when they
+    /// came from the cache.
+    Done(Artifacts, Option<u64>),
+    /// An `AN07xx` code and message, plus a shed's `retry_after_ms`.
+    Fault(ServeCode, String, Option<u64>),
+}
+
+impl Outcome {
+    /// The response line for one requester; `coalesced` shows on
+    /// success only.
+    fn render(&self, id: &Json, coalesced: bool) -> String {
+        match self {
+            Outcome::Done(a, us) => {
+                render_compile_ok(id, us.is_none(), coalesced, a, us.unwrap_or(0))
+            }
+            Outcome::Fault(code, message, retry) => render_error(id, *code, message, *retry),
+        }
+    }
+}
+
+/// Resident tier of the artifact cache: LRU eviction to a byte budget.
 #[derive(Default)]
-struct CacheMap {
+struct Resident {
     entries: HashMap<u64, CacheEntry>,
     bytes: u64,
+    cap: u64,
     tick: u64,
 }
 
@@ -183,14 +203,7 @@ struct CacheEntry {
     last_used: u64,
 }
 
-fn entry_bytes(artifacts: &[(Emit, String)]) -> u64 {
-    artifacts
-        .iter()
-        .map(|(k, t)| k.as_str().len() + t.len() + 48)
-        .sum::<usize>() as u64
-}
-
-impl CacheMap {
+impl Resident {
     /// Looks up `hash`, refreshing its recency on hit.
     fn touch(&mut self, hash: u64) -> Option<Artifacts> {
         self.tick += 1;
@@ -204,11 +217,14 @@ impl CacheMap {
     /// entries until the byte budget holds again. A single entry larger
     /// than the whole budget is kept alone rather than thrashed —
     /// serving it beats recompiling it every time.
-    fn insert(&mut self, hash: u64, artifacts: Artifacts, cap: u64, metrics: &Metrics) {
-        let bytes = entry_bytes(&artifacts);
+    fn insert(&mut self, hash: u64, artifacts: &Artifacts, metrics: &Metrics) {
+        let bytes = artifacts
+            .iter()
+            .map(|(k, t)| k.as_str().len() + t.len() + 48)
+            .sum::<usize>() as u64;
         self.tick += 1;
         let entry = CacheEntry {
-            artifacts,
+            artifacts: Arc::clone(artifacts),
             bytes,
             last_used: self.tick,
         };
@@ -216,13 +232,10 @@ impl CacheMap {
             self.bytes -= old.bytes;
         }
         self.bytes += bytes;
-        while self.bytes > cap && self.entries.len() > 1 {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&h, _)| h)
-                .expect("non-empty cache");
+        while self.bytes > self.cap && self.entries.len() > 1 {
+            let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_used) else {
+                break;
+            };
             let evicted = self.entries.remove(&victim).expect("victim present");
             self.bytes -= evicted.bytes;
             metrics.inc("serve.cache.evicted");
@@ -230,45 +243,117 @@ impl CacheMap {
     }
 }
 
-/// Quarantine with FIFO cap: insertion order is retirement order, so
-/// the pills most likely to recur (recent ones) stay resident.
+/// The artifact cache: the resident tier over the durable disk tier,
+/// when one is configured. Commit-on-success only.
+struct ArtifactCache {
+    resident: Mutex<Resident>,
+    disk: Option<CacheStore>,
+}
+
+impl ArtifactCache {
+    /// The artifacts for `hash`: resident first, then from disk —
+    /// validated end to end before anything is served, and promoted to
+    /// the resident tier. A corrupt disk entry was already deleted by
+    /// the store; it is counted (`AN0710`) and reads as a miss, so the
+    /// request recompiles.
+    fn get(&self, hash: u64, metrics: &Metrics) -> Option<Artifacts> {
+        if let Some(artifacts) = self.resident.lock().expect("cache").touch(hash) {
+            metrics.inc("serve.cache.hit");
+            return Some(artifacts);
+        }
+        match self.disk.as_ref()?.load_artifacts(hash) {
+            Loaded::Hit(arts) => {
+                let artifacts: Artifacts = Arc::new(arts);
+                let mut resident = self.resident.lock().expect("cache");
+                resident.insert(hash, &artifacts, metrics);
+                metrics.inc("serve.cache.disk_hit");
+                Some(artifacts)
+            }
+            Loaded::Corrupt(why) => {
+                metrics.inc("serve.cache.corrupt");
+                eprintln!(
+                    "anc serve: AN0710 cache entry {hash:016x} failed validation ({why}); \
+                     deleted, recompiling"
+                );
+                None
+            }
+            Loaded::Miss => None,
+        }
+    }
+
+    /// Commits one successful compile: into the resident tier (evicting
+    /// to the budget), then durably to disk, where a failed write is
+    /// counted rather than fatal — the resident tier still serves it.
+    fn put(&self, hash: u64, artifacts: &Artifacts, metrics: &Metrics) {
+        let mut resident = self.resident.lock().expect("cache");
+        resident.insert(hash, artifacts, metrics);
+        drop(resident);
+        if let Some(disk) = &self.disk {
+            if disk.store_artifacts(hash, artifacts).is_err() {
+                metrics.inc("serve.cache.write_errors");
+            }
+        }
+    }
+}
+
+/// The poison-pill quarantine and its `.qr` records on disk, with a
+/// FIFO cap: insertion order is retirement order, so the pills most
+/// likely to recur (recent ones) stay resident.
 #[derive(Default)]
 struct QuarantineMap {
     map: BTreeMap<u64, String>,
     order: VecDeque<u64>,
+    cap: usize,
+    disk: Option<CacheStore>,
 }
 
 impl QuarantineMap {
-    fn get(&self, hash: u64) -> Option<&String> {
-        self.map.get(&hash)
+    /// The quarantine `disk` holds (empty without one); records that
+    /// fail validation were deleted by the store and count as corrupt.
+    fn load(cap: usize, disk: Option<CacheStore>, metrics: &Metrics) -> QuarantineMap {
+        let loaded = disk.as_ref().map(CacheStore::load_all_quarantine);
+        let (records, corrupt) = loaded.unwrap_or_default();
+        if corrupt > 0 {
+            metrics.add("serve.cache.corrupt", corrupt);
+        }
+        let mut quarantine = QuarantineMap {
+            cap,
+            disk,
+            ..QuarantineMap::default()
+        };
+        for (hash, msg) in records {
+            quarantine.remember(hash, msg, metrics);
+        }
+        quarantine
     }
 
-    fn len(&self) -> usize {
-        self.map.len()
+    /// Quarantines `hash`, then persists its record once the lock is
+    /// released, so `health` and `status` never wait on the durable write.
+    fn insert(this: &Mutex<Self>, hash: u64, message: String, metrics: &Metrics) {
+        let mut quarantine = this.lock().expect("quarantine");
+        quarantine.remember(hash, message.clone(), metrics);
+        let disk = quarantine.disk.clone();
+        drop(quarantine);
+        if let Some(disk) = disk {
+            if disk.store_quarantine(hash, &message).is_err() {
+                metrics.inc("serve.cache.write_errors");
+            }
+        }
     }
 
-    /// Inserts one quarantine record and enforces the cap, removing the
-    /// oldest records from memory *and* the disk store. Persisting the
-    /// new record is the caller's job (startup loads records that are
-    /// already on disk).
-    fn insert(
-        &mut self,
-        hash: u64,
-        message: String,
-        cap: usize,
-        store: Option<&CacheStore>,
-        metrics: &Metrics,
-    ) {
+    /// Adds one record and enforces the cap, retiring the oldest records
+    /// from memory and disk together.
+    fn remember(&mut self, hash: u64, message: String, metrics: &Metrics) {
         if self.map.insert(hash, message).is_none() {
             self.order.push_back(hash);
         }
-        while self.map.len() > cap.max(1) {
+        while self.map.len() > self.cap.max(1) {
             let Some(oldest) = self.order.pop_front() else {
                 break;
             };
             if self.map.remove(&oldest).is_some() {
-                if let Some(store) = store {
-                    store.remove_quarantine(oldest);
+                if let Some(disk) = &self.disk {
+                    disk.remove_quarantine(oldest);
                 }
                 metrics.inc("serve.quarantine.evicted");
             }
@@ -283,21 +368,31 @@ struct Inner {
     job_ready: Condvar,
     /// Signaled when a worker finishes a job (drain waits on this).
     job_done: Condvar,
-    /// Resident tier of the artifact cache. Commit-on-success only.
-    cache: Mutex<CacheMap>,
-    /// Content hash → in-flight singleflight group. Lock order where
-    /// nesting is needed: `inflight` → (`cache` | `quarantine` |
+    cache: ArtifactCache,
+    /// Content hash → its singleflight group: every requester whose
+    /// identical request is riding the one queued compile. Lock order
+    /// where nesting is needed: `inflight` → (`cache` | `quarantine` |
     /// `state`); nothing acquires `inflight` while holding the others.
-    inflight: Mutex<HashMap<u64, Flight>>,
+    inflight: Mutex<HashMap<u64, Vec<Member>>>,
     /// Content hash → first panic message. A hash listed here is
     /// fast-failed without compiling.
     quarantine: Mutex<QuarantineMap>,
-    /// Durable tier of the artifact cache and quarantine, when
-    /// configured.
-    store: Option<CacheStore>,
     /// Monotone sequence for the retry-hint jitter stream.
     jitter_seq: AtomicU64,
     metrics: Metrics,
+}
+
+impl Inner {
+    /// The one way an outcome leaves the core: rendered for one
+    /// requester, counted once, sent. The send can only fail if the
+    /// client is gone, which is the client's problem, not the daemon's.
+    fn answer(&self, to: &Sender<String>, id: &Json, coalesced: bool, outcome: &Outcome) {
+        self.metrics.inc(match outcome {
+            Outcome::Done(..) => "serve.ok",
+            Outcome::Fault(code, ..) => code.fault_counter(),
+        });
+        let _ = to.send(outcome.render(id, coalesced));
+    }
 }
 
 /// What [`Server::submit`] tells the transport loop.
@@ -329,38 +424,30 @@ impl Server {
     pub fn start(config: ServeConfig) -> Server {
         let worker_count = an_par::resolve_jobs(config.workers);
         let metrics = Metrics::new();
-        let store = config
-            .cache_dir
-            .as_ref()
-            .and_then(|dir| match CacheStore::open(dir) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!(
-                        "anc serve: cache dir {} unusable ({e}); persistence disabled",
-                        dir.display()
-                    );
-                    None
-                }
-            });
-        let mut quarantine = QuarantineMap::default();
-        if let Some(store) = &store {
-            let (records, corrupt) = store.load_all_quarantine();
-            if corrupt > 0 {
-                metrics.add("serve.cache.corrupt", corrupt);
+        let disk = config.cache_dir.as_ref().and_then(|dir| {
+            let store = CacheStore::open(dir);
+            if let Err(e) = &store {
+                let dir = dir.display();
+                eprintln!("anc serve: cache dir {dir} unusable ({e}); persistence disabled");
             }
-            for (hash, msg) in records {
-                quarantine.insert(hash, msg, config.quarantine_cap, Some(store), &metrics);
-            }
-        }
+            store.ok()
+        });
+        let quarantine = QuarantineMap::load(config.quarantine_cap, disk.clone(), &metrics);
+        let resident = Resident {
+            cap: config.cache_cap_bytes,
+            ..Resident::default()
+        };
         let inner = Arc::new(Inner {
             jitter_seq: AtomicU64::new(0),
             state: Mutex::new(QueueState::default()),
             job_ready: Condvar::new(),
             job_done: Condvar::new(),
-            cache: Mutex::new(CacheMap::default()),
+            cache: ArtifactCache {
+                resident: Mutex::new(resident),
+                disk,
+            },
             inflight: Mutex::new(HashMap::new()),
             quarantine: Mutex::new(quarantine),
-            store,
             metrics,
             config,
         });
@@ -407,117 +494,90 @@ impl Server {
         base + z % base
     }
 
+    /// Answers a frame the transport rejected before it could reach
+    /// [`Server::submit`] (an oversize frame cut off while buffering).
+    pub(crate) fn reject(&self, reply: &Sender<String>, code: ServeCode, message: String) {
+        let outcome = Outcome::Fault(code, message, None);
+        self.inner.answer(reply, &Json::Null, false, &outcome);
+    }
+
     /// Handles one protocol frame. Immediate verbs (`status`, `health`,
     /// `ping`, malformed frames, shed compiles) are answered through
     /// `reply` before this returns; admitted compiles are answered
-    /// later by a worker. The send can only fail if the client is gone,
-    /// which the daemon treats as the client's problem, not its own.
+    /// later by a worker. A failed send means the client is gone, which
+    /// the daemon treats as the client's problem, not its own.
     pub fn submit(&self, line: &str, reply: &Sender<String>) -> Submit {
         let inner = &self.inner;
         inner.metrics.inc("serve.requests.total");
         let request = match parse_request(line, inner.config.max_frame_bytes) {
             Ok(r) => r,
             Err(e) => {
-                inner.metrics.inc(match e.code {
-                    ServeCode::FrameTooLarge => "serve.fault.frame_too_large",
-                    _ => "serve.fault.malformed",
-                });
-                let _ = reply.send(render_error(&e.id, e.code, &e.message, None));
+                let outcome = Outcome::Fault(e.code, e.message, None);
+                inner.answer(reply, &e.id, false, &outcome);
                 return Submit::Handled;
             }
         };
-        match request.verb {
-            Verb::Ping => {
-                let _ = reply.send(render_ok_payload(&request.id, "\"pong\":true"));
-                Submit::Handled
-            }
-            Verb::Health => {
-                let _ = reply.send(render_ok_payload(&request.id, &self.health_payload()));
-                Submit::Handled
-            }
-            Verb::Status => {
-                let _ = reply.send(render_ok_payload(
-                    &request.id,
-                    &format!("\"status\":{}", self.status_json()),
-                ));
-                Submit::Handled
-            }
-            Verb::Shutdown => {
-                {
-                    let mut state = inner.state.lock().expect("serve state");
-                    state.draining = true;
-                    inner.job_ready.notify_all();
-                }
-                let _ = reply.send(render_ok_payload(&request.id, "\"draining\":true"));
-                Submit::Shutdown
-            }
+        if !matches!(request.verb, Verb::Compile(_)) {
+            // Answered `"ok":true` below, and counted first so that a
+            // `status` answer counts itself.
+            inner.metrics.inc("serve.ok");
+        }
+        let (payload, next) = match request.verb {
             Verb::Compile(req) => {
                 self.admit(request.id, req, reply);
-                Submit::Handled
+                return Submit::Handled;
             }
-        }
+            Verb::Ping => ("\"pong\":true".to_string(), Submit::Handled),
+            Verb::Health => (self.health_payload(), Submit::Handled),
+            Verb::Status => (
+                format!("\"status\":{}", self.status_json()),
+                Submit::Handled,
+            ),
+            Verb::Shutdown => {
+                let mut state = inner.state.lock().expect("serve state");
+                state.draining = true;
+                inner.job_ready.notify_all();
+                ("\"draining\":true".to_string(), Submit::Shutdown)
+            }
+        };
+        let _ = reply.send(render_ok_payload(&request.id, &payload));
+        next
     }
 
     /// Admission control for one compile request: quarantine fast-fail,
-    /// then resident cache, then disk tier, then singleflight join,
-    /// then (as a flight leader) the bounded queue.
+    /// then the artifact cache, then singleflight join, then (as a
+    /// flight leader) the bounded queue.
     fn admit(&self, id: Json, req: CompileRequest, reply: &Sender<String>) {
         let inner = &self.inner;
         let hash = req.content_hash();
 
-        // Quarantined hashes fast-fail without consuming a queue slot.
-        if let Some(msg) = inner.quarantine.lock().expect("quarantine").get(hash) {
-            inner.metrics.inc("serve.fault.quarantined");
-            let _ = reply.send(render_error(
-                &id,
-                ServeCode::Quarantined,
-                &format!("source hash {hash:016x} is quarantined after a panic: {msg}"),
-                None,
-            ));
-            return;
-        }
-
-        // Everything below holds the singleflight lock, so a finishing
-        // leader (which commits to the cache *before* removing its
-        // flight, under this same lock) cannot slip between our cache
-        // check and our flight check — a miss here therefore either
-        // finds a live flight to join or becomes the new leader;
-        // duplicate compiles of a concurrent request are impossible.
+        // Everything below holds the singleflight lock, and a finishing
+        // leader commits its artifacts to the cache — or a panicking one
+        // its hash to the quarantine — *before* removing its flight,
+        // under this same lock. So a hash that is neither quarantined
+        // nor cached here either has a live flight to join or gets its
+        // first: no concurrent request compiles twice, and no
+        // quarantined hash ever gains a new flight.
         let mut inflight = inner.inflight.lock().expect("inflight");
-
-        // Resident tier.
-        if let Some(artifacts) = inner.cache.lock().expect("cache").touch(hash) {
-            inner.metrics.inc("serve.cache.hit");
-            let _ = reply.send(render_compile_ok(&id, true, false, &artifacts, 0));
+        // Copied out: the quarantine lock is not held over the cache lookup.
+        let quarantine = inner.quarantine.lock().expect("quarantine");
+        let pill = quarantine.map.get(&hash).cloned();
+        drop(quarantine);
+        let settled = match pill {
+            Some(msg) => Some(Outcome::Fault(
+                ServeCode::Quarantined,
+                format!("source hash {hash:016x} is quarantined after a panic: {msg}"),
+                None,
+            )),
+            None => inner
+                .cache
+                .get(hash, &inner.metrics)
+                .map(|artifacts| Outcome::Done(artifacts, None)),
+        };
+        if let Some(outcome) = settled {
+            drop(inflight);
+            inner.answer(reply, &id, false, &outcome);
             return;
-        }
-
-        // Disk tier: validated end to end before anything is served; a
-        // corrupt entry was already deleted by the store and falls
-        // through to a fresh compile.
-        if let Some(store) = &inner.store {
-            match store.load_artifacts(hash) {
-                Loaded::Hit(arts) => {
-                    let artifacts: Artifacts = Arc::new(arts);
-                    inner.cache.lock().expect("cache").insert(
-                        hash,
-                        Arc::clone(&artifacts),
-                        inner.config.cache_cap_bytes,
-                        &inner.metrics,
-                    );
-                    inner.metrics.inc("serve.cache.disk_hit");
-                    let _ = reply.send(render_compile_ok(&id, true, false, &artifacts, 0));
-                    return;
-                }
-                Loaded::Corrupt(why) => {
-                    inner.metrics.inc("serve.cache.corrupt");
-                    eprintln!(
-                        "anc serve: AN0710 cache entry {hash:016x} failed validation ({why}); \
-                         deleted, recompiling"
-                    );
-                }
-                Loaded::Miss => {}
-            }
         }
 
         let now = Instant::now();
@@ -537,7 +597,7 @@ impl Server {
         if let Some(flight) = inflight.get_mut(&hash) {
             inner.metrics.inc("serve.dedup.hit");
             member.coalesced = true;
-            flight.members.push(member);
+            flight.push(member);
             return;
         }
 
@@ -546,38 +606,21 @@ impl Server {
         // the queue slot.
         inner.metrics.inc("serve.cache.miss");
         let mut state = inner.state.lock().expect("serve state");
-        if state.draining {
-            inner.metrics.inc("serve.fault.draining");
-            let _ = member.reply.send(render_error(
-                &member.id,
-                ServeCode::Draining,
-                "daemon is draining; no new work admitted",
-                None,
-            ));
+        let refusal = if state.draining {
+            let message = "daemon is draining; no new work admitted".to_string();
+            Outcome::Fault(ServeCode::Draining, message, None)
+        } else if state.queue.len() >= inner.config.queue_capacity {
+            let (queued, active) = (state.queue.len(), state.active);
+            let message = format!("queue full ({queued} queued, {active} active); retry later");
+            Outcome::Fault(ServeCode::Overloaded, message, Some(self.retry_hint()))
+        } else {
+            state.queue.push_back((req, hash));
+            inflight.insert(hash, vec![member]);
+            inner.job_ready.notify_one();
             return;
-        }
-        if state.queue.len() >= inner.config.queue_capacity {
-            inner.metrics.inc("serve.fault.overloaded");
-            let _ = member.reply.send(render_error(
-                &member.id,
-                ServeCode::Overloaded,
-                &format!(
-                    "queue full ({} queued, {} active); retry later",
-                    state.queue.len(),
-                    state.active
-                ),
-                Some(self.retry_hint()),
-            ));
-            return;
-        }
-        state.queue.push_back(Job { req, hash });
-        inflight.insert(
-            hash,
-            Flight {
-                members: vec![member],
-            },
-        );
-        inner.job_ready.notify_one();
+        };
+        drop((state, inflight));
+        inner.answer(&member.reply, &member.id, false, &refusal);
     }
 
     /// Submits one frame and waits for its single response. `timeout`
@@ -585,17 +628,12 @@ impl Server {
     /// response rather than blocking forever. Used by tests, the fuzz
     /// harness and the bench harness.
     pub fn request_sync(&self, line: &str, timeout: Duration) -> String {
-        let (tx, rx): (Sender<String>, Receiver<String>) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         self.submit(line, &tx);
-        match rx.recv_timeout(timeout) {
-            Ok(response) => response,
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => render_error(
-                &Json::Null,
-                ServeCode::Timeout,
-                &format!("no response within {}ms", timeout.as_millis()),
-                None,
-            ),
-        }
+        rx.recv_timeout(timeout).unwrap_or_else(|_| {
+            let message = format!("no response within {}ms", timeout.as_millis());
+            Outcome::Fault(ServeCode::Timeout, message, None).render(&Json::Null, false)
+        })
     }
 
     /// One-word health: `draining`, `overloaded` (queue at capacity) or
@@ -618,9 +656,9 @@ impl Server {
         format!(
             "\"health\":\"{}\",\"quarantine_entries\":{},\"quarantine_cap\":{},\"persistent\":{}",
             self.health_word(),
-            self.inner.quarantine.lock().expect("quarantine").len(),
+            self.inner.quarantine.lock().expect("quarantine").map.len(),
             self.inner.config.quarantine_cap,
-            self.inner.store.is_some()
+            self.inner.cache.disk.is_some()
         )
     }
 
@@ -629,85 +667,41 @@ impl Server {
     /// latency quantiles and the quarantine list.
     pub fn status_json(&self) -> String {
         let inner = &self.inner;
-        let (queue_depth, active, draining) = {
-            let state = inner.state.lock().expect("serve state");
-            (state.queue.len(), state.active, state.draining)
+        let state = inner.state.lock().expect("serve state");
+        let (queue_depth, active, draining) = (state.queue.len(), state.active, state.draining);
+        drop(state);
+        let counters: HashMap<String, u64> = inner.metrics.counters().into_iter().collect();
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        // `"key":count` pairs, in wire order.
+        let field = |(key, name): &(&str, &str)| format!("\"{key}\":{}", count(name));
+        let fields = |pairs: &[(&str, &str)]| pairs.iter().map(field).collect::<Vec<_>>().join(",");
+        let served = count("serve.cache.hit") + count("serve.cache.disk_hit");
+        let looked_up = served + count("serve.cache.miss");
+        let hit_rate = served as f64 / looked_up.max(1) as f64;
+        let resident = inner.cache.resident.lock().expect("cache");
+        let (cache_entries, cache_bytes) = (resident.entries.len(), resident.bytes);
+        drop(resident);
+        let pills: Vec<String> = {
+            let q = inner.quarantine.lock().expect("quarantine");
+            q.map.keys().map(|h| format!("\"{h:016x}\"")).collect()
         };
-        let m = &inner.metrics;
-        let [total, ok, malformed, frame_too_large, compile, budget, panics, quarantined, overloaded, drain_refusals, timeouts, hits, disk_hits, misses, corrupt, evicted, write_errors, dedup_hits, quarantine_evicted, conns_shed, slow_frames, model_priced, model_errors] =
-            m.counters_many([
-                "serve.requests.total",
-                "serve.ok",
-                "serve.fault.malformed",
-                "serve.fault.frame_too_large",
-                "serve.fault.compile",
-                "serve.fault.budget",
-                "serve.fault.panic",
-                "serve.fault.quarantined",
-                "serve.fault.overloaded",
-                "serve.fault.draining",
-                "serve.fault.timeout",
-                "serve.cache.hit",
-                "serve.cache.disk_hit",
-                "serve.cache.miss",
-                "serve.cache.corrupt",
-                "serve.cache.evicted",
-                "serve.cache.write_errors",
-                "serve.dedup.hit",
-                "serve.quarantine.evicted",
-                "serve.conn.shed",
-                "serve.conn.slow_frame",
-                "serve.model.priced",
-                "serve.model.errors",
-            ]);
-        let served = hits + disk_hits;
-        let hit_rate = if served + misses == 0 {
-            0.0
-        } else {
-            served as f64 / (served + misses) as f64
-        };
-        let (cache_entries, cache_bytes) = {
-            let cache = inner.cache.lock().expect("cache");
-            (cache.entries.len(), cache.bytes)
-        };
-        let quarantine: Vec<String> = inner
-            .quarantine
-            .lock()
-            .expect("quarantine")
-            .map
-            .keys()
-            .map(|h| format!("\"{h:016x}\""))
-            .collect();
-
-        let mut phases = String::new();
-        for (i, phase) in ["parse", "compile", "model", "emit"].iter().enumerate() {
-            if i > 0 {
-                phases.push(',');
-            }
+        let histograms = inner.metrics.histograms();
+        let phases = ["parse", "compile", "model", "emit"].map(|phase| {
             let name = format!("serve.phase.{phase}_us");
-            let (p50, p99, total) = m
-                .histograms()
-                .into_iter()
+            let (p50, p99, total) = histograms
+                .iter()
                 .find(|(n, _)| *n == name)
                 .map(|(_, h)| (h.quantile(0.5), h.quantile(0.99), h.total))
                 .unwrap_or((0, 0, 0));
-            phases.push_str(&format!(
-                "\"{phase}\":{{\"p50_us\":{p50},\"p99_us\":{p99},\"count\":{total}}}"
-            ));
-        }
-
+            format!("\"{phase}\":{{\"p50_us\":{p50},\"p99_us\":{p99},\"count\":{total}}}")
+        });
         format!(
             concat!(
                 "{{\"workers\":{},\"queue_depth\":{},\"active\":{},\"draining\":{},",
-                "\"requests\":{{\"total\":{},\"ok\":{}}},",
-                "\"faults\":{{\"malformed\":{},\"frame_too_large\":{},\"compile\":{},",
-                "\"budget\":{},\"panics\":{},\"quarantined\":{},\"overloaded\":{},",
-                "\"draining\":{},\"timeouts\":{}}},",
+                "\"requests\":{{{}}},\"faults\":{{{}}},",
                 "\"cache\":{{\"entries\":{},\"bytes\":{},\"cap_bytes\":{},\"persistent\":{},",
-                "\"hits\":{},\"disk_hits\":{},\"misses\":{},\"corrupt\":{},\"evicted\":{},",
-                "\"write_errors\":{},\"hit_rate\":{:.3}}},",
-                "\"dedup\":{{\"hits\":{}}},",
-                "\"model\":{{\"priced\":{},\"errors\":{}}},",
+                "{},\"hit_rate\":{:.3}}},",
+                "\"dedup\":{{\"hits\":{}}},\"model\":{{\"priced\":{},\"errors\":{}}},",
                 "\"conns\":{{\"shed\":{},\"slow_frames\":{}}},",
                 "\"quarantine\":[{}],\"quarantine_cap\":{},\"quarantine_evicted\":{},",
                 "\"phase_us\":{{{}}}}}"
@@ -716,37 +710,40 @@ impl Server {
             queue_depth,
             active,
             draining,
-            total,
-            ok,
-            malformed,
-            frame_too_large,
-            compile,
-            budget,
-            panics,
-            quarantined,
-            overloaded,
-            drain_refusals,
-            timeouts,
+            fields(&[("total", "serve.requests.total"), ("ok", "serve.ok")]),
+            fields(&[
+                ("malformed", "serve.fault.malformed"),
+                ("frame_too_large", "serve.fault.frame_too_large"),
+                ("compile", "serve.fault.compile"),
+                ("budget", "serve.fault.budget"),
+                ("panics", "serve.fault.panic"),
+                ("quarantined", "serve.fault.quarantined"),
+                ("overloaded", "serve.fault.overloaded"),
+                ("draining", "serve.fault.draining"),
+                ("timeouts", "serve.fault.timeout"),
+            ]),
             cache_entries,
             cache_bytes,
             inner.config.cache_cap_bytes,
-            inner.store.is_some(),
-            hits,
-            disk_hits,
-            misses,
-            corrupt,
-            evicted,
-            write_errors,
+            inner.cache.disk.is_some(),
+            fields(&[
+                ("hits", "serve.cache.hit"),
+                ("disk_hits", "serve.cache.disk_hit"),
+                ("misses", "serve.cache.miss"),
+                ("corrupt", "serve.cache.corrupt"),
+                ("evicted", "serve.cache.evicted"),
+                ("write_errors", "serve.cache.write_errors"),
+            ]),
             hit_rate,
-            dedup_hits,
-            model_priced,
-            model_errors,
-            conns_shed,
-            slow_frames,
-            quarantine.join(","),
+            count("serve.dedup.hit"),
+            count("serve.model.priced"),
+            count("serve.model.errors"),
+            count("serve.conn.shed"),
+            count("serve.conn.slow_frame"),
+            pills.join(","),
             inner.config.quarantine_cap,
-            quarantine_evicted,
-            phases
+            count("serve.quarantine.evicted"),
+            phases.join(",")
         )
     }
 
@@ -759,9 +756,8 @@ impl Server {
         let mut state = inner.state.lock().expect("serve state");
         state.draining = true;
         inner.job_ready.notify_all();
-        while !state.queue.is_empty() || state.active > 0 {
-            state = inner.job_done.wait(state).expect("serve state");
-        }
+        let busy = |s: &mut QueueState| !s.queue.is_empty() || s.active > 0;
+        let _idle = inner.job_done.wait_while(state, busy).expect("serve state");
     }
 
     /// Drains (if not already drained) and joins the worker pool.
@@ -782,215 +778,106 @@ fn splitmix64(x: u64) -> u64 {
 
 fn worker_loop(inner: &Arc<Inner>) {
     loop {
-        let job = {
-            let mut state = inner.state.lock().expect("serve state");
-            loop {
-                if let Some(job) = state.queue.pop_front() {
-                    state.active += 1;
-                    break job;
-                }
-                if state.draining {
-                    return;
-                }
-                state = inner.job_ready.wait(state).expect("serve state");
-            }
+        let state = inner.state.lock().expect("serve state");
+        let idle = |s: &mut QueueState| s.queue.is_empty() && !s.draining;
+        let mut state = inner
+            .job_ready
+            .wait_while(state, idle)
+            .expect("serve state");
+        let Some(job) = state.queue.pop_front() else {
+            return; // draining, and nothing left to run
         };
-        run_job(inner, &job);
+        state.active += 1;
+        drop(state);
+        run_job(inner, job);
         let mut state = inner.state.lock().expect("serve state");
         state.active -= 1;
         inner.job_done.notify_all();
-        drop(state);
     }
 }
 
-/// Removes the flight for `hash` and returns every member awaiting its
-/// outcome.
-fn remove_flight(inner: &Inner, hash: u64) -> Vec<Member> {
-    inner
-        .inflight
-        .lock()
-        .expect("inflight")
-        .remove(&hash)
-        .map(|f| f.members)
-        .unwrap_or_default()
-}
-
-/// Executes one job inside its fault cell and sends exactly one
-/// response to every member of its flight.
-fn run_job(inner: &Arc<Inner>, job: &Job) {
-    let hash = job.hash;
-
-    // Pickup checks, under the flight lock so joins cannot race them:
-    // defensive quarantine re-check, then per-member queued deadlines.
-    // Members whose deadline lapsed while queued get `AN0709` now; the
-    // compile proceeds for whichever members still have slack, under
-    // the group's most generous deadline.
+/// Executes one job inside its fault cell and answers every member of
+/// its flight with the one outcome.
+fn run_job(inner: &Inner, (req, hash): (CompileRequest, u64)) {
+    // Pickup, under the flight lock so joins cannot race it: members
+    // whose deadline lapsed while queued get `AN0709` now; the compile
+    // proceeds for whichever members still have slack, under the
+    // group's most generous deadline.
     let deadline = {
         let mut inflight = inner.inflight.lock().expect("inflight");
         let Some(flight) = inflight.get_mut(&hash) else {
             return;
         };
-
-        if let Some(msg) = inner.quarantine.lock().expect("quarantine").get(hash) {
-            let msg = msg.clone();
-            let members = inflight.remove(&hash).expect("flight present").members;
-            inner
-                .metrics
-                .add("serve.fault.quarantined", members.len() as u64);
-            for m in &members {
-                let _ = m.reply.send(render_error(
-                    &m.id,
-                    ServeCode::Quarantined,
-                    &format!("source hash {hash:016x} is quarantined after a panic: {msg}"),
-                    None,
-                ));
-            }
-            return;
-        }
-
         let now = Instant::now();
         let (expired, live): (Vec<Member>, Vec<Member>) = flight
-            .members
             .drain(..)
             .partition(|m| m.deadline.is_some_and(|d| now >= d));
         for m in &expired {
-            inner.metrics.inc("serve.fault.timeout");
-            let _ = m.reply.send(render_error(
-                &m.id,
-                ServeCode::Timeout,
-                &format!(
-                    "deadline expired after {}ms in queue",
-                    m.enqueued_at.elapsed().as_millis()
-                ),
-                None,
-            ));
+            let waited = m.enqueued_at.elapsed().as_millis();
+            let message = format!("deadline expired after {waited}ms in queue");
+            let outcome = Outcome::Fault(ServeCode::Timeout, message, None);
+            inner.answer(&m.reply, &m.id, m.coalesced, &outcome);
         }
         if live.is_empty() {
             inflight.remove(&hash);
             return;
         }
-        let deadline = if live.iter().any(|m| m.deadline.is_none()) {
-            None
-        } else {
-            live.iter().filter_map(|m| m.deadline).max()
-        };
-        flight.members = live;
-        deadline
+        // `None` — no deadline — as soon as one member has none.
+        let deadline = live
+            .iter()
+            .try_fold(None, |max, m| m.deadline.map(|d| max.max(Some(d))));
+        *flight = live;
+        deadline.flatten()
     };
 
     let started = Instant::now();
     // The fault cell: everything that can panic runs under
-    // catch_unwind. The request data is moved in by value (clones), so
-    // a mid-compile panic cannot leave shared state torn —
-    // AssertUnwindSafe is sound here.
-    let req = job.req.clone();
-    let outcome = catch_unwind(AssertUnwindSafe(|| compile_cell(inner, &req, deadline)));
-
-    match outcome {
+    // catch_unwind. The worker owns the request outright, and the only
+    // shared state the cell writes is the metrics registry, whose
+    // updates an unwind cannot tear — AssertUnwindSafe is sound here.
+    let outcome = match catch_unwind(AssertUnwindSafe(|| compile_cell(inner, &req, deadline))) {
         Ok(Ok(artifacts)) => {
             let artifacts: Artifacts = Arc::new(artifacts);
-            // Commit to the cache *before* removing the flight: an
-            // admit that finds neither (and would duplicate the
-            // compile) is impossible because it checks both under the
-            // flight lock.
-            inner.cache.lock().expect("cache").insert(
-                hash,
-                Arc::clone(&artifacts),
-                inner.config.cache_cap_bytes,
-                &inner.metrics,
-            );
-            if let Some(store) = &inner.store {
-                if store.store_artifacts(hash, &artifacts).is_err() {
-                    inner.metrics.inc("serve.cache.write_errors");
-                }
-            }
-            let compile_us = started.elapsed().as_micros() as u64;
-            let members = remove_flight(inner, hash);
-            inner.metrics.add("serve.ok", members.len() as u64);
-            for m in &members {
-                let _ = m.reply.send(render_compile_ok(
-                    &m.id,
-                    false,
-                    m.coalesced,
-                    &artifacts,
-                    compile_us,
-                ));
-            }
+            // Committed before the flight is removed (see `admit`).
+            inner.cache.put(hash, &artifacts, &inner.metrics);
+            Outcome::Done(artifacts, Some(started.elapsed().as_micros() as u64))
         }
-        Ok(Err((code, message))) => {
-            let members = remove_flight(inner, hash);
-            inner.metrics.add(
-                match code {
-                    ServeCode::BudgetExceeded => "serve.fault.budget",
-                    ServeCode::Timeout => "serve.fault.timeout",
-                    _ => "serve.fault.compile",
-                },
-                members.len() as u64,
-            );
-            for m in &members {
-                let _ = m.reply.send(render_error(&m.id, code, &message, None));
-            }
-        }
+        Ok(Err((code, message))) => Outcome::Fault(code, message, None),
         Err(payload) => {
             let msg = panic_message(payload.as_ref());
-            inner.quarantine.lock().expect("quarantine").insert(
-                hash,
-                msg.clone(),
-                inner.config.quarantine_cap,
-                inner.store.as_ref(),
-                &inner.metrics,
-            );
-            if let Some(store) = &inner.store {
-                if store.store_quarantine(hash, &msg).is_err() {
-                    inner.metrics.inc("serve.cache.write_errors");
-                }
-            }
-            // A panicking leader must still wake its followers: every
-            // flight member gets the structured AN0705, not a hang.
-            let members = remove_flight(inner, hash);
-            inner.metrics.add("serve.fault.panic", members.len() as u64);
-            for m in &members {
-                let _ = m.reply.send(render_error(
-                    &m.id,
-                    ServeCode::Panicked,
-                    &format!(
-                        "request panicked in its fault cell ({msg}); hash {hash:016x} quarantined"
-                    ),
-                    None,
-                ));
-            }
+            let message =
+                format!("request panicked in its fault cell ({msg}); hash {hash:016x} quarantined");
+            // Quarantined before the flight is removed (see `admit`).
+            QuarantineMap::insert(&inner.quarantine, hash, msg, &inner.metrics);
+            Outcome::Fault(ServeCode::Panicked, message, None)
         }
+    };
+    // A panicking leader must still wake its followers: every flight
+    // member gets the leader's outcome, never a hang.
+    let members = inner.inflight.lock().expect("inflight").remove(&hash);
+    for m in members.unwrap_or_default() {
+        inner.answer(&m.reply, &m.id, m.coalesced, &outcome);
     }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    let text = payload.downcast_ref::<&str>().copied();
+    let text = text.or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    text.unwrap_or("non-string panic payload").to_string()
 }
 
 /// Remaining milliseconds before `deadline`, as a driver budget value.
 /// Returns an error when the deadline has already passed (cooperative
 /// cancellation at a phase boundary).
 fn remaining_ms(deadline: Option<Instant>) -> Result<Option<u64>, (ServeCode, String)> {
-    match deadline {
-        None => Ok(None),
-        Some(d) => {
-            let now = Instant::now();
-            if now >= d {
-                Err((
-                    ServeCode::BudgetExceeded,
-                    "deadline budget exhausted at a phase boundary".to_string(),
-                ))
-            } else {
-                Ok(Some((d - now).as_millis().max(1) as u64))
-            }
-        }
+    let Some(left) = deadline.map(|d| d.saturating_duration_since(Instant::now())) else {
+        return Ok(None);
+    };
+    if left.is_zero() {
+        let why = "deadline budget exhausted at a phase boundary".to_string();
+        return Err((ServeCode::BudgetExceeded, why));
     }
+    Ok(Some(left.as_millis().max(1) as u64))
 }
 
 /// The body of the fault cell: parse → compile → emit with cooperative
@@ -1012,14 +899,17 @@ fn compile_cell(
     }
 
     let mut opts = req.to_options(None);
+    let observe = |histogram: &str, t: Instant| {
+        inner
+            .metrics
+            .observe(histogram, t.elapsed().as_micros() as u64);
+    };
 
     // Phase: parse (+ pre-normalization).
     let t = Instant::now();
     opts.budget.deadline_ms = remaining_ms(deadline)?;
     let (program, _lint) = an_driver::parse_normalized(&req.source, &opts).map_err(driver_error)?;
-    inner
-        .metrics
-        .observe("serve.phase.parse_us", t.elapsed().as_micros() as u64);
+    observe("serve.phase.parse_us", t);
 
     // Parameter bindings are validated even though emission uses the
     // program's own defaults — a bad binding is a client error worth
@@ -1033,9 +923,7 @@ fn compile_cell(
     let t = Instant::now();
     opts.budget.deadline_ms = remaining_ms(deadline)?;
     let compiled = an_driver::compile_program(&program, &opts).map_err(driver_error)?;
-    inner
-        .metrics
-        .observe("serve.phase.compile_us", t.elapsed().as_micros() as u64);
+    observe("serve.phase.compile_us", t);
 
     // Phase: model — analytic locality pricing of the compiled SPMD
     // program (closed-form counts, microseconds), surfaced in `status`
@@ -1044,42 +932,31 @@ fn compile_cell(
     let t = Instant::now();
     remaining_ms(deadline)?;
     let defaults = compiled.program.default_param_values();
-    match an_model::model_stats(
-        &compiled.spmd,
-        &an_numa::MachineConfig::butterfly_gp1000(),
-        4,
-        &defaults,
-    ) {
+    let gp1000 = an_numa::MachineConfig::butterfly_gp1000();
+    match an_model::model_stats(&compiled.spmd, &gp1000, 4, &defaults) {
         Ok(_) => inner.metrics.add("serve.model.priced", 1),
         Err(_) => inner.metrics.add("serve.model.errors", 1),
     }
-    inner
-        .metrics
-        .observe("serve.phase.model_us", t.elapsed().as_micros() as u64);
+    observe("serve.phase.model_us", t);
 
     // Phase: emit.
     let t = Instant::now();
     remaining_ms(deadline)?;
-    let mut artifacts = Vec::with_capacity(req.emit.len());
-    for &kind in &req.emit {
+    let artifacts = req.emit.iter().map(|&kind| {
         let text = match kind {
             Emit::Ir => an_ir::pretty::print_program(&compiled.program),
             Emit::Transform => compiled.normalized.transform.to_string(),
             Emit::Transformed => an_ir::pretty::print_nest(&compiled.transformed.program),
             Emit::Spmd => an_codegen::emit::emit_spmd(&compiled.spmd),
-            Emit::C => {
-                let defaults = compiled.program.default_param_values();
-                an_codegen::emit_c::emit_c(&compiled.transformed.program, &defaults, 42)
-            }
+            Emit::C => an_codegen::emit_c::emit_c(&compiled.transformed.program, &defaults, 42),
             Emit::Ownership => an_codegen::ownership::emit_ownership(
                 &an_codegen::ownership::generate_ownership(&compiled.program),
             ),
         };
-        artifacts.push((kind, text));
-    }
-    inner
-        .metrics
-        .observe("serve.phase.emit_us", t.elapsed().as_micros() as u64);
+        (kind, text)
+    });
+    let artifacts = artifacts.collect();
+    observe("serve.phase.emit_us", t);
     Ok(artifacts)
 }
 
@@ -1336,6 +1213,63 @@ mod tests {
         // The hash is quarantined for everyone afterwards.
         let again = server.request_sync(&frame(9, KERNEL, ",\"chaos\":\"sleep-panic:200\""), WAIT);
         assert!(again.contains("AN0706"), "{again}");
+        // One flight, compiled once and never again: three `AN0705`
+        // answers from it, and the repeat fast-failed without a flight.
+        assert_eq!(server.metrics().counter("serve.cache.miss"), 1);
+        assert_eq!(server.metrics().counter("serve.fault.panic"), 3);
+        assert_eq!(server.metrics().counter("serve.fault.quarantined"), 1);
+        server.join();
+    }
+
+    #[test]
+    fn status_accounts_for_every_answer() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        });
+        let mut answers = vec![
+            server.request_sync("{\"id\":1,\"verb\":\"ping\"}", WAIT),
+            server.request_sync("not even json", WAIT),
+            server.request_sync(&frame(2, KERNEL, ""), WAIT),
+            server.request_sync(&frame(3, KERNEL, ""), WAIT),
+            server.request_sync(&frame(4, KERNEL, ""), WAIT),
+        ];
+        // A coalesced burst holds the one worker while a second sleeper
+        // fills the one queue slot, so a third compile is shed.
+        let (tx, rx) = mpsc::channel();
+        let kernel = |n: u32| KERNEL.replacen("N = 8", &format!("N = {n}"), 1);
+        let burst = frame(5, &kernel(5), ",\"chaos\":\"sleep:300\"");
+        server.submit(&burst, &tx);
+        thread::sleep(Duration::from_millis(100)); // the leader reaches the worker
+        server.submit(&burst, &tx);
+        server.submit(&burst, &tx);
+        server.submit(&frame(6, &kernel(6), ",\"chaos\":\"sleep:100\""), &tx);
+        let shed = server.request_sync(&frame(7, &kernel(7), ""), WAIT);
+        assert!(shed.contains("AN0707"), "{shed}");
+        answers.push(shed);
+        answers.extend((0..4).map(|_| rx.recv_timeout(WAIT).unwrap()));
+        let pill = frame(8, KERNEL, ",\"chaos\":\"panic\"");
+        answers.push(server.request_sync(&pill, WAIT));
+        answers.push(server.request_sync(&pill, WAIT));
+        answers.push(server.request_sync("{\"id\":9,\"verb\":\"health\"}", WAIT));
+        answers.push(server.request_sync("{\"id\":10,\"verb\":\"status\"}", WAIT));
+
+        let ok = answers.iter().filter(|a| a.contains("\"ok\":true")).count() as u64;
+        let status = crate::json::parse(answers.last().unwrap()).unwrap();
+        let status = status.get("status").unwrap();
+        let requests = status.get("requests").unwrap();
+        let number = |v: &Json, key: &str| v.get(key).and_then(Json::as_u64).unwrap();
+        assert_eq!(number(requests, "ok"), ok, "{status}");
+        let faults = status.get("faults").unwrap();
+        let faults: u64 = faults
+            .as_obj()
+            .unwrap()
+            .values()
+            .filter_map(Json::as_u64)
+            .sum();
+        assert_eq!(number(requests, "total"), ok + faults, "{status}");
+        assert_eq!(number(requests, "total"), answers.len() as u64, "{status}");
         server.join();
     }
 

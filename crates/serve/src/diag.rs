@@ -62,6 +62,26 @@ pub const ALL_CODES: [ServeCode; 10] = [
     ServeCode::CacheCorrupt,
 ];
 
+impl ServeCode {
+    /// The `status` counter one answer with this code bumps — the one
+    /// table from code to `serve.fault.*` name. `AN0710` is never an
+    /// answer: a corrupt entry is counted where it is recovered from.
+    pub(crate) fn fault_counter(self) -> &'static str {
+        match self {
+            ServeCode::Malformed => "serve.fault.malformed",
+            ServeCode::FrameTooLarge => "serve.fault.frame_too_large",
+            ServeCode::CompileFailed => "serve.fault.compile",
+            ServeCode::BudgetExceeded => "serve.fault.budget",
+            ServeCode::Panicked => "serve.fault.panic",
+            ServeCode::Quarantined => "serve.fault.quarantined",
+            ServeCode::Overloaded => "serve.fault.overloaded",
+            ServeCode::Draining => "serve.fault.draining",
+            ServeCode::Timeout => "serve.fault.timeout",
+            ServeCode::CacheCorrupt => "serve.cache.corrupt",
+        }
+    }
+}
+
 impl DiagCode for ServeCode {
     fn as_str(self) -> &'static str {
         match self {

@@ -16,8 +16,6 @@
 
 use crate::core::{Server, Submit};
 use crate::diag::ServeCode;
-use crate::json::Json;
-use crate::proto::render_error;
 use std::io::{self, Write};
 use std::sync::mpsc::Sender;
 
@@ -86,13 +84,11 @@ impl<'a> Framer<'a> {
             // Enforced at the buffer, not just the parser: a
             // newline-less flood cannot grow memory past the frame
             // limit.
-            self.server.metrics().inc("serve.fault.frame_too_large");
-            let _ = reply.send(render_error(
-                &Json::Null,
+            self.server.reject(
+                reply,
                 ServeCode::FrameTooLarge,
-                &format!("frame exceeds {max_frame} bytes; discarding to next newline"),
-                None,
-            ));
+                format!("frame exceeds {max_frame} bytes; discarding to next newline"),
+            );
             self.buf.clear();
             self.discarding = true;
         }

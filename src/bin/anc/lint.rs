@@ -2,13 +2,15 @@
 //! file, reporting AN06xx findings; `--fix` writes the normalized
 //! program back in place when the rewrites applied cleanly.
 //!
-//! Lint stops before lowering, so it reads and parses the source
-//! itself instead of going through the compile front door.
+//! Lint stops before compiling, so it reads and parses the source
+//! itself instead of going through the compile front door; it lowers
+//! the normalized program only to reject loop bounds that leave `i64`,
+//! as every compile does.
 
 use crate::cli::Args;
 use crate::compile::read_source;
 use crate::Stop;
-use access_normalization::lang::{lexer, parser, print::print_program};
+use access_normalization::lang::{lexer, lower::lower, parser, print::print_program};
 use std::process::ExitCode;
 
 pub fn run(args: &Args) -> Result<ExitCode, Stop> {
@@ -32,6 +34,12 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
             }
         };
         let normalized = access_normalization::normal::normalize(&ast, &Default::default());
+        let lowered = lower(&normalized.ast).ok();
+        if let Some(e) = lowered.and_then(|p| p.nest.reach(&p.default_param_values()).err()) {
+            eprintln!("anc: {input}: {e}");
+            failed = true;
+            continue;
+        }
         let report = &normalized.report;
         if json {
             println!("{}", report.to_json());

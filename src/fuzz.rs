@@ -13,7 +13,8 @@
 //!    simulator and the model; alongside, random near-`i64::MAX`
 //!    matrices are pushed through the exact linear algebra and the `i64`
 //!    fast path is differentially checked against the
-//!    arbitrary-precision path.
+//!    arbitrary-precision path, and a second source whose loop bound has
+//!    a multiplier up to `i64::MAX` must compile or fail typed.
 //! 3. **Deep skewed nests under a tiny budget** — compilation must
 //!    return promptly (typed success or [`Error::Budget`]).
 //! 4. **Serve protocol frames** — an eighth of the iteration budget is
@@ -322,9 +323,10 @@ fn sane_source(rng: &mut Rng, depth: usize, n: u64) -> String {
 }
 
 /// Archetype 2: huge subscript multipliers (compile-or-typed-error,
-/// then priced-or-typed-error by both evaluators alike) plus a
-/// differential check of the `i64` linear-algebra fast path against
-/// the arbitrary-precision path.
+/// then priced-or-typed-error by both evaluators alike), a differential
+/// check of the `i64` linear-algebra fast path against the
+/// arbitrary-precision path, and a huge loop-bound multiplier
+/// (compile-or-typed-error).
 fn fuzz_adversarial(rng: &mut Rng, iter: u64, report: &mut FuzzReport) {
     // Multipliers up to ~2e17: extents still evaluate inside i64, while
     // transform arithmetic on the squared terms overflows freely.
@@ -417,6 +419,25 @@ fn fuzz_adversarial(rng: &mut Rng, iter: u64, report: &mut FuzzReport) {
                 .push(format!("iter {iter}: panic in HNF differential on\n{m}"));
         }
     }
+
+    // A loop-bound multiplier over the whole of i64, in a source of its
+    // own so the kernel above keeps its reach: `c4 · N` leaves i64 for
+    // most draws, which the front end must reject with a typed error
+    // rather than evaluate. What compiles spans up to ~2⁶³ points, so it
+    // is compiled only, never priced.
+    let c4 = rng.range(1, i64::MAX as u64) as i64;
+    let src = format!(
+        "param N = {n};\n\
+         array A[N, N] distribute wrapped(0);\n\
+         for i = 0, {c4} * N {{ for j = 0, N - 1 {{ A[j, i] = A[j, i] + 1; }} }}"
+    );
+    guarded_compile(
+        &src,
+        &CompileOptions::default(),
+        iter,
+        "adversarial loop bound",
+        report,
+    );
 }
 
 /// Archetype 3: deep skewed nests compiled under a deliberately tiny

@@ -310,6 +310,131 @@ fn unpriceable_subscript_exits_1_with_one_line() {
     }
 }
 
+/// A loop bound that leaves `i64` at the default `N = 4` (2⁶² · 4 = 2⁶⁴).
+const BOUND_OVERFLOW: &str =
+    "param N = 4; array A[N]; for i = 0, 4611686018427387904 * N { A[i] = A[i] + 1; }";
+
+/// Writes `source` to a scratch file named `name` and returns its path.
+fn scratch_source(name: &str, source: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("anc-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, source).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+/// Runs `anc args`, demands exit 1 with one `anc: ` line on stderr
+/// containing `needle`, and returns that line.
+fn rejected_in_one_line(args: &[&str], needle: &str) -> String {
+    let out = anc().args(args).output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(
+        stderr.starts_with("anc: ") && stderr.contains(needle),
+        "{args:?}: {stderr}"
+    );
+    stderr
+}
+
+#[test]
+fn out_of_range_loop_bounds_exit_1_with_one_line() {
+    // The bound itself, and its `step 2` twin that the pre-normalizer
+    // rewrites and probes: both must be rejected before anything
+    // evaluates the bound at the defaults, where it would panic (exit 3).
+    let plain = scratch_source("bound.an", BOUND_OVERFLOW);
+    let stepped = scratch_source(
+        "bound_step.an",
+        &BOUND_OVERFLOW.replace("* N {", "* N step 2 {"),
+    );
+    for path in [&plain, &stepped] {
+        for args in [vec![path.as_str()], vec!["check", path], vec!["lint", path]] {
+            rejected_in_one_line(&args, "bound of loop variable #0");
+        }
+    }
+}
+
+#[test]
+fn pricing_never_splits_the_model_from_the_simulator() {
+    // A wrapped read whose coefficient is near 2⁶²: priced, and priced
+    // alike; only its residue mod P may enter the period scan.
+    let wrapped = scratch_source(
+        "wrapped.an",
+        "param N = 4; array A[9223372036854775807] distribute wrapped(0);
+         array B[N, 2] distribute wrapped(0);
+         for i = 0, N - 1 { for j = 0, 1 { B[i, j] = A[4000000000000000001 * j] + 1; } }",
+    );
+    let sweep = |path: &str, price: &str| {
+        let args = ["sweep", path, "--procs", "3,4,5,8", "--price", price];
+        anc().args(args).output().unwrap()
+    };
+    let rows = |out: &std::process::Output| -> Vec<String> {
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        stdout.lines().skip(1).map(str::to_string).collect()
+    };
+    let (model, sim) = (sweep(&wrapped, "model"), sweep(&wrapped, "sim"));
+    assert!(model.status.success() && sim.status.success());
+    assert_eq!(rows(&model), rows(&sim));
+    assert!(
+        rows(&model).iter().any(|r| r.contains("37.5%")),
+        "{model:?}"
+    );
+
+    // A blocked read past the block-interval sentinels, where neither
+    // evaluator's block arithmetic holds: both must reject it alike.
+    let blocked = scratch_source(
+        "blocked.an",
+        "param N = 4; array A[100] distribute blocked(0);
+         array B[N, 2] distribute wrapped(0);
+         for i = 0, N - 1 { for j = 0, 1 { B[i, j] = A[7000000000000000000 + j] + 1; } }",
+    );
+    let model = rejected_in_one_line(
+        &["sweep", &blocked, "--procs", "4", "--price", "model"],
+        "subscript of array A",
+    );
+    let sim = rejected_in_one_line(
+        &["sweep", &blocked, "--procs", "4", "--price", "sim"],
+        "subscript of array A",
+    );
+    assert_eq!(model, sim);
+    rejected_in_one_line(&[&blocked, "--simulate", "4"], "subscript of array A");
+}
+
+#[test]
+fn serve_answers_out_of_range_bounds_an0703_and_quarantines_nothing() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+    let mut daemon = anc()
+        .args(["serve", "--stdio", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdin = daemon.stdin.take().unwrap();
+    let mut stdout = BufReader::new(daemon.stdout.take().unwrap());
+    let source = BOUND_OVERFLOW.replace('"', "\\\"");
+    let mut ask = |frame: String| {
+        stdin.write_all(format!("{frame}\n").as_bytes()).unwrap();
+        stdin.flush().unwrap();
+        let mut line = String::new();
+        stdout.read_line(&mut line).unwrap();
+        line
+    };
+    for id in [1, 2] {
+        let answer = ask(format!(
+            "{{\"id\":{id},\"verb\":\"compile\",\"source\":\"{source}\"}}"
+        ));
+        assert!(answer.contains("\"code\":\"AN0703\""), "{answer}");
+    }
+    let status = ask("{\"id\":3,\"verb\":\"status\"}".to_string());
+    for field in ["\"compile\":2", "\"panics\":0", "\"quarantine\":[]"] {
+        assert!(status.contains(field), "{field}: {status}");
+    }
+    ask("{\"id\":4,\"verb\":\"shutdown\"}".to_string());
+    assert!(daemon.wait().unwrap().success());
+}
+
 #[test]
 fn unknown_input_path_exits_2_with_one_line() {
     let out = anc().args(["/no/such/kernel.an"]).output().unwrap();

@@ -130,6 +130,52 @@ fn both_evaluators_reject_an_overflowing_subscript_alike() {
     }
 }
 
+/// Two reads near the edge of `i64` that validation admits or rejects,
+/// and that both evaluators must then price, or reject, alike: a
+/// wrapped read whose coefficient is near 2⁶² (priced: only its residue
+/// mod P matters), and a blocked read past the block-interval sentinels
+/// (rejected: no block's interval holds it, though `home_of` clamps it
+/// into the last).
+#[test]
+fn both_evaluators_agree_on_reads_at_the_edge_of_i64() {
+    let wrapped = "param N = 4; array A[9223372036854775807] distribute wrapped(0);
+        array B[N, 2] distribute wrapped(0);
+        for i = 0, N - 1 { for j = 0, 1 { B[i, j] = A[4000000000000000001 * j] + 1; } }";
+    let blocked = "param N = 4; array A[100] distribute blocked(0);
+        array B[N, 2] distribute wrapped(0);
+        for i = 0, N - 1 { for j = 0, 1 { B[i, j] = A[7000000000000000000 + j] + 1; } }";
+    let machine = MachineConfig::butterfly_gp1000();
+    for (name, src) in [("wrapped", wrapped), ("blocked", blocked)] {
+        for transfers in [true, false] {
+            let opts = CompileOptions {
+                spmd: access_normalization::codegen::SpmdOptions {
+                    block_transfers: transfers,
+                },
+                ..CompileOptions::default()
+            };
+            let compiled = compile(src, &opts).unwrap();
+            let params = compiled.program.default_param_values();
+            for procs in [3, 4, 5, 8] {
+                let at = format!("{name} P={procs} transfers={transfers}");
+                let sim = simulate(&compiled.spmd, &machine, procs, &params);
+                let model = model_stats(&compiled.spmd, &machine, procs, &params);
+                match (name, sim, model) {
+                    ("wrapped", Ok(sim), Ok(model)) => assert_exact(&sim, &model, &at),
+                    ("blocked", sim, model) => {
+                        let expected = Err(SimError::SubscriptOverflow {
+                            array: "A".into(),
+                            dim: 0,
+                        });
+                        assert_eq!(sim, expected, "{at}");
+                        assert_eq!(model, expected, "{at}");
+                    }
+                    (_, sim, model) => panic!("{at}: sim {sim:?} model {model:?}"),
+                }
+            }
+        }
+    }
+}
+
 /// splitmix64, the repo's standard reproducible stream.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
