@@ -270,8 +270,8 @@ impl PipelineCtx {
     ///
     /// # Errors
     ///
-    /// [`Error::Ir`] for loop bounds that can leave `i64`, [`Error::Deps`]
-    /// if analysis fails.
+    /// [`Error::Ir`] for loop bounds or array extents that can leave
+    /// `i64`, [`Error::Deps`] if analysis fails.
     pub fn precompute_deps(
         &self,
         program: &Program,
@@ -292,13 +292,16 @@ impl PipelineCtx {
 
 /// Dependence analysis, the first stage to walk the nest at concrete
 /// parameters: a bound that can leave `i64` there is rejected before
-/// the walk evaluates it.
+/// the walk evaluates it, and an array extent that does before any
+/// later stage (the verifier, pricing, the interpreter) evaluates it.
 fn analyze_deps(
     program: &Program,
     opts: &an_deps::DepOptions,
     tracer: Option<&Tracer>,
 ) -> Result<DependenceInfo, Error> {
-    program.nest.reach(&program.default_param_values())?;
+    let params = program.default_param_values();
+    program.nest.reach(&params)?;
+    program.check_extents(&params)?;
     Ok(an_deps::analyze_traced(program, opts, tracer)?)
 }
 

@@ -34,6 +34,14 @@ pub enum IrError {
         /// Index of the loop variable.
         var: usize,
     },
+    /// An array extent leaves `i64` at the given parameters (see
+    /// [`Program::check_extents`](crate::Program::check_extents)).
+    ExtentOverflow {
+        /// Array name.
+        array: String,
+        /// Dimension index.
+        dim: usize,
+    },
     /// An array access evaluated outside the declared extents.
     OutOfBounds {
         /// Array name.
@@ -77,6 +85,11 @@ impl fmt::Display for IrError {
             IrError::BoundOverflow { var } => write!(
                 f,
                 "a bound of loop variable #{var} can leave the 64-bit range at these parameters"
+            ),
+            IrError::ExtentOverflow { array, dim } => write!(
+                f,
+                "the extent of array `{array}` in dimension {dim} leaves the 64-bit range at \
+                 these parameters"
             ),
             IrError::OutOfBounds {
                 array,

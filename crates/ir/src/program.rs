@@ -1,6 +1,8 @@
 //! Whole programs: parameters, arrays, and one loop nest.
 
+use crate::nest::magnitude;
 use crate::{ArrayDecl, ArrayId, IrError, LoopNest, Stmt};
+use an_poly::Affine;
 
 /// A symbolic parameter with a default value (used when running or
 /// simulating without explicit bindings).
@@ -85,6 +87,25 @@ impl Program {
             values[idx] = *v;
         }
         Ok(values)
+    }
+
+    /// Rejects an array extent that can leave `i64` at `param_values`:
+    /// [`ArrayDecl::extents`] evaluates them unchecked, so this is the
+    /// up-front check that, like [`LoopNest::reach`] for loop bounds,
+    /// keeps that evaluation inside `i64`.
+    ///
+    /// # Errors
+    ///
+    /// [`IrError::ExtentOverflow`] naming the first such array dimension.
+    pub fn check_extents(&self, param_values: &[i64]) -> Result<(), IrError> {
+        let fits = |d: &Affine| magnitude(d, param_values, &[]) <= i64::MAX as i128;
+        for a in &self.arrays {
+            if let Some(dim) = a.dims.iter().position(|d| !fits(d)) {
+                let array = a.name.clone();
+                return Err(IrError::ExtentOverflow { array, dim });
+            }
+        }
+        Ok(())
     }
 
     /// Validates structural invariants: subscript arity, distribution

@@ -890,11 +890,6 @@ impl Model<'_, '_> {
 /// and the report shape are identical to the simulator sweep, so the
 /// two reports are directly comparable point-for-point.
 ///
-/// The chaos axis is a simulator-only concept (fault injection has no
-/// closed form); any [`SweepConfig::chaos`] setting is ignored and only
-/// fault-free baseline points are produced. Callers offering both
-/// pricings should reject chaos + model combinations up front.
-///
 /// # Errors
 ///
 /// The first failing grid point's [`SimError`], in grid order.
@@ -903,7 +898,7 @@ pub fn sweep_model(
     machines: &[MachineConfig],
     cfg: &SweepConfig,
 ) -> Result<SweepReport, SimError> {
-    an_numa::sweep_with(machines, cfg, None, |machine, procs, params, _| {
+    an_numa::sweep_with(machines, cfg, |machine, procs, params| {
         model_stats(spmd, machine, procs, params)
     })
 }
@@ -1194,7 +1189,6 @@ mod tests {
             procs: vec![1, 2, 4, 7],
             param_sets: vec![vec![10], vec![13]],
             jobs: 0,
-            chaos: None,
             tracer: None,
         };
         let by_model = sweep_model(&spmd, &machines, &cfg).unwrap();

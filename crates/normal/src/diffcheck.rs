@@ -113,9 +113,11 @@ fn choose_params(p: &an_ir::Program) -> Option<Vec<i64>> {
         let assumed = p.assumptions.iter().all(|a| a.eval(&zeros, vals) >= 0);
         // Capped: the defaults of a deep nest can be hundreds of
         // millions of points, not worth walking to learn they are over.
-        // Bounds that can leave `i64` at `vals` are never walked at all.
+        // Bounds or extents that can leave `i64` at `vals` are never
+        // walked or allocated at all.
         assumed
             && p.nest.reach(vals).is_ok()
+            && p.check_extents(vals).is_ok()
             && matches!(
                 p.nest.iteration_count_capped(vals, ITERATION_BUDGET),
                 Ok(Some(_))

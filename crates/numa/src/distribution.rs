@@ -2,7 +2,7 @@
 //! counting helpers used by the closed-form inner-loop costing.
 
 use crate::error::SimError;
-use an_ir::{ArrayDecl, Distribution, Program};
+use an_ir::{ArrayDecl, Distribution, IrError, Program};
 use an_linalg::{div_ceil, div_floor, gcd, mod_floor};
 
 /// Where an element lives.
@@ -129,8 +129,13 @@ pub fn try_home_of(
 ///
 /// # Errors
 ///
-/// [`SimError::BadExtent`] naming the first offending array dimension.
+/// [`SimError::ExtentOverflow`] for an extent that leaves `i64`, checked
+/// before any is evaluated, and [`SimError::BadExtent`] for a negative
+/// one; each names the first offending array dimension.
 pub fn validate_extents(program: &Program, params: &[i64]) -> Result<Vec<Vec<i64>>, SimError> {
+    if let Err(IrError::ExtentOverflow { array, dim }) = program.check_extents(params) {
+        return Err(SimError::ExtentOverflow { array, dim });
+    }
     let extents: Vec<Vec<i64>> = program.arrays.iter().map(|a| a.extents(params)).collect();
     for (decl, exts) in program.arrays.iter().zip(&extents) {
         if let Some((dim, &extent)) = exts.iter().enumerate().find(|&(_, &e)| e < 0) {

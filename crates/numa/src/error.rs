@@ -29,6 +29,13 @@ pub enum SimError {
         /// The offending evaluated extent.
         extent: i64,
     },
+    /// An array extent leaves `i64` at the given parameters.
+    ExtentOverflow {
+        /// Array name.
+        array: String,
+        /// Dimension index.
+        dim: usize,
+    },
     /// A subscript pricing would evaluate — of an access, a hoisted
     /// transfer or the outer assignment — can leave `i64` somewhere in
     /// the nest's bounding box at the given parameters, or, along a
@@ -68,6 +75,11 @@ impl fmt::Display for SimError {
                 f,
                 "array {array} dimension {dim} has extent {extent}, too large to price as blocked, \
                  at these parameters"
+            ),
+            SimError::ExtentOverflow { array, dim } => write!(
+                f,
+                "the extent of array {array} in dimension {dim} leaves the 64-bit range at these \
+                 parameters"
             ),
             SimError::SubscriptOverflow { array, dim } => write!(
                 f,

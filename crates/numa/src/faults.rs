@@ -9,13 +9,14 @@
 //! point), so a given `(scenario, seed)` pair reproduces the same faults
 //! bitwise on any worker-thread count.
 //!
-//! Two consumers share the plan:
+//! Two consumers share the plan, and read one stage schedule off it: the
+//! outer range cut at the fail-stop boundaries, each stage with its
+//! survivors and the domain plan that assigns its outer values to them
+//! (the wrapped/blocked assignment and array homes re-derived for `P′`
+//! survivors simply by planning the program at `procs = P′`).
 //!
-//! * [`simulate_chaos`] prices a degraded run in the cost model: the
-//!   outer range is segmented at fail-stop boundaries, each segment runs
-//!   over its surviving processor set (the wrapped/blocked assignment and
-//!   array homes are re-derived for `P′` survivors simply by simulating
-//!   the clipped program at `procs = P′`), and each boundary charges
+//! * [`simulate_chaos`] prices a degraded run in the cost model: each
+//!   stage runs over its survivors, and each boundary charges
 //!   failure detection plus the cost of re-homing array elements onto the
 //!   survivors. Transfers inside a faulty run go through a resilient
 //!   protocol: per-attempt timeout, bounded retries with exponential
@@ -45,7 +46,7 @@ use crate::stats::{FaultStats, ProcStats, SimStats};
 use crate::SimError;
 use an_codegen::spmd::SpmdProgram;
 use an_ir::interp::{execute_point, ArrayStore};
-use an_ir::{Distribution, IrError, Program};
+use an_ir::{IrError, Program};
 use an_poly::{Affine, BoundExpr};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -133,49 +134,33 @@ impl fmt::Display for Scenario {
     }
 }
 
-/// Retry policy of the resilient transfer protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt before giving up on bulk mode.
-    pub max_retries: u32,
-    /// Simulated microseconds an unacknowledged attempt waits.
-    pub timeout_us: f64,
-    /// Base backoff before the first retry; doubles per retry.
-    pub backoff_base_us: f64,
-    /// Relative jitter amplitude applied to each backoff (seed-derived).
-    pub jitter: f64,
+/// Retries of the transfer protocol after the first attempt before it
+/// gives up on bulk mode.
+pub(crate) const MAX_RETRIES: u32 = 4;
+/// Simulated microseconds an unacknowledged attempt waits.
+pub(crate) const TIMEOUT_US: f64 = 40.0;
+/// Backoff before the first retry; doubles per retry.
+const BACKOFF_BASE_US: f64 = 8.0;
+/// Relative jitter amplitude applied to each backoff (seed-derived).
+const JITTER: f64 = 0.25;
+
+/// Backoff before retry `attempt` (1-based): exponential in the attempt
+/// number with `±JITTER/2` relative noise hashed from `seed`.
+pub(crate) fn backoff_us(seed: u64, attempt: u32) -> f64 {
+    let base = BACKOFF_BASE_US * f64::from(1u32 << attempt.min(16));
+    base * (1.0 + JITTER * (hash01(mix(seed, 0xB0FF ^ u64::from(attempt))) - 0.5))
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            timeout_us: 40.0,
-            backoff_base_us: 8.0,
-            jitter: 0.25,
-        }
+/// Simulated cost of concluding a silent peer is a dead node rather
+/// than a slow switch: every attempt times out and backs off before the
+/// failure detector gives up. (A slow switch, by contrast, succeeds on
+/// some retry and never pays the full ladder.)
+fn detection_us(seed: u64) -> f64 {
+    let mut us = TIMEOUT_US;
+    for a in 1..=MAX_RETRIES {
+        us += backoff_us(seed, a) + TIMEOUT_US;
     }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry `attempt` (1-based): exponential in the
-    /// attempt number with `±jitter/2` relative noise hashed from `seed`.
-    pub fn backoff_us(&self, seed: u64, attempt: u32) -> f64 {
-        let base = self.backoff_base_us * f64::from(1u32 << attempt.min(16));
-        base * (1.0 + self.jitter * (hash01(mix(seed, 0xB0FF ^ u64::from(attempt))) - 0.5))
-    }
-
-    /// Simulated cost of concluding a silent peer is a dead node rather
-    /// than a slow switch: every attempt times out and backs off before
-    /// the failure detector gives up. (A slow switch, by contrast,
-    /// succeeds on some retry and never pays the full ladder.)
-    pub fn detection_us(&self, seed: u64) -> f64 {
-        let mut us = self.timeout_us;
-        for a in 1..=self.max_retries {
-            us += self.backoff_us(seed, a) + self.timeout_us;
-        }
-        us
-    }
+    us
 }
 
 /// One scripted fail-stop death.
@@ -220,8 +205,6 @@ pub struct FaultPlan {
     pub delay_us: f64,
     /// Armed contention spike, if any.
     pub spike: Option<SpikeWindow>,
-    /// Retry policy of the transfer protocol.
-    pub retry: RetryPolicy,
 }
 
 impl FaultPlan {
@@ -241,7 +224,6 @@ impl FaultPlan {
             delay_prob: 0.0,
             delay_us: 0.0,
             spike: None,
-            retry: RetryPolicy::default(),
         };
         let span = (outer_hi - outer_lo + 1).max(0);
         let key = |tag: u64| mix(mix(seed, scenario as u64 + 1), tag);
@@ -338,19 +320,77 @@ impl FaultPlan {
         self.delay_prob > 0.0 && hash01(mix(mseed, 0xDE00 + u64::from(attempt))) < self.delay_prob
     }
 
-    /// Original ids of the processors still alive while executing outer
-    /// iteration `outer` (a fail-stop at boundary `b` removes its victim
-    /// from every iteration `>= b`).
-    pub fn alive_at(&self, outer: i64) -> Vec<usize> {
-        (0..self.procs)
-            .filter(|&p| {
-                !self
-                    .fail_stops
+    /// The stage schedule over the outer range `[lo, hi]`: the first
+    /// stage starts at `lo` with every processor, and each distinct
+    /// fail-stop boundary, ascending, starts the next without the
+    /// processors that died there. The only place a survivor set is
+    /// derived; the cost side prices these stages and the semantic side
+    /// claims points against them.
+    fn stages<'a>(
+        &self,
+        spmd: &'a SpmdProgram,
+        machine: &'a MachineConfig,
+        params: &'a [i64],
+        (lo, hi): (i64, i64),
+    ) -> Vec<Stage<'a>> {
+        let mut starts: Vec<i64> = self.fail_stops.iter().map(|f| f.at_outer).collect();
+        starts.push(lo);
+        starts.sort_unstable();
+        starts.dedup();
+        let stage = |k: usize| {
+            let start = starts[k];
+            let died = |p: usize| {
+                self.fail_stops
                     .iter()
-                    .any(|f| f.proc == p && f.at_outer <= outer)
-            })
-            .collect()
+                    .any(|f| f.proc == p && f.at_outer <= start)
+            };
+            let alive: Vec<usize> = (0..self.procs).filter(|&p| !died(p)).collect();
+            debug_assert!(!alive.is_empty(), "fault plans never kill every processor");
+            Stage {
+                lo: start,
+                hi: starts.get(k + 1).map_or(hi, |next| next - 1),
+                plan: Plan::build(spmd, machine, alive.len(), params),
+                alive,
+            }
+        };
+        (0..starts.len()).map(stage).collect()
     }
+}
+
+/// One stage of a degraded run: the outer values between two fail-stop
+/// boundaries, the processors alive through them, and the domain plan
+/// that assigns those values to the survivors.
+struct Stage<'a> {
+    /// First outer value of the stage.
+    lo: i64,
+    /// Last outer value of the stage.
+    hi: i64,
+    /// Survivors by original id: simulated processor `j` is `alive[j]`.
+    alive: Vec<usize>,
+    /// The plan at `alive.len()` processors.
+    plan: Plan<'a>,
+}
+
+impl Stage<'_> {
+    /// Whether simulated processor `j` executes iteration point `pt`:
+    /// it owns `pt[0]` at level 0 and, when `pt` reaches level 1, `pt[1]`
+    /// there too (2-D tiling assigns both).
+    fn claims(&self, j: usize, pt: &[i64]) -> bool {
+        self.plan.executes_level(0, j, pt[0])
+            && (pt.len() < 2 || self.plan.executes_level(1, j, pt[1]))
+    }
+}
+
+/// Outer iterations the survivors replay: for each victim, the outer
+/// values from its boundary to `hi` that it owned in the stage it died
+/// in. The cost and semantic sides both report this count.
+fn replayed_iterations(stages: &[Stage<'_>], hi: i64) -> u64 {
+    let replayed = |(before, after): (&Stage<'_>, &Stage<'_>)| -> usize {
+        let victims = (0..before.alive.len()).filter(|&j| !after.alive.contains(&before.alive[j]));
+        let owned = |j: usize| (after.lo..=hi).filter(|&v| before.claims(j, &[v])).count();
+        victims.map(owned).sum()
+    };
+    stages.iter().zip(&stages[1..]).map(replayed).sum::<usize>() as u64
 }
 
 /// Chaos context threaded into the cost engine. `proc_ids` maps the
@@ -385,6 +425,12 @@ impl ChaosReport {
             0.0
         }
     }
+
+    /// Simulated microseconds the degraded run spent over the fault-free
+    /// one (detection, redistribution, replay, backoff).
+    pub fn degraded_us(&self) -> f64 {
+        (self.stats.time_us - self.fault_free_us).max(0.0)
+    }
 }
 
 /// The constant range of the distributed outer loop. Level-0 bounds
@@ -415,216 +461,92 @@ fn clip_outer(spmd: &SpmdProgram, lo: i64, hi: i64) -> SpmdProgram {
     s
 }
 
-/// Counts outer iterations in `[from, to]` that the (original-id) dead
-/// processor owns under the assignment for the `alive` processor set.
-fn count_owned_outer(
-    spmd: &SpmdProgram,
-    machine: &MachineConfig,
-    params: &[i64],
-    alive: &[usize],
-    dead: usize,
-    from: i64,
-    to: i64,
-) -> u64 {
-    let Some(j) = alive.iter().position(|&p| p == dead) else {
-        return 0;
-    };
-    if from > to {
-        return 0;
-    }
-    let plan = Plan::build(spmd, machine, alive.len(), params);
-    (from..=to)
-        .filter(|&v| plan.executes_level(0, j, v))
-        .count() as u64
-}
-
-/// Total outer iterations that must be replayed across all fail-stops:
-/// for each death, the outer values `>= at_outer` the victim owned under
-/// the assignment in force just before it died. The cost and semantic
-/// sides both use this, so their `replayed_iterations` always agree.
-fn replay_count(
-    spmd: &SpmdProgram,
-    machine: &MachineConfig,
-    params: &[i64],
-    plan: &FaultPlan,
-    outer_hi: i64,
-) -> u64 {
-    let mut alive: Vec<usize> = (0..plan.procs).collect();
-    let mut total = 0u64;
-    for &b in &sorted_boundaries(plan) {
-        let dead: Vec<usize> = plan
-            .fail_stops
-            .iter()
-            .filter(|f| f.at_outer == b)
-            .map(|f| f.proc)
-            .collect();
-        for &d in &dead {
-            total += count_owned_outer(spmd, machine, params, &alive, d, b, outer_hi);
-        }
-        alive.retain(|p| !dead.contains(p));
-    }
-    total
-}
-
-fn sorted_boundaries(plan: &FaultPlan) -> Vec<i64> {
-    let mut bs: Vec<i64> = plan.fail_stops.iter().map(|f| f.at_outer).collect();
-    bs.sort_unstable();
-    bs.dedup();
-    bs
-}
-
 /// Per-receiver (original id) element counts when re-homing every
-/// distributed array from the `old` survivor set to `new`.
+/// distributed array from the `old` survivor set to `new`. Homes vary
+/// along the distribution dimensions only, so those are walked and each
+/// move stands for every element across the other dimensions.
 fn redistribution_counts(
     program: &Program,
     extents: &[Vec<i64>],
     old: &[usize],
     new: &[usize],
 ) -> BTreeMap<usize, i64> {
-    let owner = |decl: &an_ir::ArrayDecl, exts: &[i64], idx: &[i64], list: &[usize]| -> usize {
-        match home_of(decl, exts, idx, list.len()) {
-            Home::Everywhere => usize::MAX,
-            Home::Proc(q) => list[q],
-        }
-    };
     let mut counts = BTreeMap::new();
-    for (aid, decl) in program.arrays.iter().enumerate() {
-        let exts = &extents[aid];
-        match decl.distribution {
-            Distribution::Replicated => {}
-            Distribution::Wrapped { dim } | Distribution::Blocked { dim } => {
-                let others: i64 = exts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(d, _)| d != dim)
-                    .map(|(_, &e)| e.max(0))
-                    .product();
-                let mut idx = vec![0i64; exts.len()];
-                for x in 0..exts[dim].max(0) {
-                    idx[dim] = x;
-                    let to = owner(decl, exts, &idx, new);
-                    if owner(decl, exts, &idx, old) != to {
-                        *counts.entry(to).or_insert(0) += others;
-                    }
-                }
+    for (decl, exts) in program.arrays.iter().zip(extents) {
+        let owner = |idx: &[i64], list: &[usize]| match home_of(decl, exts, idx, list.len()) {
+            Home::Everywhere => None,
+            Home::Proc(q) => Some(list[q]),
+        };
+        let dims = decl.distribution.dims();
+        if dims.iter().any(|&d| exts[d] <= 0) {
+            continue;
+        }
+        let spread = (0..exts.len()).filter(|d| !dims.contains(d));
+        let others: i64 = spread.map(|d| exts[d].max(0)).product();
+        let mut idx = vec![0i64; exts.len()];
+        loop {
+            let to = owner(&idx, new);
+            if let Some(to) = to.filter(|_| owner(&idx, old) != to) {
+                *counts.entry(to).or_insert(0) += others;
             }
-            Distribution::Block2D { row_dim, col_dim } => {
-                let others: i64 = exts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(d, _)| d != row_dim && d != col_dim)
-                    .map(|(_, &e)| e.max(0))
-                    .product();
-                let mut idx = vec![0i64; exts.len()];
-                for r in 0..exts[row_dim].max(0) {
-                    for c in 0..exts[col_dim].max(0) {
-                        idx[row_dim] = r;
-                        idx[col_dim] = c;
-                        let to = owner(decl, exts, &idx, new);
-                        if owner(decl, exts, &idx, old) != to {
-                            *counts.entry(to).or_insert(0) += others;
-                        }
-                    }
-                }
-            }
+            // The next index over the distribution dimensions, odometer
+            // style; done once every one of them is at its last value.
+            let Some(k) = dims.iter().rposition(|&d| idx[d] + 1 < exts[d]) else {
+                break;
+            };
+            idx[dims[k]] += 1;
+            dims[k + 1..].iter().for_each(|&d| idx[d] = 0);
         }
     }
     counts
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Prices `stage` over its survivors, folds their counters onto their
+/// original ids, and returns the stage's completion time.
 fn run_segment(
     spmd: &SpmdProgram,
     machine: &MachineConfig,
     params: &[i64],
     jobs: usize,
     plan: &FaultPlan,
-    alive: &[usize],
-    seg: (i64, i64),
+    stage: &Stage<'_>,
     per_proc: &mut [ProcStats],
-    time_us: &mut f64,
-) -> Result<(), SimError> {
-    let (seg_lo, seg_hi) = seg;
-    if seg_lo > seg_hi {
-        return Ok(());
+) -> Result<f64, SimError> {
+    if stage.lo > stage.hi {
+        return Ok(0.0);
     }
-    let clipped = clip_outer(spmd, seg_lo, seg_hi);
+    let clipped = clip_outer(spmd, stage.lo, stage.hi);
     let chaos = Some(ChaosCtx {
         plan,
-        proc_ids: alive,
+        proc_ids: &stage.alive,
     });
-    let seg_stats = evaluate(&clipped, machine, alive.len(), params, jobs, |domain, j| {
-        Sim {
-            plan: domain,
-            chaos,
-        }
-        .run_processor(j)
-    })?;
-    // Segments end in a barrier (the fault boundary or the final join),
-    // so each contributes its own completion time.
-    *time_us += seg_stats.time_us;
+    let seg_stats = evaluate(
+        &clipped,
+        machine,
+        stage.alive.len(),
+        params,
+        jobs,
+        |domain, j| {
+            Sim {
+                plan: domain,
+                chaos,
+            }
+            .run_processor(j)
+        },
+    )?;
     for (j, s) in seg_stats.per_proc.iter().enumerate() {
-        per_proc[alive[j]].absorb(s);
+        per_proc[stage.alive[j]].absorb(s);
     }
-    Ok(())
-}
-
-/// [`simulate_chaos`], recording a `"chaos"` span on `tracer` when
-/// present: a `FaultArmed` event describing the (deterministically
-/// seeded) fault plan, one `TransferIssued` per processor in processor
-/// order, and a `FaultRecovered` summary matching the report's
-/// [`FaultStats`].
-///
-/// # Errors
-///
-/// As [`simulate_chaos`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_chaos_traced(
-    spmd: &SpmdProgram,
-    machine: &MachineConfig,
-    procs: usize,
-    params: &[i64],
-    scenario: Scenario,
-    seed: u64,
-    jobs: usize,
-    tracer: Option<&an_obs::Tracer>,
-) -> Result<ChaosReport, SimError> {
-    let Some(t) = tracer else {
-        return simulate_chaos(spmd, machine, procs, params, scenario, seed, jobs);
-    };
-    let _span = t.span("chaos");
-    let report = simulate_chaos(spmd, machine, procs, params, scenario, seed, jobs)?;
-    let f = &report.stats.faults;
-    t.emit(an_obs::EventKind::FaultArmed {
-        scenario: scenario.name().to_string(),
-        victims: f.failed_procs.clone(),
-    });
-    for (p, ps) in report.stats.per_proc.iter().enumerate() {
-        if ps.messages > 0 || ps.retries > 0 {
-            t.emit(an_obs::EventKind::TransferIssued {
-                proc: p,
-                messages: ps.messages,
-                bytes: ps.transfer_bytes,
-                retries: ps.retries,
-            });
-        }
-    }
-    t.emit(an_obs::EventKind::FaultRecovered {
-        replayed: f.replayed_iterations,
-        redistributed_bytes: f.redistributed_bytes,
-        retries: f.retries,
-        timeouts: f.timeouts,
-    });
-    let m = t.metrics();
-    m.add("chaos.retries", f.retries);
-    m.add("chaos.timeouts", f.timeouts);
-    m.add("chaos.replayed_iterations", f.replayed_iterations);
-    m.add("chaos.redistributed_bytes", f.redistributed_bytes);
-    Ok(report)
+    Ok(seg_stats.time_us)
 }
 
 /// Prices a fault-injected run of the SPMD program and accounts the
 /// recovery cost against a fault-free baseline.
+///
+/// With a `tracer`, records a `"chaos"` span: a `FaultArmed` event
+/// describing the (deterministically seeded) fault plan, one
+/// `TransferIssued` per processor in processor order, and a
+/// `FaultRecovered` summary matching the report.
 ///
 /// Determinism contract: like [`simulate_with_jobs`], the result is
 /// bitwise identical for every `jobs` value and across repeated runs
@@ -634,6 +556,7 @@ pub fn simulate_chaos_traced(
 ///
 /// As [`simulate_with_jobs`]; additionally [`SimError::UnboundedLoop`]
 /// when the outer range cannot be evaluated.
+#[allow(clippy::too_many_arguments)]
 pub fn simulate_chaos(
     spmd: &SpmdProgram,
     machine: &MachineConfig,
@@ -642,7 +565,9 @@ pub fn simulate_chaos(
     scenario: Scenario,
     seed: u64,
     jobs: usize,
+    tracer: Option<&an_obs::Tracer>,
 ) -> Result<ChaosReport, SimError> {
+    let _span = tracer.map(|t| t.span("chaos"));
     if procs == 0 {
         return Err(SimError::NoProcessors);
     }
@@ -657,11 +582,12 @@ pub fn simulate_chaos(
     let fault_free = simulate_with_jobs(spmd, machine, procs, params, jobs)?;
     let (lo, hi) = outer_range(program, params)?;
     let plan = FaultPlan::arm(scenario, seed, procs, lo, hi);
+    let stages = plan.stages(spmd, machine, params, (lo, hi));
 
     let mut per_proc = vec![ProcStats::default(); procs];
     let mut time_us = 0.0f64;
     let mut faults = FaultStats {
-        replayed_iterations: replay_count(spmd, machine, params, &plan, hi),
+        replayed_iterations: replayed_iterations(&stages, hi),
         failed_procs: {
             let mut v: Vec<usize> = plan.fail_stops.iter().map(|f| f.proc).collect();
             v.sort_unstable();
@@ -671,68 +597,36 @@ pub fn simulate_chaos(
         ..FaultStats::default()
     };
 
-    let mut alive: Vec<usize> = (0..procs).collect();
-    let mut seg_lo = lo;
-    for &b in &sorted_boundaries(&plan) {
-        run_segment(
-            spmd,
-            machine,
-            params,
-            jobs,
-            &plan,
-            &alive,
-            (seg_lo, b - 1),
-            &mut per_proc,
-            &mut time_us,
-        )?;
-        let dead: Vec<usize> = plan
-            .fail_stops
-            .iter()
-            .filter(|f| f.at_outer == b)
-            .map(|f| f.proc)
-            .collect();
-        let old = alive.clone();
-        alive.retain(|p| !dead.contains(p));
-        debug_assert!(!alive.is_empty(), "fault plans never kill every processor");
-        // Barrier at the boundary: every survivor runs failure detection
-        // (the full timeout/backoff ladder), then receives its share of
-        // the re-homed array elements.
-        let counts = redistribution_counts(program, &extents, &old, &alive);
-        let mut barrier = 0.0f64;
-        for &p in &alive {
-            let det_seed = mix(mix(plan.seed, 0xDE7E_C700), mix(b as u64, p as u64));
-            let mut cost = plan.retry.detection_us(det_seed);
-            per_proc[p].timeouts += u64::from(plan.retry.max_retries) + 1;
-            per_proc[p].retries += u64::from(plan.retry.max_retries);
-            if let Some(&elems) = counts.get(&p) {
-                let bytes = (elems.max(0) as u64) * machine.element_bytes as u64;
-                per_proc[p].messages += 1;
-                per_proc[p].transfer_bytes += bytes;
-                faults.redistributed_bytes += bytes;
-                cost += machine.transfer_cost(elems, alive.len());
+    for (k, stage) in stages.iter().enumerate() {
+        if let Some(before) = k.checked_sub(1).map(|k| &stages[k]) {
+            // Barrier at the boundary: every survivor runs failure
+            // detection (the full timeout/backoff ladder), then receives
+            // its share of the re-homed array elements.
+            let counts = redistribution_counts(program, &extents, &before.alive, &stage.alive);
+            let mut barrier = 0.0f64;
+            for &p in &stage.alive {
+                let det_seed = mix(mix(plan.seed, 0xDE7E_C700), mix(stage.lo as u64, p as u64));
+                let mut cost = detection_us(det_seed);
+                per_proc[p].timeouts += u64::from(MAX_RETRIES) + 1;
+                per_proc[p].retries += u64::from(MAX_RETRIES);
+                if let Some(&elems) = counts.get(&p) {
+                    let bytes = (elems.max(0) as u64) * machine.element_bytes as u64;
+                    per_proc[p].messages += 1;
+                    per_proc[p].transfer_bytes += bytes;
+                    faults.redistributed_bytes += bytes;
+                    cost += machine.transfer_cost(elems, stage.alive.len());
+                }
+                per_proc[p].busy_us += cost;
+                barrier = barrier.max(cost);
             }
-            per_proc[p].busy_us += cost;
-            barrier = barrier.max(cost);
+            time_us += barrier;
         }
-        time_us += barrier;
-        seg_lo = b;
+        // Segments end in a barrier (the next boundary or the final
+        // join), so each contributes its own completion time.
+        time_us += run_segment(spmd, machine, params, jobs, &plan, stage, &mut per_proc)?;
     }
-    run_segment(
-        spmd,
-        machine,
-        params,
-        jobs,
-        &plan,
-        &alive,
-        (seg_lo, hi),
-        &mut per_proc,
-        &mut time_us,
-    )?;
 
-    faults.retries = per_proc.iter().map(|s| s.retries).sum();
-    faults.timeouts = per_proc.iter().map(|s| s.timeouts).sum();
-    faults.degraded_us = (time_us - fault_free.time_us).max(0.0);
-    Ok(ChaosReport {
+    let report = ChaosReport {
         scenario,
         seed,
         stats: SimStats {
@@ -742,7 +636,37 @@ pub fn simulate_chaos(
             faults,
         },
         fault_free_us: fault_free.time_us,
-    })
+    };
+    if let Some(t) = tracer {
+        let f = &report.stats.faults;
+        t.emit(an_obs::EventKind::FaultArmed {
+            scenario: scenario.name().to_string(),
+            victims: f.failed_procs.clone(),
+        });
+        for (p, ps) in report.stats.per_proc.iter().enumerate() {
+            if ps.messages > 0 || ps.retries > 0 {
+                t.emit(an_obs::EventKind::TransferIssued {
+                    proc: p,
+                    messages: ps.messages,
+                    bytes: ps.transfer_bytes,
+                    retries: ps.retries,
+                });
+            }
+        }
+        let (retries, timeouts) = (report.stats.total_retries(), report.stats.total_timeouts());
+        t.emit(an_obs::EventKind::FaultRecovered {
+            replayed: f.replayed_iterations,
+            redistributed_bytes: f.redistributed_bytes,
+            retries,
+            timeouts,
+        });
+        let m = t.metrics();
+        m.add("chaos.retries", retries);
+        m.add("chaos.timeouts", timeouts);
+        m.add("chaos.replayed_iterations", f.replayed_iterations);
+        m.add("chaos.redistributed_bytes", f.redistributed_bytes);
+    }
+    Ok(report)
 }
 
 /// How the degraded executor treats the dead processor's iterations.
@@ -878,37 +802,12 @@ pub fn run_chaos_with_policy(
     // The machine model is irrelevant to ownership; any config works for
     // the executor's assignment queries.
     let machine = MachineConfig::butterfly_gp1000();
-
-    // Alive-set stages: stage k covers outer values from its start up to
-    // the next stage's start (exclusive).
-    let mut stages: Vec<(i64, Vec<usize>)> = vec![(lo, (0..procs).collect())];
-    for &b in &sorted_boundaries(&plan) {
-        stages.push((b, plan.alive_at(b)));
-    }
-    let engines: Vec<Plan> = stages
-        .iter()
-        .map(|(_, alive)| Plan::build(spmd, &machine, alive.len(), params))
-        .collect();
-    let claims_at = |si: usize, pt: &[i64]| -> usize {
-        let n = stages[si].1.len();
-        let engine = &engines[si];
-        (0..n)
-            .filter(|&j| {
-                engine.executes_level(0, j, pt[0])
-                    && (pt.len() < 2 || engine.executes_level(1, j, pt[1]))
-            })
-            .count()
-    };
-    // Policy bookkeeping targets the first scripted death.
+    let stages = plan.stages(spmd, &machine, params, (lo, hi));
+    // Policy bookkeeping targets the first scripted death; in the first
+    // stage every processor is alive under its original id.
     let first_stop = plan.fail_stops.first().copied();
-    let owned_by_first_victim = |pt: &[i64]| -> bool {
-        let Some(stop) = first_stop else { return false };
-        let e0 = &engines[0];
-        e0.executes_level(0, stop.proc, pt[0])
-            && (pt.len() < 2 || e0.executes_level(1, stop.proc, pt[1]))
-    };
 
-    let replayed_iterations = replay_count(spmd, &machine, params, &plan, hi);
+    let replayed_iterations = replayed_iterations(&stages, hi);
     let mut store = ArrayStore::seeded(program, params, store_seed);
     let mut lost_points: Vec<Vec<i64>> = Vec::new();
     let mut duplicate_points: Vec<Vec<i64>> = Vec::new();
@@ -918,24 +817,19 @@ pub fn run_chaos_with_policy(
             return;
         }
         let v = pt[0];
-        let mut si = 0;
-        for (k, (start, _)) in stages.iter().enumerate() {
-            if *start <= v {
-                si = k;
-            } else {
-                break;
-            }
-        }
-        let mut times = claims_at(si, pt);
+        let stage = &stages[stages.partition_point(|s| s.lo <= v).saturating_sub(1)];
+        let mut times = (0..stage.alive.len())
+            .filter(|&j| stage.claims(j, pt))
+            .count();
         match (policy, first_stop) {
             (ReplayPolicy::Correct, _) | (_, None) => {}
             (ReplayPolicy::SkipReplay, Some(stop)) => {
-                if v >= stop.at_outer && owned_by_first_victim(pt) {
+                if v >= stop.at_outer && stages[0].claims(stop.proc, pt) {
                     times = 0;
                 }
             }
             (ReplayPolicy::ReplayFinished, Some(stop)) => {
-                if v < stop.at_outer && owned_by_first_victim(pt) {
+                if v < stop.at_outer && stages[0].claims(stop.proc, pt) {
                     times += 1;
                 }
             }
@@ -997,7 +891,7 @@ mod tests {
                 assert!((1..=9).contains(&f.at_outer), "{:?}", f);
             }
             assert!(!a.is_quiet(), "{sc} should inject something");
-            assert!(a.alive_at(9).len() >= 4 - 2);
+            assert!(a.fail_stops.len() <= 2);
         }
         assert!(FaultPlan::arm(Scenario::None, 7, 4, 0, 9).is_quiet());
         // Too few processors or iterations: fail-stops arm quietly.
@@ -1011,12 +905,9 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_detection_covers_ladder() {
-        let r = RetryPolicy::default();
-        let b1 = r.backoff_us(3, 1);
-        let b3 = r.backoff_us(3, 3);
-        assert!(b3 > b1);
+        assert!(backoff_us(3, 3) > backoff_us(3, 1));
         // Detection costs at least every timeout in the ladder.
-        assert!(r.detection_us(3) >= r.timeout_us * f64::from(r.max_retries + 1));
+        assert!(detection_us(3) >= TIMEOUT_US * f64::from(MAX_RETRIES + 1));
     }
 
     #[test]
@@ -1025,7 +916,8 @@ mod tests {
         let machine = MachineConfig::butterfly_gp1000();
         let params = [5, 3, 4];
         let free = simulate_with_jobs(&spmd, &machine, 4, &params, 1).unwrap();
-        let chaos = simulate_chaos(&spmd, &machine, 4, &params, Scenario::None, 9, 1).unwrap();
+        let chaos =
+            simulate_chaos(&spmd, &machine, 4, &params, Scenario::None, 9, 1, None).unwrap();
         assert_eq!(chaos.stats.time_us.to_bits(), free.time_us.to_bits());
         assert_eq!(chaos.stats.per_proc, free.per_proc);
         assert_eq!(chaos.stats.faults, FaultStats::default());
@@ -1037,10 +929,11 @@ mod tests {
         let spmd = figure1();
         let machine = MachineConfig::butterfly_gp1000();
         let params = [5, 3, 4];
-        let r = simulate_chaos(&spmd, &machine, 4, &params, Scenario::FailStop, 1, 1).unwrap();
+        let r =
+            simulate_chaos(&spmd, &machine, 4, &params, Scenario::FailStop, 1, 1, None).unwrap();
         assert_eq!(r.stats.faults.failed_procs.len(), 1);
         assert!(r.stats.time_us > r.fault_free_us);
-        assert!(r.stats.faults.degraded_us > 0.0);
+        assert!(r.degraded_us() > 0.0);
         assert!(r.overhead() > 0.0);
         // The dead processor does no work after its boundary, so its
         // counters freeze while survivors absorb the replay.
@@ -1054,9 +947,9 @@ mod tests {
         let machine = MachineConfig::butterfly_gp1000();
         let params = [5, 3, 4];
         for &sc in Scenario::all() {
-            let serial = simulate_chaos(&spmd, &machine, 5, &params, sc, 42, 1).unwrap();
+            let serial = simulate_chaos(&spmd, &machine, 5, &params, sc, 42, 1, None).unwrap();
             for jobs in [0usize, 2, 3, 8] {
-                let par = simulate_chaos(&spmd, &machine, 5, &params, sc, 42, jobs).unwrap();
+                let par = simulate_chaos(&spmd, &machine, 5, &params, sc, 42, jobs, None).unwrap();
                 assert_eq!(par, serial, "scenario {sc} jobs {jobs}");
                 assert_eq!(
                     par.stats.time_us.to_bits(),
@@ -1087,6 +980,34 @@ mod tests {
         }
     }
 
+    /// The replay count by brute force: the outer values of every
+    /// iteration point, and for each death the survivors just before it
+    /// re-derived from the fail-stop list alone, with a plan of their own.
+    fn brute_force_replay(spmd: &SpmdProgram, plan: &FaultPlan, params: &[i64]) -> u64 {
+        let machine = MachineConfig::butterfly_gp1000();
+        let mut outer = std::collections::BTreeSet::new();
+        let nest = &spmd.program.nest;
+        nest.for_each_iteration(params, |pt| {
+            outer.insert(pt[0]);
+        })
+        .unwrap();
+        let replayed = |f: &FailStop| {
+            let died_before = |p: usize| {
+                plan.fail_stops
+                    .iter()
+                    .any(|g| g.proc == p && g.at_outer < f.at_outer)
+            };
+            let alive: Vec<usize> = (0..plan.procs).filter(|&p| !died_before(p)).collect();
+            let j = alive.iter().position(|&p| p == f.proc).unwrap();
+            let owner = Plan::build(spmd, &machine, alive.len(), params);
+            let owned = outer
+                .range(f.at_outer..)
+                .filter(|&&v| owner.executes_level(0, j, v));
+            owned.count() as u64
+        };
+        plan.fail_stops.iter().map(replayed).sum()
+    }
+
     #[test]
     fn replay_counters_agree_between_cost_and_semantic_sides() {
         let spmd = figure1();
@@ -1096,14 +1017,81 @@ mod tests {
         // outer iteration (the outer span at these parameters is 3, so
         // some seeds legitimately replay nothing).
         for seed in [3u64, 8, 13] {
-            let cost =
-                simulate_chaos(&spmd, &machine, 4, &params, Scenario::FailStop, seed, 1).unwrap();
             let sem = run_chaos(&spmd, 4, &params, Scenario::FailStop, seed, 11).unwrap();
-            assert_eq!(
-                cost.stats.faults.replayed_iterations,
-                sem.replayed_iterations
-            );
             assert!(sem.replayed_iterations > 0, "seed {seed} replayed nothing");
+        }
+        for sc in [
+            Scenario::FailStop,
+            Scenario::DoubleFailStop,
+            Scenario::Mixed,
+        ] {
+            let mut replayed = 0;
+            for procs in [3usize, 4, 5, 8] {
+                for seed in 1u64..=16 {
+                    let at = format!("{sc} P={procs} seed={seed}");
+                    let cost =
+                        simulate_chaos(&spmd, &machine, procs, &params, sc, seed, 1, None).unwrap();
+                    let sem = run_chaos(&spmd, procs, &params, sc, seed, 11).unwrap();
+                    let brute = brute_force_replay(&spmd, &sem.plan, &params);
+                    assert_eq!(cost.stats.faults.replayed_iterations, brute, "{at}");
+                    assert_eq!(sem.replayed_iterations, brute, "{at}");
+                    replayed += brute;
+                }
+            }
+            assert!(replayed > 0, "{sc} never replayed an iteration");
+        }
+    }
+
+    #[test]
+    fn redistribution_counts_match_an_element_by_element_diff() {
+        let program = an_lang::parse(
+            "param N = 7;
+             array W[N, N + 2] distribute wrapped(1);
+             array X[N, 3, N - 2] distribute wrapped(2);
+             array B[N + 3, N] distribute blocked(0);
+             array Y[3, N, N + 1] distribute blocked(1);
+             array G[N, N + 1] distribute block2d(0, 1);
+             array H[N - 1, 2, N + 2] distribute block2d(2, 0);
+             array R[N, N];
+             for i = 0, N - 1 { W[i, i] = R[i, i] + 1; }",
+        )
+        .unwrap();
+        let extents = validate_extents(&program, &[7]).unwrap();
+        // Every element, every dimension walked: who receives it when the
+        // survivors go from `old` to `new`.
+        let diff = |old: &[usize], new: &[usize]| {
+            let mut counts = BTreeMap::new();
+            for (decl, exts) in program.arrays.iter().zip(&extents) {
+                let mut idx = vec![0i64; exts.len()];
+                loop {
+                    let (from, to) = (
+                        home_of(decl, exts, &idx, old.len()),
+                        home_of(decl, exts, &idx, new.len()),
+                    );
+                    if let (Home::Proc(a), Home::Proc(b)) = (from, to) {
+                        if old[a] != new[b] {
+                            *counts.entry(new[b]).or_insert(0) += 1;
+                        }
+                    }
+                    let Some(d) = (0..exts.len()).rposition(|d| idx[d] + 1 < exts[d]) else {
+                        break;
+                    };
+                    idx[d] += 1;
+                    idx[d + 1..].iter_mut().for_each(|v| *v = 0);
+                }
+            }
+            counts
+        };
+        let moves: [(&[usize], &[usize]); 4] = [
+            (&[0, 1, 2, 3], &[0, 2, 3]),
+            (&[0, 1, 2, 3, 4, 5], &[1, 2, 4, 5]),
+            (&[0, 2, 4], &[0, 4]),
+            (&[0, 1, 2, 3, 4, 5, 6, 7], &[0, 1, 2, 3, 4, 6, 7]),
+        ];
+        for (old, new) in moves {
+            let counts = redistribution_counts(&program, &extents, old, new);
+            assert!(!counts.is_empty(), "{old:?} -> {new:?} moved nothing");
+            assert_eq!(counts, diff(old, new), "{old:?} -> {new:?}");
         }
     }
 
@@ -1156,7 +1144,7 @@ mod tests {
         let spmd = figure1();
         let machine = MachineConfig::butterfly_gp1000();
         assert_eq!(
-            simulate_chaos(&spmd, &machine, 0, &[5, 3, 4], Scenario::Drop, 1, 1),
+            simulate_chaos(&spmd, &machine, 0, &[5, 3, 4], Scenario::Drop, 1, 1, None),
             Err(SimError::NoProcessors)
         );
         assert!(matches!(

@@ -63,13 +63,12 @@ mod error;
 
 pub use error::SimError;
 pub use faults::{
-    run_chaos, run_chaos_with_policy, simulate_chaos, simulate_chaos_traced, ChaosError,
-    ChaosExecution, ChaosReport, FailStop, FaultPlan, ReplayPolicy, RetryPolicy, Scenario,
-    SpikeWindow,
+    run_chaos, run_chaos_with_policy, simulate_chaos, ChaosError, ChaosExecution, ChaosReport,
+    FailStop, FaultPlan, ReplayPolicy, Scenario, SpikeWindow,
 };
 pub use machine::{ContentionModel, MachineConfig};
 pub use model::{predict, ModelPrediction};
 pub use ownership::simulate_ownership;
 pub use simulate::{simulate, simulate_traced, simulate_with_jobs};
 pub use stats::{FaultStats, ProcStats, SimStats};
-pub use sweep::{sweep, sweep_with, ChaosSweep, SweepConfig, SweepPoint, SweepReport};
+pub use sweep::{sweep, sweep_with, SweepConfig, SweepPoint, SweepReport};

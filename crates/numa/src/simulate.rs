@@ -10,7 +10,7 @@
 //! a property the test suite checks against a reference implementation.
 
 use crate::distribution::{block_interval, count_interval_hits, count_wrapped_hits, home_of};
-use crate::faults::ChaosCtx;
+use crate::faults::{backoff_us, ChaosCtx, MAX_RETRIES, TIMEOUT_US};
 use crate::machine::MachineConfig;
 use crate::plan::{evaluate, Dist, Evaluator, Plan, Transfer};
 use crate::stats::{ProcStats, SimStats};
@@ -181,8 +181,8 @@ impl Evaluator for Sim<'_, '_> {
             }
             // Lost in the switch: wait out the timeout.
             stats.timeouts += 1;
-            stats.busy_us += ctx.plan.retry.timeout_us;
-            if attempt >= ctx.plan.retry.max_retries {
+            stats.busy_us += TIMEOUT_US;
+            if attempt >= MAX_RETRIES {
                 // Retries exhausted against a live home: the slow-switch
                 // path falls back to element-wise remote fetches. The data
                 // still arrives, so semantics are unaffected — only time.
@@ -191,7 +191,7 @@ impl Evaluator for Sim<'_, '_> {
             }
             attempt += 1;
             stats.retries += 1;
-            stats.busy_us += ctx.plan.retry.backoff_us(mseed, attempt);
+            stats.busy_us += backoff_us(mseed, attempt);
         }
     }
 }

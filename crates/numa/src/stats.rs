@@ -39,23 +39,17 @@ impl ProcStats {
     }
 }
 
-/// Recovery accounting for a fault-injected run. All fields are zero or
-/// empty for a fault-free simulation.
+/// Recovery accounting for a fault-injected run that the per-processor
+/// counters do not already hold (retries and timeouts are their sums:
+/// [`SimStats::total_retries`], [`SimStats::total_timeouts`]). All
+/// fields are zero or empty for a fault-free simulation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultStats {
-    /// Transfer retries summed across processors (drops, delays and
-    /// failure detection all contribute).
-    pub retries: u64,
-    /// Timed-out transfer attempts summed across processors.
-    pub timeouts: u64,
     /// Outer-loop iterations replayed because their owner died before
     /// finishing them.
     pub replayed_iterations: u64,
     /// Bytes moved re-homing distributed arrays onto the survivors.
     pub redistributed_bytes: u64,
-    /// Degraded wall-time: simulated microseconds the run spent over a
-    /// fault-free execution (detection, redistribution, replay, backoff).
-    pub degraded_us: f64,
     /// Processors lost to fail-stop faults (original ids, ascending).
     pub failed_procs: Vec<usize>,
 }
@@ -94,6 +88,17 @@ impl SimStats {
     /// Total bytes moved by block transfers.
     pub fn total_transfer_bytes(&self) -> u64 {
         self.per_proc.iter().map(|p| p.transfer_bytes).sum()
+    }
+
+    /// Transfer retries across processors (drops, delays and failure
+    /// detection all contribute).
+    pub fn total_retries(&self) -> u64 {
+        self.per_proc.iter().map(|p| p.retries).sum()
+    }
+
+    /// Timed-out transfer attempts across processors.
+    pub fn total_timeouts(&self) -> u64 {
+        self.per_proc.iter().map(|p| p.timeouts).sum()
     }
 
     /// Fraction of element accesses that were remote.

@@ -10,7 +10,6 @@
 //! results are collected in grid order regardless of which worker
 //! finished first.
 
-use crate::faults::{simulate_chaos, Scenario};
 use crate::machine::MachineConfig;
 use crate::simulate::simulate_with_jobs;
 use crate::stats::SimStats;
@@ -18,25 +17,6 @@ use crate::SimError;
 use an_codegen::spmd::SpmdProgram;
 use an_linalg::cache::CacheStats;
 use std::time::Instant;
-
-/// Fault-injection axis of a sweep grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosSweep {
-    /// Scenario seed shared by every chaos point.
-    pub seed: u64,
-    /// Scenarios to add to the grid (the fault-free baseline is always
-    /// evaluated too, as the `scenario: None` point).
-    pub scenarios: Vec<Scenario>,
-}
-
-impl Default for ChaosSweep {
-    fn default() -> Self {
-        ChaosSweep {
-            seed: 1,
-            scenarios: Scenario::all().to_vec(),
-        }
-    }
-}
 
 /// The grid of a [`sweep`]: which processor counts and parameter sets to
 /// evaluate (machine profiles are a separate argument), and how many
@@ -49,10 +29,6 @@ pub struct SweepConfig {
     pub param_sets: Vec<Vec<i64>>,
     /// Worker threads (`0` = all available parallelism, `1` = serial).
     pub jobs: usize,
-    /// When set, every (machine, procs, params) point is additionally
-    /// simulated under each fault scenario with
-    /// [`simulate_chaos`](crate::faults::simulate_chaos).
-    pub chaos: Option<ChaosSweep>,
     /// Observability sink. The sweep coordinator records a `"sweep"`
     /// span with grid-shape counters; individual grid points run
     /// untraced (worker emission would make event order depend on
@@ -66,7 +42,6 @@ impl Default for SweepConfig {
             procs: vec![1],
             param_sets: Vec::new(),
             jobs: 0,
-            chaos: None,
             tracer: None,
         }
     }
@@ -81,9 +56,6 @@ pub struct SweepPoint {
     pub procs: usize,
     /// Parameter values.
     pub params: Vec<i64>,
-    /// Fault scenario this point was simulated under (`None` for the
-    /// fault-free baseline).
-    pub scenario: Option<Scenario>,
     /// Full simulation statistics.
     pub stats: SimStats,
 }
@@ -135,25 +107,11 @@ impl SweepReport {
                 .map(|v| v.to_string())
                 .collect::<Vec<_>>()
                 .join(", ");
-            let chaos_part = match pt.scenario {
-                None => String::new(),
-                Some(sc) => format!(
-                    ", \"scenario\": \"{}\", \"retries\": {}, \"timeouts\": {}, \
-                     \"replayed_iterations\": {}, \"redistributed_bytes\": {}, \
-                     \"degraded_us\": {:.3}",
-                    sc.name(),
-                    pt.stats.faults.retries,
-                    pt.stats.faults.timeouts,
-                    pt.stats.faults.replayed_iterations,
-                    pt.stats.faults.redistributed_bytes,
-                    pt.stats.faults.degraded_us,
-                ),
-            };
             out.push_str(&format!(
                 "    {{\"machine\": \"{}\", \"procs\": {}, \"params\": [{}], \
                  \"time_us\": {:.3}, \"remote_fraction\": {:.6}, \"local\": {}, \
                  \"remote\": {}, \"messages\": {}, \"transfer_bytes\": {}, \
-                 \"imbalance\": {:.4}{}}}{}\n",
+                 \"imbalance\": {:.4}}}{}\n",
                 an_obs::json_escape(&pt.machine),
                 pt.procs,
                 params,
@@ -164,7 +122,6 @@ impl SweepReport {
                 pt.stats.total_messages(),
                 pt.stats.total_transfer_bytes(),
                 pt.stats.imbalance(),
-                chaos_part,
                 if i + 1 == self.points.len() { "" } else { "," }
             ));
         }
@@ -185,27 +142,15 @@ pub fn sweep(
     machines: &[MachineConfig],
     cfg: &SweepConfig,
 ) -> Result<SweepReport, SimError> {
-    let seed = cfg.chaos.as_ref().map_or(1, |c| c.seed);
-    sweep_with(
-        machines,
-        cfg,
-        cfg.chaos.as_ref(),
-        |machine, procs, params, sc| match sc {
-            None => simulate_with_jobs(spmd, machine, procs, params, 1),
-            Some(scenario) => {
-                simulate_chaos(spmd, machine, procs, params, scenario, seed, 1).map(|r| r.stats)
-            }
-        },
-    )
+    sweep_with(machines, cfg, |machine, procs, params| {
+        simulate_with_jobs(spmd, machine, procs, params, 1)
+    })
 }
 
 /// The grid runner behind [`sweep`] and `an_model::sweep_model`: lays
-/// out the (machine × procs × params × scenario) grid, prices every
-/// point with `price` on `cfg.jobs` workers, and assembles the report
-/// in grid order. The scenario axis is the fault-free baseline (`None`)
-/// followed by each of `chaos`'s scenarios, innermost in the grid;
-/// `cfg.chaos` itself is not consulted, so a pricing function with no
-/// notion of faults passes `None`.
+/// out the (machine × procs × params) grid, prices every point with
+/// `price` on `cfg.jobs` workers, and assembles the report in grid
+/// order.
 ///
 /// # Errors
 ///
@@ -213,26 +158,16 @@ pub fn sweep(
 pub fn sweep_with<F>(
     machines: &[MachineConfig],
     cfg: &SweepConfig,
-    chaos: Option<&ChaosSweep>,
     price: F,
 ) -> Result<SweepReport, SimError>
 where
-    F: Fn(&MachineConfig, usize, &[i64], Option<Scenario>) -> Result<SimStats, SimError> + Sync,
+    F: Fn(&MachineConfig, usize, &[i64]) -> Result<SimStats, SimError> + Sync,
 {
-    let scenarios: Vec<Option<Scenario>> = std::iter::once(None)
-        .chain(
-            chaos
-                .into_iter()
-                .flat_map(|c| c.scenarios.iter().copied().map(Some)),
-        )
-        .collect();
-    let grid: Vec<(usize, usize, usize, Option<Scenario>)> = (0..machines.len())
+    let grid: Vec<(usize, usize, usize)> = (0..machines.len())
         .flat_map(|mi| {
-            let scenarios = &scenarios;
-            cfg.procs.iter().flat_map(move |&procs| {
-                (0..cfg.param_sets.len())
-                    .flat_map(move |pi| scenarios.iter().map(move |&sc| (mi, procs, pi, sc)))
-            })
+            cfg.procs
+                .iter()
+                .flat_map(move |&procs| (0..cfg.param_sets.len()).map(move |pi| (mi, procs, pi)))
         })
         .collect();
     let tracer = cfg.tracer.as_deref();
@@ -244,12 +179,11 @@ where
         });
     }
     let start = Instant::now();
-    let results = an_par::par_map(&grid, cfg.jobs, |&(mi, procs, pi, sc)| {
-        price(&machines[mi], procs, &cfg.param_sets[pi], sc).map(|stats| SweepPoint {
+    let results = an_par::par_map(&grid, cfg.jobs, |&(mi, procs, pi)| {
+        price(&machines[mi], procs, &cfg.param_sets[pi]).map(|stats| SweepPoint {
             machine: machines[mi].name.clone(),
             procs,
             params: cfg.param_sets[pi].clone(),
-            scenario: sc,
             stats,
         })
     });
@@ -308,7 +242,6 @@ mod tests {
             procs: vec![1, 2, 4],
             param_sets: vec![vec![8], vec![6]],
             jobs: 0,
-            chaos: None,
             tracer: None,
         };
         let report = sweep(&spmd, &machines, &cfg).unwrap();
@@ -334,7 +267,6 @@ mod tests {
             procs: vec![1, 2, 3, 4, 5, 6],
             param_sets: vec![vec![8]],
             jobs,
-            chaos: None,
             tracer: None,
         };
         let serial = sweep(&spmd, &machines, &mk(1)).unwrap();
@@ -350,7 +282,6 @@ mod tests {
             procs: vec![1, 4],
             param_sets: vec![vec![8]],
             jobs: 1,
-            chaos: None,
             tracer: None,
         };
         let mut report = sweep(&spmd, &machines, &cfg).unwrap();
@@ -362,32 +293,6 @@ mod tests {
         assert!(json.contains("\"procs\": 4"));
         assert!(json.contains("\"hits\": 3"));
         assert!(json.contains("\"hit_rate\": 0.7500"));
-    }
-
-    #[test]
-    fn chaos_axis_adds_scenarios_deterministically() {
-        let spmd = gemm_spmd();
-        let machines = [MachineConfig::butterfly_gp1000()];
-        let mk = |jobs| SweepConfig {
-            procs: vec![3, 4],
-            param_sets: vec![vec![8]],
-            jobs,
-            chaos: Some(ChaosSweep {
-                seed: 7,
-                scenarios: Scenario::all().to_vec(),
-            }),
-            tracer: None,
-        };
-        let serial = sweep(&spmd, &machines, &mk(1)).unwrap();
-        let par = sweep(&spmd, &machines, &mk(0)).unwrap();
-        assert_eq!(serial.points, par.points);
-        // One fault-free point plus one per scenario, per procs value.
-        assert_eq!(serial.points.len(), 2 * (1 + Scenario::all().len()));
-        assert!(serial.points[0].scenario.is_none());
-        assert_eq!(serial.points[1].scenario, Some(Scenario::FailStop));
-        let json = serial.to_json();
-        assert!(json.contains("\"scenario\": \"failstop\""));
-        assert!(json.contains("\"replayed_iterations\""));
     }
 
     #[test]

@@ -686,7 +686,7 @@ impl Server {
             q.map.keys().map(|h| format!("\"{h:016x}\"")).collect()
         };
         let histograms = inner.metrics.histograms();
-        let phases = ["parse", "compile", "model", "emit"].map(|phase| {
+        let phases = ["parse", "compile", "emit"].map(|phase| {
             let name = format!("serve.phase.{phase}_us");
             let (p50, p99, total) = histograms
                 .iter()
@@ -701,7 +701,7 @@ impl Server {
                 "\"requests\":{{{}}},\"faults\":{{{}}},",
                 "\"cache\":{{\"entries\":{},\"bytes\":{},\"cap_bytes\":{},\"persistent\":{},",
                 "{},\"hit_rate\":{:.3}}},",
-                "\"dedup\":{{\"hits\":{}}},\"model\":{{\"priced\":{},\"errors\":{}}},",
+                "\"dedup\":{{\"hits\":{}}},",
                 "\"conns\":{{\"shed\":{},\"slow_frames\":{}}},",
                 "\"quarantine\":[{}],\"quarantine_cap\":{},\"quarantine_evicted\":{},",
                 "\"phase_us\":{{{}}}}}"
@@ -736,8 +736,6 @@ impl Server {
             ]),
             hit_rate,
             count("serve.dedup.hit"),
-            count("serve.model.priced"),
-            count("serve.model.errors"),
             count("serve.conn.shed"),
             count("serve.conn.slow_frame"),
             pills.join(","),
@@ -925,23 +923,10 @@ fn compile_cell(
     let compiled = an_driver::compile_program(&program, &opts).map_err(driver_error)?;
     observe("serve.phase.compile_us", t);
 
-    // Phase: model — analytic locality pricing of the compiled SPMD
-    // program (closed-form counts, microseconds), surfaced in `status`
-    // alongside the other phases. Pricing failures are counted, not
-    // fatal: the client asked for artifacts, not a price.
-    let t = Instant::now();
-    remaining_ms(deadline)?;
-    let defaults = compiled.program.default_param_values();
-    let gp1000 = an_numa::MachineConfig::butterfly_gp1000();
-    match an_model::model_stats(&compiled.spmd, &gp1000, 4, &defaults) {
-        Ok(_) => inner.metrics.add("serve.model.priced", 1),
-        Err(_) => inner.metrics.add("serve.model.errors", 1),
-    }
-    observe("serve.phase.model_us", t);
-
     // Phase: emit.
     let t = Instant::now();
     remaining_ms(deadline)?;
+    let defaults = compiled.program.default_param_values();
     let artifacts = req.emit.iter().map(|&kind| {
         let text = match kind {
             Emit::Ir => an_ir::pretty::print_program(&compiled.program),
@@ -1050,9 +1035,9 @@ mod tests {
 
     #[test]
     fn unpriceable_source_still_returns_artifacts() {
-        // `A[i64::MAX * i, j]` compiles but cannot be priced. The model
-        // phase is informational: its typed rejection is counted, never
-        // a panic that would quarantine a source that compiles.
+        // `A[i64::MAX * i, j]` compiles but cannot be priced; the
+        // daemon serves artifacts and never prices them, so it neither
+        // fails nor quarantines the source.
         let source = "param N = 8; array A[N, N] distribute wrapped(0);\n\
             for i = 1, N - 1 { for j = 1, N - 1 {\n\
               A[i, j] = A[i - 1, j] + A[i, j - 1] + A[9223372036854775807 * i, j];\n\
@@ -1069,8 +1054,6 @@ mod tests {
         }
         assert!(cold.contains("\"cached\":false"), "{cold}");
         assert!(warm.contains("\"cached\":true"), "{warm}");
-        assert_eq!(server.metrics().counter("serve.model.errors"), 1);
-        assert_eq!(server.metrics().counter("serve.model.priced"), 0);
         server.join();
     }
 
@@ -1355,17 +1338,6 @@ mod tests {
         assert_eq!(s.get("workers").unwrap().as_u64(), Some(2));
         assert!(
             s.get("phase_us").unwrap().get("compile").is_some(),
-            "{status}"
-        );
-        assert!(
-            s.get("phase_us").unwrap().get("model").is_some(),
-            "{status}"
-        );
-        assert_eq!(
-            s.get("model")
-                .and_then(|m| m.get("priced"))
-                .and_then(|v| v.as_u64()),
-            Some(1),
             "{status}"
         );
         let cache = s.get("cache").unwrap();

@@ -6,7 +6,7 @@
 use crate::cli::Args;
 use crate::compile::{build, tracing, write_trace};
 use crate::{failed, Stop};
-use access_normalization::numa::{simulate_chaos_traced, Scenario};
+use access_normalization::numa::{simulate_chaos, Scenario};
 use access_normalization::verify_mod::{ChaosOptions, VerifyOptions};
 use access_normalization::{verify_options_for, verify_with, CompileOptions};
 use std::process::ExitCode;
@@ -55,9 +55,8 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
     let mut runs = Vec::new();
     for &p in &procs {
         for &sc in &scenarios {
-            let run =
-                simulate_chaos_traced(spmd, &machine, p, param_values, sc, seed, jobs, tracer)
-                    .map_err(|e| failed(format!("scenario {sc} at P={p}: {e}")))?;
+            let run = simulate_chaos(spmd, &machine, p, param_values, sc, seed, jobs, tracer)
+                .map_err(|e| failed(format!("scenario {sc} at P={p}: {e}")))?;
             runs.push((p, run));
         }
     }
@@ -87,11 +86,11 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
                 r.stats.time_us,
                 r.fault_free_us,
                 r.overhead(),
-                f.retries,
-                f.timeouts,
+                r.stats.total_retries(),
+                r.stats.total_timeouts(),
                 f.replayed_iterations,
                 f.redistributed_bytes,
-                f.degraded_us,
+                r.degraded_us(),
                 f.failed_procs
                     .iter()
                     .map(|v| v.to_string())
@@ -131,8 +130,8 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
                 r.scenario.name(),
                 r.stats.time_us,
                 100.0 * r.overhead(),
-                f.retries,
-                f.timeouts,
+                r.stats.total_retries(),
+                r.stats.total_timeouts(),
                 f.replayed_iterations,
                 f.redistributed_bytes,
                 format!("{:?}", f.failed_procs)

@@ -91,8 +91,6 @@ static COMMANDS: [Command; 8] = [
             NAIVE,
             NO_TRANSFERS,
             "--verify            reject the compile on verifier errors",
-            "--chaos             add a fault-scenario axis (needs the simulator)",
-            "--seed N            scenario seed under --chaos (default: 1)",
             PRICE,
             "--json FILE         also write the report as JSON (-: stdout, table to stderr)",
             TRACE,

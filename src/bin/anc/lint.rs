@@ -4,12 +4,13 @@
 //!
 //! Lint stops before compiling, so it reads and parses the source
 //! itself instead of going through the compile front door; it lowers
-//! the normalized program only to reject loop bounds that leave `i64`,
-//! as every compile does.
+//! the normalized program only to reject loop bounds and array extents
+//! that leave `i64`, as every compile does.
 
 use crate::cli::Args;
 use crate::compile::read_source;
 use crate::Stop;
+use access_normalization::ir::Program;
 use access_normalization::lang::{lexer, lower::lower, parser, print::print_program};
 use std::process::ExitCode;
 
@@ -34,8 +35,11 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
             }
         };
         let normalized = access_normalization::normal::normalize(&ast, &Default::default());
-        let lowered = lower(&normalized.ast).ok();
-        if let Some(e) = lowered.and_then(|p| p.nest.reach(&p.default_param_values()).err()) {
+        let out_of_range = |p: Program| {
+            let params = p.default_param_values();
+            p.nest.reach(&params).and(p.check_extents(&params)).err()
+        };
+        if let Some(e) = lower(&normalized.ast).ok().and_then(out_of_range) {
             eprintln!("anc: {input}: {e}");
             failed = true;
             continue;

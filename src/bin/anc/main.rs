@@ -15,7 +15,6 @@
 //! ```text
 //! anc --simulate 1,4,16 --emit spmd examples/kernels/gemm.an
 //! anc sweep --procs 1,8,28 --params 200 --params 400 examples/kernels/gemm.an
-//! anc sweep --chaos --seed 3 --procs 4,8 examples/kernels/gemm.an
 //! anc check --deny-warnings examples/kernels/*.an
 //! anc check --mutate flip-transform-sign examples/kernels/gemm.an  # must fail
 //! anc chaos --seed 2 --scenario failstop --param N=24 examples/kernels/gemm.an

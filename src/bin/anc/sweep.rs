@@ -1,12 +1,12 @@
 //! `anc sweep` — one compile priced over a machines × processors ×
-//! parameters (× fault scenarios) grid.
+//! parameters grid.
 
 use crate::cli::Args;
 use crate::compile::{build, tracing, write_trace};
 use crate::{failed, Stop};
 use access_normalization::codegen::SpmdOptions;
 use access_normalization::model::sweep_model;
-use access_normalization::numa::{sweep, ChaosSweep, SweepConfig};
+use access_normalization::numa::{sweep, SweepConfig};
 use access_normalization::CompileOptions;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -21,19 +21,12 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
         param_sets.push(vector.map_err(bad)?);
     }
     let jobs = args.jobs()?;
-    let chaos = args.on("--chaos");
-    let price = args.choice("--price", &[("model", true), ("sim", false)])?;
-    let seed = args.seed(1)?;
+    // Pricing: the analytic model unless `--price sim`.
+    let use_model = args.choice("--price", &[("model", true), ("sim", false)])?;
+    let use_model = use_model.unwrap_or(true);
     let json = args.value("--json");
     let trace = tracing(args)?;
     let tracer = trace.as_ref().map(|t| t.tracer.clone());
-    // Pricing: the analytic model by default; the simulator under
-    // `--price sim`, and always under `--chaos` (fault injection has no
-    // closed form — asking for the model there is a usage error).
-    let use_model = price.unwrap_or(!chaos);
-    if use_model && chaos {
-        return Err(args.usage("--chaos requires the simulator (drop --price model)"));
-    }
     let opts = CompileOptions {
         spmd: SpmdOptions {
             block_transfers: !args.on("--no-transfers"),
@@ -51,10 +44,6 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
         procs,
         param_sets,
         jobs,
-        chaos: chaos.then(|| ChaosSweep {
-            seed,
-            ..ChaosSweep::default()
-        }),
         tracer,
     };
     let spmd = &built.compiled.spmd;
@@ -78,31 +67,18 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
         report.jobs,
         report.wall_us
     );
-    // Under `--chaos` a scenario column sits between params and time.
-    let scenario_column = |name: &str| match chaos {
-        true => format!("{name:<16} "),
-        false => String::new(),
-    };
     let _ = writeln!(
         table,
-        "{:<10} {:>5} {:<16} {}{:>14} {:>9} {:>10} {:>8}",
-        "machine",
-        "P",
-        "params",
-        scenario_column("scenario"),
-        "time (µs)",
-        "remote%",
-        "messages",
-        "imbal"
+        "{:<10} {:>5} {:<16} {:>14} {:>9} {:>10} {:>8}",
+        "machine", "P", "params", "time (µs)", "remote%", "messages", "imbal"
     );
     for pt in &report.points {
         let _ = writeln!(
             table,
-            "{:<10} {:>5} {:<16} {}{:>14.0} {:>8.1}% {:>10} {:>8.2}",
+            "{:<10} {:>5} {:<16} {:>14.0} {:>8.1}% {:>10} {:>8.2}",
             pt.machine,
             pt.procs,
             list(&pt.params),
-            scenario_column(pt.scenario.map_or("fault-free", |s| s.name())),
             pt.stats.time_us,
             100.0 * pt.stats.remote_fraction(),
             pt.stats.total_messages(),

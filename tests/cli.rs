@@ -204,27 +204,18 @@ fn autodist_price_sim_escape_hatch() {
 }
 
 #[test]
-fn sweep_chaos_with_model_pricing_is_a_usage_error() {
-    let out = anc()
-        .args([
-            "sweep",
-            "--chaos",
-            "--price",
-            "model",
-            "--procs",
-            "2",
-            "--params",
-            "8",
-            &kernel_path("gemm.an"),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        stderr.contains("--chaos requires the simulator"),
-        "{stderr}"
-    );
+fn sweep_has_no_fault_axis() {
+    // A degraded price comes from `anc chaos` alone, which proves
+    // recovery before it prices.
+    for flag in ["--chaos", "--seed"] {
+        let out = anc()
+            .args(["sweep", flag, "2", &kernel_path("gemm.an")])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(stderr, format!("anc sweep: unknown option '{flag}'\n"));
+    }
 }
 
 #[test]
@@ -354,6 +345,41 @@ fn out_of_range_loop_bounds_exit_1_with_one_line() {
     }
 }
 
+/// An array extent that leaves `i64` at the default `N = 4`.
+const EXTENT_OVERFLOW: &str =
+    "param N = 4; array A[4611686018427387904 * N] distribute blocked(0); \
+     for i = 0, N - 1 { A[i] = A[i] + 1; }";
+
+#[test]
+fn out_of_range_array_extents_exit_1_with_one_line() {
+    // Every command that compiles rejects it at the front end, before
+    // the verifier, pricing or the interpreter evaluate the extent
+    // (where it panicked, exit 3). `--param` can push an extent out of
+    // range only at pricing time, which checks again.
+    let path = scratch_source("extent.an", EXTENT_OVERFLOW);
+    let path = path.as_str();
+    for args in [
+        vec![path],
+        vec!["check", path],
+        vec!["lint", path],
+        vec![path, "--simulate", "4"],
+        vec!["sweep", path],
+        vec!["chaos", path],
+        vec!["profile", path],
+    ] {
+        rejected_in_one_line(&args, "extent of array");
+    }
+    let fits = scratch_source("extent_n1.an", &EXTENT_OVERFLOW.replace("N = 4", "N = 1"));
+    let fits = fits.as_str();
+    for args in [
+        vec![fits, "--simulate", "4", "--param", "N=4"],
+        vec!["sweep", fits, "--params", "4", "--price", "sim"],
+        vec!["sweep", fits, "--params", "4", "--price", "model"],
+    ] {
+        rejected_in_one_line(&args, "extent of array A");
+    }
+}
+
 #[test]
 fn pricing_never_splits_the_model_from_the_simulator() {
     // A wrapped read whose coefficient is near 2⁶²: priced, and priced
@@ -402,6 +428,17 @@ fn pricing_never_splits_the_model_from_the_simulator() {
 
 #[test]
 fn serve_answers_out_of_range_bounds_an0703_and_quarantines_nothing() {
+    serve_rejects_twice_as_an0703(BOUND_OVERFLOW);
+}
+
+#[test]
+fn serve_answers_out_of_range_extents_an0703_and_quarantines_nothing() {
+    serve_rejects_twice_as_an0703(EXTENT_OVERFLOW);
+}
+
+/// Compiles `source` twice over `anc serve --stdio`: both answers must
+/// be `AN0703` (a compile error, not a panic), and nothing quarantined.
+fn serve_rejects_twice_as_an0703(source: &str) {
     use std::io::{BufRead, BufReader, Write};
     use std::process::Stdio;
     let mut daemon = anc()
@@ -413,7 +450,7 @@ fn serve_answers_out_of_range_bounds_an0703_and_quarantines_nothing() {
         .unwrap();
     let mut stdin = daemon.stdin.take().unwrap();
     let mut stdout = BufReader::new(daemon.stdout.take().unwrap());
-    let source = BOUND_OVERFLOW.replace('"', "\\\"");
+    let source = source.replace('"', "\\\"");
     let mut ask = |frame: String| {
         stdin.write_all(format!("{frame}\n").as_bytes()).unwrap();
         stdin.flush().unwrap();
@@ -536,33 +573,6 @@ fn chaos_rejects_unknown_scenario() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("unknown scenario 'meteor'"), "{stderr}");
-}
-
-#[test]
-fn sweep_chaos_adds_scenario_axis() {
-    let out = anc()
-        .args([
-            "sweep",
-            "--chaos",
-            "--seed",
-            "2",
-            "--procs",
-            "4",
-            "--params",
-            "12",
-            &kernel_path("gemm.an"),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("fault-free"), "{stdout}");
-    assert!(stdout.contains("failstop"), "{stdout}");
-    assert!(stdout.contains("scenario"), "{stdout}");
 }
 
 #[test]

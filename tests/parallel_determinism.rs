@@ -88,7 +88,6 @@ fn sweep_reports_are_independent_of_jobs() {
         procs: vec![1, 4, 9, 16],
         param_sets: vec![vec![40], vec![24]],
         jobs,
-        chaos: None,
         tracer: None,
     };
     let serial = sweep(&compiled.spmd, &machines, &mk(1)).unwrap();

@@ -128,7 +128,6 @@ fn edge_shape_extents_through_sweep_model_and_verify() {
         procs: vec![1, 2, 4, 8, 16],
         param_sets: shapes.iter().map(|&(n, m)| vec![n, m]).collect(),
         jobs: 0,
-        chaos: None,
         tracer: None,
     };
     let machines = [MachineConfig::butterfly_gp1000()];

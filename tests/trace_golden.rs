@@ -12,7 +12,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test trace_golden
 //! ```
 
-use access_normalization::numa::{simulate_chaos_traced, simulate_traced, MachineConfig, Scenario};
+use access_normalization::numa::{simulate_chaos, simulate_traced, MachineConfig, Scenario};
 use access_normalization::obs::{normalize_jsonl, render_jsonl, EventKind, Tracer};
 use access_normalization::{compile, CompileOptions, Compiled};
 use std::sync::Arc;
@@ -239,7 +239,7 @@ fn chaos_trace_retries_match_fault_stats() {
     let compiled = compile(&src, &opts).unwrap();
     let params = compiled.program.default_param_values();
     let machine = MachineConfig::butterfly_gp1000();
-    let run = simulate_chaos_traced(
+    let run = simulate_chaos(
         &compiled.spmd,
         &machine,
         PROCS,
@@ -251,6 +251,7 @@ fn chaos_trace_retries_match_fault_stats() {
     )
     .unwrap();
     let f = &run.stats.faults;
+    let (f_retries, f_timeouts) = (run.stats.total_retries(), run.stats.total_timeouts());
 
     let trace = tracer.snapshot();
     trace.check_well_formed().unwrap();
@@ -276,7 +277,7 @@ fn chaos_trace_retries_match_fault_stats() {
     }
     assert_eq!(armed, 1, "exactly one fault armed per chaos run");
     assert_eq!(
-        issued_retries, f.retries,
+        issued_retries, f_retries,
         "per-proc TransferIssued retries must sum to FaultStats.retries"
     );
     assert_eq!(
@@ -284,8 +285,8 @@ fn chaos_trace_retries_match_fault_stats() {
         Some((
             f.replayed_iterations,
             f.redistributed_bytes,
-            f.retries,
-            f.timeouts
+            f_retries,
+            f_timeouts
         )),
         "FaultRecovered must mirror FaultStats"
     );
