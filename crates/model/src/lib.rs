@@ -37,7 +37,7 @@ use an_numa::distribution::{
     invert_interval,
 };
 use an_numa::plan::{evaluate, Dist, Evaluator, Flat, Plan, Transfer};
-use an_numa::{MachineConfig, ProcStats, SimError, SimStats, SweepConfig, SweepReport};
+use an_numa::{MachineConfig, ProcStats, SimError, SimStats};
 
 /// Largest class modulus the analytic path accepts; beyond it (huge
 /// skew divisors or coefficient lcms) the collapse falls back to exact
@@ -76,30 +76,12 @@ pub fn model_stats(
     procs: usize,
     params: &[i64],
 ) -> Result<SimStats, SimError> {
-    model_stats_with_jobs(spmd, machine, procs, params, 1)
+    model_stats_mutated(spmd, machine, procs, params, Mutation::None)
 }
 
-/// [`model_stats`] with an explicit worker-thread count. Bitwise
-/// deterministic for every `jobs` value (per-processor results are
-/// folded in processor order, exactly like the simulator).
-///
-/// # Errors
-///
-/// As [`model_stats`].
-pub fn model_stats_with_jobs(
-    spmd: &SpmdProgram,
-    machine: &MachineConfig,
-    procs: usize,
-    params: &[i64],
-    jobs: usize,
-) -> Result<SimStats, SimError> {
-    model_stats_inner(spmd, machine, procs, params, jobs, Mutation::None)
-}
-
-/// [`model_stats_with_jobs`] recording a `"model"` span on `tracer`
-/// when present, with the aggregate counters mirroring the simulator's
-/// (`model.*` namespace). Emitted after the parallel join, in processor
-/// order, so the trace is identical for every `jobs` value.
+/// [`model_stats`] recording a `"model"` span on `tracer` when present,
+/// with the aggregate counters mirroring the simulator's (`model.*`
+/// namespace).
 ///
 /// # Errors
 ///
@@ -109,14 +91,13 @@ pub fn model_stats_traced(
     machine: &MachineConfig,
     procs: usize,
     params: &[i64],
-    jobs: usize,
     tracer: Option<&an_obs::Tracer>,
 ) -> Result<SimStats, SimError> {
     let Some(t) = tracer else {
-        return model_stats_with_jobs(spmd, machine, procs, params, jobs);
+        return model_stats(spmd, machine, procs, params);
     };
     let _span = t.span("model");
-    let stats = model_stats_with_jobs(spmd, machine, procs, params, jobs)?;
+    let stats = model_stats(spmd, machine, procs, params)?;
     let m = t.metrics();
     m.add("model.local_accesses", stats.total_local());
     m.add("model.remote_accesses", stats.total_remote());
@@ -141,18 +122,7 @@ pub fn model_stats_mutated(
     params: &[i64],
     mutation: Mutation,
 ) -> Result<SimStats, SimError> {
-    model_stats_inner(spmd, machine, procs, params, 1, mutation)
-}
-
-fn model_stats_inner(
-    spmd: &SpmdProgram,
-    machine: &MachineConfig,
-    procs: usize,
-    params: &[i64],
-    jobs: usize,
-    mutation: Mutation,
-) -> Result<SimStats, SimError> {
-    evaluate(spmd, machine, procs, params, jobs, |plan, p| {
+    evaluate(spmd, machine, procs, params, |plan, p| {
         Model { plan, mutation }.run_processor(p)
     })
 }
@@ -884,25 +854,6 @@ impl Model<'_, '_> {
     }
 }
 
-/// Model-priced counterpart of [`an_numa::sweep`]: evaluates the same
-/// (machine × procs × params) grid with [`model_stats`] at every point
-/// instead of the discrete simulator. Grid order, determinism contract,
-/// and the report shape are identical to the simulator sweep, so the
-/// two reports are directly comparable point-for-point.
-///
-/// # Errors
-///
-/// The first failing grid point's [`SimError`], in grid order.
-pub fn sweep_model(
-    spmd: &SpmdProgram,
-    machines: &[MachineConfig],
-    cfg: &SweepConfig,
-) -> Result<SweepReport, SimError> {
-    an_numa::sweep_with(machines, cfg, |machine, procs, params| {
-        model_stats(spmd, machine, procs, params)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -910,7 +861,7 @@ mod tests {
     use an_codegen::transform::apply_transform;
     use an_core::{normalize, NormalizeOptions};
     use an_linalg::{div_floor, IMatrix};
-    use an_numa::simulate_with_jobs;
+    use an_numa::simulate;
 
     fn build_spmd(src: &str, transform: Option<IMatrix>, block: bool) -> SpmdProgram {
         let p = an_lang::parse(src).unwrap();
@@ -929,7 +880,7 @@ mod tests {
     fn assert_matches_sim(spmd: &SpmdProgram, params: &[i64], procs_list: &[usize]) {
         let machine = MachineConfig::butterfly_gp1000();
         for &procs in procs_list {
-            let sim = simulate_with_jobs(spmd, &machine, procs, params, 1).unwrap();
+            let sim = simulate(spmd, &machine, procs, params).unwrap();
             let model = model_stats(spmd, &machine, procs, params).unwrap();
             for (p, (a, b)) in model.per_proc.iter().zip(&sim.per_proc).enumerate() {
                 assert_eq!(a.local_accesses, b.local_accesses, "local P={procs} p={p}");
@@ -1111,33 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn bitwise_identical_for_every_job_count() {
-        let spmd = build_spmd(
-            "param N = 24;
-             array C[N, N] distribute wrapped(1);
-             array A[N, N] distribute wrapped(1);
-             array B[N, N] distribute wrapped(1);
-             for i = 0, N - 1 { for j = 0, N - 1 { for k = 0, N - 1 {
-                 C[i, j] = C[i, j] + A[i, k] * B[k, j];
-             } } }",
-            None,
-            true,
-        );
-        let machine = MachineConfig::butterfly_gp1000();
-        for procs in [1usize, 7, 16] {
-            let serial = model_stats_with_jobs(&spmd, &machine, procs, &[24], 1).unwrap();
-            for jobs in [0usize, 2, 8] {
-                let par = model_stats_with_jobs(&spmd, &machine, procs, &[24], jobs).unwrap();
-                assert_eq!(par.time_us.to_bits(), serial.time_us.to_bits());
-                for (a, b) in par.per_proc.iter().zip(&serial.per_proc) {
-                    assert_eq!(a.busy_us.to_bits(), b.busy_us.to_bits());
-                    assert_eq!(a, b);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn mutations_diverge_from_sim() {
         let spmd = build_spmd(
             "param N = 13;
@@ -1151,7 +1075,7 @@ mod tests {
             false,
         );
         let machine = MachineConfig::butterfly_gp1000();
-        let sim = simulate_with_jobs(&spmd, &machine, 4, &[13], 1).unwrap();
+        let sim = simulate(&spmd, &machine, 4, &[13]).unwrap();
         for m in [
             Mutation::TripOffByOne,
             Mutation::DropRemoteTerm,
@@ -1168,54 +1092,5 @@ mod tests {
             assert_eq!(a.local_accesses, b.local_accesses);
             assert_eq!(a.remote_accesses, b.remote_accesses);
         }
-    }
-    #[test]
-    fn sweep_model_matches_simulator_sweep() {
-        let spmd = build_spmd(
-            "param N = 10;
-             array A[N, N] distribute wrapped(0);
-             array B[N, N] distribute blocked(0);
-             for i = 0, N - 1 { for j = 0, N - 1 {
-                 A[i, j] = A[i, j] + B[j, i];
-             } }",
-            None,
-            true,
-        );
-        let machines = [
-            MachineConfig::butterfly_gp1000(),
-            MachineConfig::ipsc_i860(),
-        ];
-        let cfg = SweepConfig {
-            procs: vec![1, 2, 4, 7],
-            param_sets: vec![vec![10], vec![13]],
-            jobs: 0,
-            tracer: None,
-        };
-        let by_model = sweep_model(&spmd, &machines, &cfg).unwrap();
-        let by_sim = an_numa::sweep(&spmd, &machines, &cfg).unwrap();
-        assert_eq!(by_model.points.len(), by_sim.points.len());
-        for (a, b) in by_model.points.iter().zip(&by_sim.points) {
-            assert_eq!(a.machine, b.machine);
-            assert_eq!(a.procs, b.procs);
-            assert_eq!(a.params, b.params);
-            assert_eq!(a.stats.total_local(), b.stats.total_local());
-            assert_eq!(a.stats.total_remote(), b.stats.total_remote());
-            assert_eq!(a.stats.total_messages(), b.stats.total_messages());
-            assert_eq!(
-                a.stats.total_transfer_bytes(),
-                b.stats.total_transfer_bytes()
-            );
-        }
-        // Serial and parallel model sweeps are bitwise identical.
-        let serial = sweep_model(
-            &spmd,
-            &machines,
-            &SweepConfig {
-                jobs: 1,
-                ..cfg.clone()
-            },
-        )
-        .unwrap();
-        assert_eq!(serial.points, by_model.points);
     }
 }

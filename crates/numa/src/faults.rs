@@ -7,7 +7,7 @@
 //! spikes on the interconnect — all derived by hashing stable identities
 //! (scenario seed, original processor id, transfer identity, iteration
 //! point), so a given `(scenario, seed)` pair reproduces the same faults
-//! bitwise on any worker-thread count.
+//! bitwise.
 //!
 //! Two consumers share the plan, and read one stage schedule off it: the
 //! outer range cut at the fail-stop boundaries, each stage with its
@@ -41,7 +41,7 @@
 use crate::distribution::{home_of, validate_extents, Home};
 use crate::machine::MachineConfig;
 use crate::plan::{evaluate, Plan};
-use crate::simulate::{simulate_with_jobs, Sim};
+use crate::simulate::{simulate, Sim};
 use crate::stats::{FaultStats, ProcStats, SimStats};
 use crate::SimError;
 use an_codegen::spmd::SpmdProgram;
@@ -507,7 +507,6 @@ fn run_segment(
     spmd: &SpmdProgram,
     machine: &MachineConfig,
     params: &[i64],
-    jobs: usize,
     plan: &FaultPlan,
     stage: &Stage<'_>,
     per_proc: &mut [ProcStats],
@@ -520,20 +519,13 @@ fn run_segment(
         plan,
         proc_ids: &stage.alive,
     });
-    let seg_stats = evaluate(
-        &clipped,
-        machine,
-        stage.alive.len(),
-        params,
-        jobs,
-        |domain, j| {
-            Sim {
-                plan: domain,
-                chaos,
-            }
-            .run_processor(j)
-        },
-    )?;
+    let seg_stats = evaluate(&clipped, machine, stage.alive.len(), params, |domain, j| {
+        Sim {
+            plan: domain,
+            chaos,
+        }
+        .run_processor(j)
+    })?;
     for (j, s) in seg_stats.per_proc.iter().enumerate() {
         per_proc[stage.alive[j]].absorb(s);
     }
@@ -548,15 +540,13 @@ fn run_segment(
 /// `TransferIssued` per processor in processor order, and a
 /// `FaultRecovered` summary matching the report.
 ///
-/// Determinism contract: like [`simulate_with_jobs`], the result is
-/// bitwise identical for every `jobs` value and across repeated runs
-/// with the same `(scenario, seed)`.
+/// The result is bitwise identical across repeated runs with the same
+/// `(scenario, seed)`.
 ///
 /// # Errors
 ///
-/// As [`simulate_with_jobs`]; additionally [`SimError::UnboundedLoop`]
-/// when the outer range cannot be evaluated.
-#[allow(clippy::too_many_arguments)]
+/// As [`simulate`]; additionally [`SimError::UnboundedLoop`] when the
+/// outer range cannot be evaluated.
 pub fn simulate_chaos(
     spmd: &SpmdProgram,
     machine: &MachineConfig,
@@ -564,7 +554,6 @@ pub fn simulate_chaos(
     params: &[i64],
     scenario: Scenario,
     seed: u64,
-    jobs: usize,
     tracer: Option<&an_obs::Tracer>,
 ) -> Result<ChaosReport, SimError> {
     let _span = tracer.map(|t| t.span("chaos"));
@@ -579,7 +568,7 @@ pub fn simulate_chaos(
         });
     }
     let extents = validate_extents(program, params)?;
-    let fault_free = simulate_with_jobs(spmd, machine, procs, params, jobs)?;
+    let fault_free = simulate(spmd, machine, procs, params)?;
     let (lo, hi) = outer_range(program, params)?;
     let plan = FaultPlan::arm(scenario, seed, procs, lo, hi);
     let stages = plan.stages(spmd, machine, params, (lo, hi));
@@ -623,7 +612,7 @@ pub fn simulate_chaos(
         }
         // Segments end in a barrier (the next boundary or the final
         // join), so each contributes its own completion time.
-        time_us += run_segment(spmd, machine, params, jobs, &plan, stage, &mut per_proc)?;
+        time_us += run_segment(spmd, machine, params, &plan, stage, &mut per_proc)?;
     }
 
     let report = ChaosReport {
@@ -915,9 +904,8 @@ mod tests {
         let spmd = figure1();
         let machine = MachineConfig::butterfly_gp1000();
         let params = [5, 3, 4];
-        let free = simulate_with_jobs(&spmd, &machine, 4, &params, 1).unwrap();
-        let chaos =
-            simulate_chaos(&spmd, &machine, 4, &params, Scenario::None, 9, 1, None).unwrap();
+        let free = simulate(&spmd, &machine, 4, &params).unwrap();
+        let chaos = simulate_chaos(&spmd, &machine, 4, &params, Scenario::None, 9, None).unwrap();
         assert_eq!(chaos.stats.time_us.to_bits(), free.time_us.to_bits());
         assert_eq!(chaos.stats.per_proc, free.per_proc);
         assert_eq!(chaos.stats.faults, FaultStats::default());
@@ -929,8 +917,7 @@ mod tests {
         let spmd = figure1();
         let machine = MachineConfig::butterfly_gp1000();
         let params = [5, 3, 4];
-        let r =
-            simulate_chaos(&spmd, &machine, 4, &params, Scenario::FailStop, 1, 1, None).unwrap();
+        let r = simulate_chaos(&spmd, &machine, 4, &params, Scenario::FailStop, 1, None).unwrap();
         assert_eq!(r.stats.faults.failed_procs.len(), 1);
         assert!(r.stats.time_us > r.fault_free_us);
         assert!(r.degraded_us() > 0.0);
@@ -939,25 +926,6 @@ mod tests {
         // counters freeze while survivors absorb the replay.
         let dead = r.stats.faults.failed_procs[0];
         assert!(r.stats.per_proc[dead].timeouts == 0);
-    }
-
-    #[test]
-    fn chaos_simulation_is_deterministic_across_jobs() {
-        let spmd = figure1();
-        let machine = MachineConfig::butterfly_gp1000();
-        let params = [5, 3, 4];
-        for &sc in Scenario::all() {
-            let serial = simulate_chaos(&spmd, &machine, 5, &params, sc, 42, 1, None).unwrap();
-            for jobs in [0usize, 2, 3, 8] {
-                let par = simulate_chaos(&spmd, &machine, 5, &params, sc, 42, jobs, None).unwrap();
-                assert_eq!(par, serial, "scenario {sc} jobs {jobs}");
-                assert_eq!(
-                    par.stats.time_us.to_bits(),
-                    serial.stats.time_us.to_bits(),
-                    "scenario {sc} jobs {jobs}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1030,7 +998,7 @@ mod tests {
                 for seed in 1u64..=16 {
                     let at = format!("{sc} P={procs} seed={seed}");
                     let cost =
-                        simulate_chaos(&spmd, &machine, procs, &params, sc, seed, 1, None).unwrap();
+                        simulate_chaos(&spmd, &machine, procs, &params, sc, seed, None).unwrap();
                     let sem = run_chaos(&spmd, procs, &params, sc, seed, 11).unwrap();
                     let brute = brute_force_replay(&spmd, &sem.plan, &params);
                     assert_eq!(cost.stats.faults.replayed_iterations, brute, "{at}");
@@ -1144,7 +1112,7 @@ mod tests {
         let spmd = figure1();
         let machine = MachineConfig::butterfly_gp1000();
         assert_eq!(
-            simulate_chaos(&spmd, &machine, 0, &[5, 3, 4], Scenario::Drop, 1, 1, None),
+            simulate_chaos(&spmd, &machine, 0, &[5, 3, 4], Scenario::Drop, 1, None),
             Err(SimError::NoProcessors)
         );
         assert!(matches!(

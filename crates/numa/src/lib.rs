@@ -69,6 +69,6 @@ pub use faults::{
 pub use machine::{ContentionModel, MachineConfig};
 pub use model::{predict, ModelPrediction};
 pub use ownership::simulate_ownership;
-pub use simulate::{simulate, simulate_traced, simulate_with_jobs};
+pub use simulate::{simulate, simulate_traced};
 pub use stats::{FaultStats, ProcStats, SimStats};
-pub use sweep::{sweep, sweep_with, SweepConfig, SweepPoint, SweepReport};
+pub use sweep::{sweep, SweepConfig, SweepPoint, SweepReport};

@@ -17,14 +17,8 @@ use crate::stats::{ProcStats, SimStats};
 use crate::SimError;
 use an_codegen::spmd::SpmdProgram;
 
-/// Simulates the SPMD program on `procs` processors.
-///
-/// Simulated processors are independent — each prices its own slice of
-/// the iteration space against the fixed distribution, and nothing a
-/// processor computes feeds another — so the per-processor loop runs on
-/// a thread pool when `procs` is large enough to amortize spawning.
-/// Results are **bitwise identical** to a serial run: see
-/// [`simulate_with_jobs`] for the determinism contract.
+/// Simulates the SPMD program on `procs` processors, one processor after
+/// the other.
 ///
 /// # Errors
 ///
@@ -37,17 +31,14 @@ pub fn simulate(
     procs: usize,
     params: &[i64],
 ) -> Result<SimStats, SimError> {
-    // Below ~8 simulated processors the per-processor work rarely covers
-    // thread-spawn cost; stay serial (the result is identical either way).
-    let jobs = if procs >= 8 { 0 } else { 1 };
-    simulate_with_jobs(spmd, machine, procs, params, jobs)
+    evaluate(spmd, machine, procs, params, |plan, p| {
+        Sim { plan, chaos: None }.run_processor(p)
+    })
 }
 
-/// [`simulate_with_jobs`], recording a `"simulate"` span on `tracer`
-/// when present: one `TransferIssued` event per processor that moved
-/// data (emitted after the parallel join, in processor order, so the
-/// event stream is identical for every `jobs` value) plus the
-/// aggregate access/message/byte counters.
+/// [`simulate`], recording a `"simulate"` span on `tracer` when present:
+/// one `TransferIssued` event per processor that moved data, in
+/// processor order, plus the aggregate access/message/byte counters.
 ///
 /// # Errors
 ///
@@ -57,14 +48,13 @@ pub fn simulate_traced(
     machine: &MachineConfig,
     procs: usize,
     params: &[i64],
-    jobs: usize,
     tracer: Option<&an_obs::Tracer>,
 ) -> Result<SimStats, SimError> {
     let Some(t) = tracer else {
-        return simulate_with_jobs(spmd, machine, procs, params, jobs);
+        return simulate(spmd, machine, procs, params);
     };
     let _span = t.span("simulate");
-    let stats = simulate_with_jobs(spmd, machine, procs, params, jobs)?;
+    let stats = simulate(spmd, machine, procs, params)?;
     for (p, ps) in stats.per_proc.iter().enumerate() {
         if ps.messages > 0 || ps.retries > 0 {
             t.emit(an_obs::EventKind::TransferIssued {
@@ -84,31 +74,6 @@ pub fn simulate_traced(
         m.observe("sim.proc_transfer_bytes", ps.transfer_bytes);
     }
     Ok(stats)
-}
-
-/// [`simulate`] with an explicit worker-thread count (`jobs == 0` means
-/// all available parallelism, `jobs == 1` forces serial execution).
-///
-/// # Determinism
-///
-/// The returned [`SimStats`] is bitwise identical for every `jobs`
-/// value: per-processor results are collected in processor order and the
-/// total-time fold runs over that ordered vector exactly as the serial
-/// loop would, so not even floating-point summation order differs.
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_with_jobs(
-    spmd: &SpmdProgram,
-    machine: &MachineConfig,
-    procs: usize,
-    params: &[i64],
-    jobs: usize,
-) -> Result<SimStats, SimError> {
-    evaluate(spmd, machine, procs, params, jobs, |plan, p| {
-        Sim { plan, chaos: None }.run_processor(p)
-    })
 }
 
 /// The enumerating evaluator of a [`Plan`]: the shared walk visits every
@@ -161,8 +126,8 @@ impl Evaluator for Sim<'_, '_> {
         // Resilient protocol: each attempt can be dropped (timeout, then
         // exponential backoff with seed-derived jitter and a retry) or
         // delayed; a contention spike multiplies the switch latency. All
-        // rolls hash stable identities so the outcome is independent of
-        // worker-thread scheduling.
+        // rolls hash stable identities, so survivor renumbering cannot
+        // shift an outcome.
         let spike = ctx.plan.spike_factor(point[0]);
         let mseed = ctx
             .plan
@@ -517,40 +482,6 @@ mod tests {
             naive.remote_fraction()
         );
         assert!(normalized.time_us < naive.time_us);
-    }
-
-    #[test]
-    fn identical_results_for_every_job_count() {
-        let p = an_lang::parse(
-            "param N = 10;
-             array C[N, N] distribute wrapped(1);
-             array A[N, N] distribute wrapped(1);
-             array B[N, N] distribute wrapped(1);
-             for i = 0, N - 1 { for j = 0, N - 1 { for k = 0, N - 1 {
-                 C[i, j] = C[i, j] + A[i, k] * B[k, j];
-             } } }",
-        )
-        .unwrap();
-        let r = normalize(&p, &NormalizeOptions::default()).unwrap();
-        let tp = apply_transform(&p, &r.transform).unwrap();
-        let spmd = generate_spmd(&tp, Some(&r.dependences), &SpmdOptions::default());
-        let machine = MachineConfig::butterfly_gp1000();
-        for procs in [1usize, 7, 16] {
-            let serial = simulate_with_jobs(&spmd, &machine, procs, &[10], 1).unwrap();
-            for jobs in [0usize, 2, 3, 8] {
-                let par = simulate_with_jobs(&spmd, &machine, procs, &[10], jobs).unwrap();
-                // Bitwise equality, including every f64 field.
-                assert_eq!(par.time_us.to_bits(), serial.time_us.to_bits());
-                assert_eq!(par.per_proc.len(), serial.per_proc.len());
-                for (a, b) in par.per_proc.iter().zip(&serial.per_proc) {
-                    assert_eq!(a.busy_us.to_bits(), b.busy_us.to_bits());
-                    assert_eq!(a, b);
-                }
-            }
-            // The default entry point agrees too.
-            let default = simulate(&spmd, &machine, procs, &[10]).unwrap();
-            assert_eq!(default, serial);
-        }
     }
 
     #[test]

@@ -1,20 +1,17 @@
-//! Batched grid evaluation: simulate one SPMD program across a grid of
+//! Batched grid evaluation: price one SPMD program across a grid of
 //! (machine profile × processor count × parameter set) in one parallel
 //! fan-out.
 //!
-//! Every grid point is an independent [`simulate`](crate::simulate())
-//! call, so the sweep parallelizes across *points* (each point simulates
-//! serially — nesting thread pools would only oversubscribe). Point
-//! order, and therefore the report, is deterministic: the grid is
-//! machines-major, then processor counts, then parameter sets, and
-//! results are collected in grid order regardless of which worker
-//! finished first.
+//! Every grid point is an independent pricing call — the caller passes
+//! [`simulate`](crate::simulate()) or the analytic model — so the sweep
+//! parallelizes across *points*. Point order, and therefore the report,
+//! is deterministic: the grid is machines-major, then processor counts,
+//! then parameter sets, and results are collected in grid order
+//! regardless of which worker finished first.
 
 use crate::machine::MachineConfig;
-use crate::simulate::simulate_with_jobs;
 use crate::stats::SimStats;
 use crate::SimError;
-use an_codegen::spmd::SpmdProgram;
 use an_linalg::cache::CacheStats;
 use std::time::Instant;
 
@@ -130,32 +127,15 @@ impl SweepReport {
     }
 }
 
-/// Evaluates `spmd` on every (machine, procs, params) grid point in
-/// parallel (`cfg.jobs` workers; each point simulates serially).
-///
-/// # Errors
-///
-/// The first failing grid point's [`SimError`], in grid order —
-/// independent of worker scheduling.
-pub fn sweep(
-    spmd: &SpmdProgram,
-    machines: &[MachineConfig],
-    cfg: &SweepConfig,
-) -> Result<SweepReport, SimError> {
-    sweep_with(machines, cfg, |machine, procs, params| {
-        simulate_with_jobs(spmd, machine, procs, params, 1)
-    })
-}
-
-/// The grid runner behind [`sweep`] and `an_model::sweep_model`: lays
-/// out the (machine × procs × params) grid, prices every point with
+/// Lays out the (machine × procs × params) grid, prices every point with
 /// `price` on `cfg.jobs` workers, and assembles the report in grid
 /// order.
 ///
 /// # Errors
 ///
-/// The first failing grid point's [`SimError`], in grid order.
-pub fn sweep_with<F>(
+/// The first failing grid point's [`SimError`], in grid order —
+/// independent of worker scheduling.
+pub fn sweep<F>(
     machines: &[MachineConfig],
     cfg: &SweepConfig,
     price: F,
@@ -211,9 +191,20 @@ where
 mod tests {
     use super::*;
     use crate::simulate::simulate;
-    use an_codegen::spmd::{generate_spmd, SpmdOptions};
+    use an_codegen::spmd::{generate_spmd, SpmdOptions, SpmdProgram};
     use an_codegen::transform::apply_transform;
     use an_core::{normalize, NormalizeOptions};
+
+    /// [`sweep`] priced by the simulator.
+    fn simulated(
+        spmd: &SpmdProgram,
+        machines: &[MachineConfig],
+        cfg: &SweepConfig,
+    ) -> Result<SweepReport, SimError> {
+        sweep(machines, cfg, |m, procs, params| {
+            simulate(spmd, m, procs, params)
+        })
+    }
 
     fn gemm_spmd() -> SpmdProgram {
         let p = an_lang::parse(
@@ -244,7 +235,7 @@ mod tests {
             jobs: 0,
             tracer: None,
         };
-        let report = sweep(&spmd, &machines, &cfg).unwrap();
+        let report = simulated(&spmd, &machines, &cfg).unwrap();
         assert_eq!(report.points.len(), 2 * 3 * 2);
         // Machines-major, then procs, then params.
         assert_eq!(report.points[0].machine, machines[0].name);
@@ -269,8 +260,8 @@ mod tests {
             jobs,
             tracer: None,
         };
-        let serial = sweep(&spmd, &machines, &mk(1)).unwrap();
-        let par = sweep(&spmd, &machines, &mk(0)).unwrap();
+        let serial = simulated(&spmd, &machines, &mk(1)).unwrap();
+        let par = simulated(&spmd, &machines, &mk(0)).unwrap();
         assert_eq!(serial.points, par.points);
     }
 
@@ -284,7 +275,7 @@ mod tests {
             jobs: 1,
             tracer: None,
         };
-        let mut report = sweep(&spmd, &machines, &cfg).unwrap();
+        let mut report = simulated(&spmd, &machines, &cfg).unwrap();
         report.norm_cache = Some(CacheStats { hits: 3, misses: 1 });
         let best = report.best().unwrap();
         assert_eq!(best.procs, 4, "4 processors should beat 1 on GEMM");
@@ -298,7 +289,7 @@ mod tests {
     #[test]
     fn empty_grid_is_empty_report() {
         let spmd = gemm_spmd();
-        let report = sweep(&spmd, &[], &SweepConfig::default()).unwrap();
+        let report = simulated(&spmd, &[], &SweepConfig::default()).unwrap();
         assert!(report.points.is_empty());
         assert!(report.best().is_none());
         assert!(report.to_json().contains("\"norm_cache\": null"));

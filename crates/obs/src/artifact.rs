@@ -1,7 +1,7 @@
 //! Crash-safe artifact writes.
 //!
 //! Every JSON/JSONL artifact the toolchain produces (`--trace=FILE`,
-//! `anc profile --out`, `BENCH_*.json`, `anc sweep --json`) goes
+//! `anc profile --out`, `anc sweep --json`) goes
 //! through [`write_atomic`]: the contents land in a same-directory
 //! temporary file first and are renamed into place only once fully
 //! written. A crash, full disk, or failed rename can leave a stray

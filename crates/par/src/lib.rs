@@ -1,9 +1,9 @@
 //! Dependency-free structured parallelism for the access-normalization
 //! toolchain.
 //!
-//! The candidate-search and simulation engines fan out over large,
-//! independent index spaces (processors, distribution assignments, sweep
-//! grid points). This crate provides the one primitive they need — an
+//! The distribution search and the sweep fan out over independent
+//! pricings (distribution assignments, sweep grid points); one pricing
+//! call runs serially. This crate provides the one primitive they need — an
 //! order-preserving parallel map with an explicit job count — built on
 //! [`std::thread::scope`], so it works in the dependency-free build this
 //! workspace requires (no rayon available offline).

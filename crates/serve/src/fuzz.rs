@@ -47,9 +47,9 @@ impl FrameFuzzReport {
     }
 }
 
-/// Splitmix64 — the same tiny deterministic generator the surface
-/// fuzzer uses.
-struct Rng(u64);
+/// Splitmix64: a reproducible stream from one seed, shared by these
+/// fuzzers and the surface fuzzer of `anc fuzz`.
+pub struct Rng(pub u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
@@ -59,8 +59,24 @@ impl Rng {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
-    fn below(&mut self, n: u64) -> u64 {
+
+    /// Uniform in `0..n` (`0..1` for `n == 0`).
+    pub fn below(&mut self, n: u64) -> u64 {
         self.next() % n.max(1)
+    }
+
+    /// Uniform in `lo..=hi`.
+    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.below(hi - lo + 1)
+    }
+
+    /// `1` or `-1` with equal odds.
+    pub fn sign(&mut self) -> i64 {
+        if self.below(2) == 0 {
+            1
+        } else {
+            -1
+        }
     }
 }
 

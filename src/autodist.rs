@@ -32,7 +32,7 @@ use crate::{compile_program_with, BudgetExceeded, CompileOptions, Compiled, Erro
 use an_ir::{Distribution, Program, Stmt};
 use an_linalg::CacheStats;
 use an_model::model_stats;
-use an_numa::{simulate_with_jobs, MachineConfig, SimStats};
+use an_numa::{simulate, MachineConfig, SimStats};
 
 /// How the search prices each candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -290,10 +290,8 @@ pub fn search_report(
                 let scored = match opts.price {
                     Pricing::Model => model_stats(&compiled.spmd, machine, opts.procs, &params)
                         .map(|s| (s.time_us, s.remote_fraction())),
-                    Pricing::Sim => {
-                        simulate_with_jobs(&compiled.spmd, machine, opts.procs, &params, 1)
-                            .map(|s| (s.time_us, s.remote_fraction()))
-                    }
+                    Pricing::Sim => simulate(&compiled.spmd, machine, opts.procs, &params)
+                        .map(|s| (s.time_us, s.remote_fraction())),
                 };
                 match scored {
                     Ok((time_us, remote)) => Eval::Scored {
@@ -388,7 +386,7 @@ pub fn search_report(
     let mut mismatches = 0usize;
     if opts.price == Pricing::Model {
         for c in candidates.iter().take(opts.validate_top_k) {
-            let sim = simulate_with_jobs(&c.compiled.spmd, machine, opts.procs, &params, 1);
+            let sim = simulate(&c.compiled.spmd, machine, opts.procs, &params);
             let model = model_stats(&c.compiled.spmd, machine, opts.procs, &params);
             validated += 1;
             match (sim, model) {
@@ -478,7 +476,6 @@ fn is_read_only(program: &Program, array_index: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use an_numa::simulate;
 
     fn gemm() -> Program {
         an_lang::parse(

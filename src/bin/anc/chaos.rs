@@ -23,7 +23,6 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
     let procs = args.procs_list("--procs", &[3, 4])?;
     let machine = args.machine()?;
     let params = args.bindings()?;
-    let jobs = args.jobs()?;
     let json = args.on("--json");
     let trace = tracing(args)?;
     let tracer = trace.as_ref().map(|t| t.tracer.clone());
@@ -55,7 +54,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
     let mut runs = Vec::new();
     for &p in &procs {
         for &sc in &scenarios {
-            let run = simulate_chaos(spmd, &machine, p, param_values, sc, seed, jobs, tracer)
+            let run = simulate_chaos(spmd, &machine, p, param_values, sc, seed, tracer)
                 .map_err(|e| failed(format!("scenario {sc} at P={p}: {e}")))?;
             runs.push((p, run));
         }

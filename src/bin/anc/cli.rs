@@ -2,12 +2,13 @@
 //! and their flags, the only loop over argv, the `--help` text
 //! generated from that table, and one typed accessor per notion that
 //! several subcommands share (machine, processor counts, `NAME=V`
-//! bindings, jobs, seed, trace destination).
+//! bindings, pricing, jobs, seed, trace destination).
 //!
 //! The parser knows three flag shapes — a switch, `--flag VALUE` and
 //! `--trace[=FILE]` — because those are the three in use.
 
 use crate::Stop;
+use access_normalization::autodist::Pricing;
 use access_normalization::numa::MachineConfig;
 use std::fmt::{Display, Write as _};
 use std::str::FromStr;
@@ -47,6 +48,8 @@ const MACHINE: &str = "--machine M         gp1000 (default) | ipsc";
 const PARAM: &str = "--param NAME=V      override a parameter's default (repeatable)";
 const JOBS: &str = "--jobs N            threads (default 0: all cores); never changes a number";
 const PRICE: &str = "--price MODE        model (analytic, default) | sim (exact simulator)";
+/// The words `--price` takes; the first is the default.
+const PRICINGS: [(&str, Pricing); 2] = [("model", Pricing::Model), ("sim", Pricing::Sim)];
 const TRACE: &str = "--trace[=FILE]      record a structured pipeline trace (stderr, or FILE)";
 const TRACE_FORMAT: &str = "--trace-format F    tree (default) | jsonl | chrome";
 
@@ -133,7 +136,6 @@ static COMMANDS: [Command; 8] = [
             "--procs LIST        processor counts (default: 3,4)",
             MACHINE,
             PARAM,
-            JOBS,
             NAIVE,
             "--json              machine-readable report, no wall-clock fields",
             TRACE,
@@ -151,8 +153,7 @@ static COMMANDS: [Command; 8] = [
             "--procs N           processor count to simulate (default: 4)",
             MACHINE,
             PARAM,
-            JOBS,
-            "--out FILE          JSON path (default: target/an-bench-results/BENCH_profile.json)",
+            "--out FILE          JSON path",
         ],
     },
     Command {
@@ -400,6 +401,11 @@ impl Args {
         self.values("--param").map(bound).collect()
     }
 
+    /// `--price MODE`; the analytic model unless `--price sim`.
+    pub fn pricing(&self) -> Result<Pricing, Stop> {
+        Ok(self.choice("--price", &PRICINGS)?.unwrap_or_default())
+    }
+
     /// `--jobs N`; 0, the default, means all cores.
     pub fn jobs(&self) -> Result<usize, Stop> {
         self.number_or("--jobs", 0)
@@ -423,6 +429,12 @@ fn machine_named(name: &str) -> Option<MachineConfig> {
         "ipsc" => Some(MachineConfig::ipsc_i860()),
         _ => None,
     }
+}
+
+/// The `--price` word that selects `pricing`.
+pub fn price_word(pricing: Pricing) -> &'static str {
+    let row = PRICINGS.iter().find(|(_, p)| *p == pricing);
+    row.expect("every pricing has a --price word").0
 }
 
 /// One processor count. Zero is rejected here, for every flag that

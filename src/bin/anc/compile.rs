@@ -3,7 +3,7 @@
 //! trace write-out), and `anc <file>` itself: compile one kernel and
 //! print what the pipeline derived.
 
-use crate::cli::Args;
+use crate::cli::{price_word, Args};
 use crate::{failed, Stop};
 use access_normalization::autodist::{search_report, AutoDistOptions, Pricing};
 use access_normalization::codegen::emit::emit_spmd;
@@ -153,8 +153,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
     let machine = args.machine()?;
     let params = args.bindings()?;
     let autodist = args.procs("--autodist")?;
-    let prices = [("model", Pricing::Model), ("sim", Pricing::Sim)];
-    let price = args.choice("--price", &prices)?.unwrap_or_default();
+    let price = args.pricing()?;
     let jobs = args.jobs()?;
     let verify = args.on("--verify");
     let trace = tracing(args)?;
@@ -275,11 +274,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
         let report = search_report(&compiled.program, &machine, &opts).map_err(failed)?;
         println!(
             "== distribution search (P = {procs}, {}-priced, {} workers) ==",
-            if price == Pricing::Sim {
-                "sim"
-            } else {
-                "model"
-            },
+            price_word(price),
             report.jobs
         );
         println!(
@@ -326,7 +321,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
         );
         let base = simulate(spmd, &machine, 1, param_values).map_err(failed)?;
         for &p in &simulate_procs {
-            let s = simulate_traced(spmd, &machine, p, param_values, jobs, tracer.as_deref())
+            let s = simulate_traced(spmd, &machine, p, param_values, tracer.as_deref())
                 .map_err(failed)?;
             println!(
                 "{:>5} {:>14.0} {:>9.2} {:>9.1}% {:>10} {:>8.2}",

@@ -1,7 +1,8 @@
 //! `anc profile` — one traced compile + simulation, reported as the
 //! span tree of every pipeline phase (access matrix → basis → legal →
 //! padding → restructure → codegen → simulate → model) with logical
-//! timestamps, every counter the stages recorded, and a benchmark file.
+//! timestamps and every counter the stages recorded; `--out FILE` also
+//! writes the JSON report there.
 
 use crate::cli::Args;
 use crate::compile::build;
@@ -19,13 +20,11 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
     let procs = args.procs("--procs")?.unwrap_or(4);
     let machine = args.machine()?;
     let params = args.bindings()?;
-    let jobs = args.jobs()?;
     let out = args.value("--out");
-    let path = out.unwrap_or("target/an-bench-results/BENCH_profile.json");
     let input = args.input();
 
     // Logical clocks by default: the profile is then byte-identical
-    // across runs and `--jobs` values, so CI can diff two invocations.
+    // across runs, so CI can diff two invocations.
     let tracer = std::sync::Arc::new(if wall {
         Tracer::with_wall_clock()
     } else {
@@ -37,12 +36,12 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
     };
     let built = build(args, input, &opts, &params, true)?;
     let (spmd, param_values) = (&built.compiled.spmd, &built.param_values);
-    let stats = simulate_traced(spmd, &machine, procs, param_values, jobs, Some(&tracer))
-        .map_err(failed)?;
+    let stats =
+        simulate_traced(spmd, &machine, procs, param_values, Some(&tracer)).map_err(failed)?;
     // Analytic-model phase: priced after the simulator so the profile
     // carries a `model` span row (the `model_us` phase) whose counters
     // can be diffed against the simulator's — they must agree exactly.
-    model_stats_traced(spmd, &machine, procs, param_values, jobs, Some(&tracer)).map_err(failed)?;
+    model_stats_traced(spmd, &machine, procs, param_values, Some(&tracer)).map_err(failed)?;
 
     let trace = tracer.snapshot();
     let phases = trace.phases();
@@ -146,13 +145,15 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
         );
     }
 
-    let file = std::path::Path::new(path);
-    if let Some(dir) = file.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| failed(format!("cannot create {}: {e}", dir.display())))?;
+    if let Some(path) = out {
+        let file = std::path::Path::new(path);
+        if let Some(dir) = file.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| failed(format!("cannot create {}: {e}", dir.display())))?;
+        }
+        write_atomic(file, &format!("{report}\n"))
+            .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
+        eprintln!("wrote {path}");
     }
-    write_atomic(file, &format!("{report}\n"))
-        .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
-    eprintln!("wrote {path}");
     Ok(ExitCode::SUCCESS)
 }

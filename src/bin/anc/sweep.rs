@@ -4,9 +4,10 @@
 use crate::cli::Args;
 use crate::compile::{build, tracing, write_trace};
 use crate::{failed, Stop};
+use access_normalization::autodist::Pricing;
 use access_normalization::codegen::SpmdOptions;
-use access_normalization::model::sweep_model;
-use access_normalization::numa::{sweep, SweepConfig};
+use access_normalization::model::model_stats;
+use access_normalization::numa::{simulate, sweep, SweepConfig};
 use access_normalization::CompileOptions;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -21,9 +22,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
         param_sets.push(vector.map_err(bad)?);
     }
     let jobs = args.jobs()?;
-    // Pricing: the analytic model unless `--price sim`.
-    let use_model = args.choice("--price", &[("model", true), ("sim", false)])?;
-    let use_model = use_model.unwrap_or(true);
+    let price = args.pricing()?;
     let json = args.value("--json");
     let trace = tracing(args)?;
     let tracer = trace.as_ref().map(|t| t.tracer.clone());
@@ -47,10 +46,9 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
         tracer,
     };
     let spmd = &built.compiled.spmd;
-    let mut report = if use_model {
-        sweep_model(spmd, &machines, &cfg)
-    } else {
-        sweep(spmd, &machines, &cfg)
+    let mut report = match price {
+        Pricing::Model => sweep(&machines, &cfg, |m, p, ps| model_stats(spmd, m, p, ps)),
+        Pricing::Sim => sweep(&machines, &cfg, |m, p, ps| simulate(spmd, m, p, ps)),
     }
     .map_err(failed)?;
     report.norm_cache = Some(built.cache);

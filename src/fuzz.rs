@@ -42,6 +42,7 @@ use crate::{compile, verify, CompileBudget, CompileOptions, Error};
 use an_linalg::det::{determinant, determinant_big};
 use an_linalg::hnf::column_hnf;
 use an_linalg::{IMatrix, LinalgError};
+use an_serve::fuzz::Rng;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 
@@ -107,38 +108,6 @@ impl fmt::Display for FuzzReport {
             writeln!(f, "  FAIL {line}")?;
         }
         Ok(())
-    }
-}
-
-/// splitmix64: the same mixing idiom the chaos engine uses, giving a
-/// reproducible stream from one seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (`n > 0`).
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    /// Uniform in `lo..=hi`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.below(hi - lo + 1)
-    }
-
-    fn sign(&mut self) -> i64 {
-        if self.below(2) == 0 {
-            1
-        } else {
-            -1
-        }
     }
 }
 

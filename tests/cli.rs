@@ -219,7 +219,23 @@ fn sweep_has_no_fault_axis() {
 }
 
 #[test]
-fn sweep_model_and_sim_pricing_agree_on_counts() {
+fn chaos_and_profile_take_no_jobs() {
+    // One pricing call runs serially; only `--autodist` and `sweep` fan
+    // out over independent pricings and take `--jobs`.
+    for cmd in ["chaos", "profile"] {
+        let out = anc()
+            .args([cmd, "--jobs", "1", &kernel_path("gemm.an")])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(stderr, format!("anc {cmd}: unknown option '--jobs'\n"));
+    }
+}
+
+#[test]
+fn sweep_pricings_agree_on_counts() {
     let run = |price: &str| {
         let out = anc()
             .args([
@@ -532,15 +548,15 @@ fn chaos_reports_recovery_for_every_scenario() {
 
 #[test]
 fn chaos_json_is_byte_identical_for_any_jobs() {
-    let run = |jobs: &str| {
+    // `anc chaos` takes no `--jobs` (every pricing call is serial), so
+    // this is a repeat-run check: the JSON has no wall-clock field.
+    let run = || {
         let out = anc()
             .args([
                 "chaos",
                 "--seed",
                 "5",
                 "--json",
-                "--jobs",
-                jobs,
                 "--param",
                 "N=12",
                 &kernel_path("gemm.an"),
@@ -554,12 +570,9 @@ fn chaos_json_is_byte_identical_for_any_jobs() {
         );
         out.stdout
     };
-    let serial = run("1");
-    assert_eq!(run("1"), serial, "same invocation must be reproducible");
-    for jobs in ["0", "2", "5"] {
-        assert_eq!(run(jobs), serial, "jobs={jobs}");
-    }
-    let text = String::from_utf8(serial).unwrap();
+    let first = run();
+    assert_eq!(run(), first, "same invocation must be reproducible");
+    let text = String::from_utf8(first).unwrap();
     assert!(text.contains("\"recovery_verified\": true"), "{text}");
     assert!(text.contains("\"replayed_iterations\""), "{text}");
 }
@@ -632,14 +645,12 @@ fn fuzz_rejects_malformed_flags() {
 fn profile_json_is_deterministic_and_covers_every_phase() {
     let dir = std::env::temp_dir().join("anc-cli-profile");
     std::fs::create_dir_all(&dir).unwrap();
-    let run = |jobs: &str, out: &str| {
+    let run = |out: &str| {
         let out_path = dir.join(out);
         let o = anc()
             .args([
                 "profile",
                 "--json",
-                "--jobs",
-                jobs,
                 "--out",
                 out_path.to_str().unwrap(),
                 &kernel_path("gemm.an"),
@@ -653,17 +664,16 @@ fn profile_json_is_deterministic_and_covers_every_phase() {
             std::fs::read_to_string(&out_path).unwrap(),
         )
     };
-    let (stdout1, stderr1, file1) = run("1", "p1.json");
-    let (stdout2, _, _) = run("1", "p2.json");
-    let (stdout8, _, file8) = run("8", "p8.json");
+    let (stdout1, stderr1, file1) = run("p1.json");
+    let (stdout2, _, file2) = run("p2.json");
 
     // stdout is pure JSON; progress goes to stderr.
     assert!(stdout1.starts_with('{'), "{stdout1}");
     assert!(stderr1.contains("wrote "), "{stderr1}");
-    // Byte-identical across repeat runs and across --jobs.
+    // Byte-identical across repeat runs, and the file is the report.
     assert_eq!(stdout1, stdout2, "profile not reproducible");
-    assert_eq!(stdout1, stdout8, "profile depends on --jobs");
-    assert_eq!(file1, file8, "BENCH_profile.json depends on --jobs");
+    assert_eq!(file1, file2, "--out file not reproducible");
+    assert_eq!(file1, stdout1, "--out file differs from stdout");
     // The span tree covers every pipeline phase.
     for phase in [
         "compile",
@@ -935,7 +945,6 @@ fn usage_errors_exit_2_across_every_subcommand() {
         &["chaos", "--seed", "x"],
         // profile
         &["profile", "--bogus"],
-        &["profile", "--jobs", "x"],
         &["profile", "--top", "x"],
         // Bugfix pins: no processors is a usage error wherever
         // processors are counted. These used to exit 1 through the

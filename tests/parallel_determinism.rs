@@ -1,9 +1,10 @@
-//! Determinism contracts of the parallel engines: thread count must
-//! never change a result — not the ranking of a distribution search,
-//! not a single bit of a simulation.
+//! Determinism contracts of the two fan-outs over independent pricings:
+//! thread count must never change a result — not the ranking of a
+//! distribution search, not a single bit of a sweep point.
 
 use access_normalization::autodist::{search_report, AutoDistOptions};
-use access_normalization::numa::{simulate_with_jobs, sweep, MachineConfig, SweepConfig};
+use access_normalization::model::model_stats;
+use access_normalization::numa::{simulate, sweep, MachineConfig, SweepConfig};
 use access_normalization::{compile, CompileOptions};
 
 const GEMM: &str = "param N = 40;
@@ -12,13 +13,6 @@ const GEMM: &str = "param N = 40;
     array B[N, N] distribute wrapped(0);
     for i = 0, N - 1 { for j = 0, N - 1 { for k = 0, N - 1 {
         C[i, j] = C[i, j] + A[i, k] * B[k, j];
-    } } }";
-
-const FIG1: &str = "param N1 = 16; param b = 5; param N2 = 12;
-    array A[N1, N1 + N2 + b] distribute wrapped(1);
-    array B[N1, b] distribute wrapped(1);
-    for i = 0, N1 - 1 { for j = i, i + b - 1 { for k = 0, N2 - 1 {
-        B[i, j - i] = B[i, j - i] + A[i, j + k];
     } } }";
 
 #[test]
@@ -57,29 +51,7 @@ fn search_ranking_is_independent_of_jobs() {
 }
 
 #[test]
-fn simulation_totals_are_bitwise_identical_across_jobs() {
-    for (src, params) in [(GEMM, vec![40i64]), (FIG1, vec![16, 5, 12])] {
-        let compiled = compile(src, &CompileOptions::default()).unwrap();
-        let machine = MachineConfig::butterfly_gp1000();
-        for procs in [1usize, 5, 12, 28] {
-            let serial = simulate_with_jobs(&compiled.spmd, &machine, procs, &params, 1).unwrap();
-            for jobs in [0usize, 2, 3, 8, 64] {
-                let par =
-                    simulate_with_jobs(&compiled.spmd, &machine, procs, &params, jobs).unwrap();
-                assert_eq!(
-                    par.time_us.to_bits(),
-                    serial.time_us.to_bits(),
-                    "procs={procs} jobs={jobs}"
-                );
-                assert_eq!(par.per_proc, serial.per_proc, "procs={procs} jobs={jobs}");
-            }
-        }
-    }
-}
-
-#[test]
 fn sweep_reports_are_independent_of_jobs() {
-    let compiled = compile(GEMM, &CompileOptions::default()).unwrap();
     let machines = [
         MachineConfig::butterfly_gp1000(),
         MachineConfig::ipsc_i860(),
@@ -90,11 +62,19 @@ fn sweep_reports_are_independent_of_jobs() {
         jobs,
         tracer: None,
     };
-    let serial = sweep(&compiled.spmd, &machines, &mk(1)).unwrap();
-    assert_eq!(serial.points.len(), 2 * 4 * 2);
+    let compiled = compile(GEMM, &CompileOptions::default()).unwrap();
+    let spmd = &compiled.spmd;
+    let by_sim = |jobs| sweep(&machines, &mk(jobs), |m, p, ps| simulate(spmd, m, p, ps));
+    let by_model = |jobs| sweep(&machines, &mk(jobs), |m, p, ps| model_stats(spmd, m, p, ps));
+    let (sim, model) = (by_sim(1).unwrap(), by_model(1).unwrap());
+    assert_eq!(sim.points.len(), 2 * 4 * 2);
     for jobs in [0usize, 3, 5] {
-        let par = sweep(&compiled.spmd, &machines, &mk(jobs)).unwrap();
-        assert_eq!(par.points, serial.points, "jobs={jobs}");
+        assert_eq!(by_sim(jobs).unwrap().points, sim.points, "sim, jobs={jobs}");
+        assert_eq!(
+            by_model(jobs).unwrap().points,
+            model.points,
+            "model, jobs={jobs}"
+        );
     }
 }
 

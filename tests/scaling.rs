@@ -91,14 +91,14 @@ fn pure_scaling_one_dimensional() {
 }
 
 #[test]
-fn edge_shape_extents_through_sweep_model_and_verify() {
+fn edge_shape_extents_through_both_sweep_pricings_and_verify() {
     // Degenerate and awkward extents — 1, primes, 2^k ± 1 — in
     // non-square combinations, pushed through the full pipeline, the
     // independent verifier, and both sweep pricings. The analytic model
     // must agree with the simulator on every integer counter at every
     // shape; the verifier must find nothing.
-    use access_normalization::model::sweep_model;
-    use access_normalization::numa::{sweep, MachineConfig, SweepConfig};
+    use access_normalization::model::model_stats;
+    use access_normalization::numa::{simulate, sweep, MachineConfig, SweepConfig};
     use access_normalization::{compile, verify, CompileOptions};
 
     let src = "param N = 8;
@@ -131,8 +131,9 @@ fn edge_shape_extents_through_sweep_model_and_verify() {
         tracer: None,
     };
     let machines = [MachineConfig::butterfly_gp1000()];
-    let by_sim = sweep(&compiled.spmd, &machines, &cfg).unwrap();
-    let by_model = sweep_model(&compiled.spmd, &machines, &cfg).unwrap();
+    let spmd = &compiled.spmd;
+    let by_sim = sweep(&machines, &cfg, |m, p, ps| simulate(spmd, m, p, ps)).unwrap();
+    let by_model = sweep(&machines, &cfg, |m, p, ps| model_stats(spmd, m, p, ps)).unwrap();
     assert_eq!(by_sim.points.len(), 5 * shapes.len());
     assert_eq!(by_model.points.len(), by_sim.points.len());
     for (a, b) in by_model.points.iter().zip(&by_sim.points) {

@@ -1,10 +1,9 @@
 //! Golden-trace and counter-assertion suite for the observability layer.
 //!
 //! Every kernel under `examples/kernels/` is compiled and simulated with
-//! a tracer attached; the JSONL rendering must (a) be byte-identical for
-//! any `--jobs` value, (b) match the checked-in golden trace exactly,
-//! and (c) survive wall-clock normalization (`normalize_jsonl` strips
-//! the only non-deterministic field).
+//! a tracer attached; the JSONL rendering must (a) match the checked-in
+//! golden trace exactly and (b) survive wall-clock normalization
+//! (`normalize_jsonl` strips the only non-deterministic field).
 //!
 //! Regenerate goldens after an intentional event-schema change with:
 //!
@@ -27,7 +26,7 @@ fn kernel_source(name: &str) -> String {
 
 /// One traced compile + simulation; returns the artifacts and the
 /// rendered JSONL trace.
-fn traced_run(src: &str, jobs: usize, wall: bool) -> (Compiled, String) {
+fn traced_run(src: &str, wall: bool) -> (Compiled, String) {
     let tracer = Arc::new(if wall {
         Tracer::with_wall_clock()
     } else {
@@ -40,15 +39,8 @@ fn traced_run(src: &str, jobs: usize, wall: bool) -> (Compiled, String) {
     let compiled = compile(src, &opts).expect("kernel must compile");
     let params = compiled.program.default_param_values();
     let machine = MachineConfig::butterfly_gp1000();
-    simulate_traced(
-        &compiled.spmd,
-        &machine,
-        PROCS,
-        &params,
-        jobs,
-        Some(&tracer),
-    )
-    .expect("simulation must succeed");
+    simulate_traced(&compiled.spmd, &machine, PROCS, &params, Some(&tracer))
+        .expect("simulation must succeed");
     let trace = tracer.snapshot();
     trace
         .check_well_formed()
@@ -57,26 +49,11 @@ fn traced_run(src: &str, jobs: usize, wall: bool) -> (Compiled, String) {
 }
 
 #[test]
-fn traces_are_identical_across_jobs() {
-    for name in KERNELS {
-        let src = kernel_source(name);
-        let (_, serial) = traced_run(&src, 1, false);
-        for jobs in [4, 8] {
-            let (_, par) = traced_run(&src, jobs, false);
-            assert_eq!(
-                serial, par,
-                "{name}: trace differs between --jobs 1 and --jobs {jobs}"
-            );
-        }
-    }
-}
-
-#[test]
 fn traces_match_goldens() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     for name in KERNELS {
         let src = kernel_source(name);
-        let (_, jsonl) = traced_run(&src, 1, false);
+        let (_, jsonl) = traced_run(&src, false);
         let golden_path = format!(
             "{}/tests/golden_traces/{name}.jsonl",
             env!("CARGO_MANIFEST_DIR")
@@ -102,8 +79,8 @@ fn wall_clock_traces_normalize_to_the_logical_golden() {
     // logical-clock run produces.
     for name in KERNELS {
         let src = kernel_source(name);
-        let (_, logical) = traced_run(&src, 1, false);
-        let (_, wall) = traced_run(&src, 1, true);
+        let (_, logical) = traced_run(&src, false);
+        let (_, wall) = traced_run(&src, true);
         assert_ne!(
             logical, wall,
             "{name}: wall-clock run recorded no timestamps"
@@ -118,7 +95,7 @@ fn wall_clock_traces_normalize_to_the_logical_golden() {
 
 /// One traced compile + analytic-model pricing; returns the rendered
 /// JSONL trace (the `model` span subtree rides the compile phases).
-fn traced_model_run(src: &str, jobs: usize) -> String {
+fn traced_model_run(src: &str) -> String {
     let tracer = Arc::new(Tracer::new());
     let opts = CompileOptions {
         tracer: Some(tracer.clone()),
@@ -132,7 +109,6 @@ fn traced_model_run(src: &str, jobs: usize) -> String {
         &machine,
         PROCS,
         &params,
-        jobs,
         Some(&tracer),
     )
     .expect("model must price the kernel");
@@ -146,31 +122,23 @@ fn traced_model_run(src: &str, jobs: usize) -> String {
 #[test]
 fn model_trace_matches_golden_and_every_job_count() {
     // The analytic model's span subtree (span `model` + `model.*`
-    // counters) must be byte-identical for every worker count and must
-    // match its checked-in golden, exactly like the simulator traces.
-    let src = kernel_source("gemm");
-    let serial = traced_model_run(&src, 1);
-    for jobs in [4, 8] {
-        let par = traced_model_run(&src, jobs);
-        assert_eq!(
-            serial, par,
-            "gemm: model trace differs between --jobs 1 and --jobs {jobs}"
-        );
-    }
-    assert!(serial.contains("\"model\""), "model span missing: {serial}");
-    assert!(serial.contains("model.local_accesses"), "{serial}");
+    // counters) must match its checked-in golden, exactly like the
+    // simulator traces.
+    let trace = traced_model_run(&kernel_source("gemm"));
+    assert!(trace.contains("\"model\""), "model span missing: {trace}");
+    assert!(trace.contains("model.local_accesses"), "{trace}");
     let golden_path = format!(
         "{}/tests/golden_traces/gemm_model.jsonl",
         env!("CARGO_MANIFEST_DIR")
     );
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden_path, &serial).unwrap();
+        std::fs::write(&golden_path, &trace).unwrap();
         return;
     }
     let golden = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|e| panic!("missing golden {golden_path} (run with UPDATE_GOLDEN=1): {e}"));
     assert_eq!(
-        serial, golden,
+        trace, golden,
         "gemm: model trace drifted from golden; if intentional, regenerate with UPDATE_GOLDEN=1"
     );
 }
@@ -192,8 +160,7 @@ fn gemm_wrapped_column_counters_match_prediction() {
     let compiled = compile(&src, &opts).unwrap();
     let params = compiled.program.default_param_values();
     let machine = MachineConfig::butterfly_gp1000();
-    let stats =
-        simulate_traced(&compiled.spmd, &machine, PROCS, &params, 1, Some(&tracer)).unwrap();
+    let stats = simulate_traced(&compiled.spmd, &machine, PROCS, &params, Some(&tracer)).unwrap();
 
     let trace = tracer.snapshot();
     let counter = |name: &str| -> u64 {
@@ -245,7 +212,6 @@ fn chaos_trace_retries_match_fault_stats() {
         PROCS,
         &params,
         Scenario::FailStop,
-        1,
         1,
         Some(&tracer),
     )
