@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example autodist`
 
-use access_normalization::autodist::{search_distributions, AutoDistOptions};
+use access_normalization::autodist::{search_report, AutoDistOptions};
 use access_normalization::numa::{simulate, MachineConfig};
 use access_normalization::Error;
 
@@ -28,6 +28,7 @@ fn main() -> Result<(), Error> {
     let opts = AutoDistOptions {
         procs: 16,
         allow_replication: false,
+        top_k: usize::MAX,
         ..AutoDistOptions::default()
     };
 
@@ -35,7 +36,7 @@ fn main() -> Result<(), Error> {
         "searching distributions for GEMM (P = {}, model-scored)…",
         opts.procs
     );
-    let candidates = search_distributions(&program, &machine, &opts)?;
+    let candidates = search_report(&program, &machine, &opts)?.candidates;
     println!("{} candidates evaluated\n", candidates.len());
 
     println!(

@@ -8,9 +8,10 @@
 //! the closed-form analytic locality model of `an-model` — exact
 //! per-processor counts derived from the transformed access matrices,
 //! microseconds-fast, so the exhaustive product over candidate
-//! distributions is practical for real kernels. The top-k finalists are
-//! re-checked against the discrete simulator (bit-for-bit on every
-//! integer counter); `Pricing::Sim` prices everything with the
+//! distributions is practical for real kernels. Each of the top
+//! [`AutoDistOptions::top_k`] finalists is simulated once and checked
+//! against its stored model record ([`stats_agree`]: bit-for-bit on
+//! every integer counter); `Pricing::Sim` prices everything with the
 //! simulator instead (the pre-model behavior).
 //!
 //! # Search engine
@@ -19,10 +20,10 @@
 //! space out over a thread pool ([`AutoDistOptions::jobs`]) and shares a
 //! [`PipelineCtx`] so the expensive integer-linear-algebra and
 //! bound-derivation stages are computed once per distinct input rather
-//! than once per candidate. Scoring keeps only a lightweight
-//! [`CandidateScore`] per candidate; the full [`Compiled`] artifacts are
-//! materialized for the top-k winners only (recompiled through the warm
-//! cache — a handful of hash lookups).
+//! than once per candidate. Scoring keeps only the pricer's
+//! [`SimStats`] per candidate; the full [`Compiled`] artifacts are built
+//! for the top-k winners only (recompiled through the warm cache — a
+//! handful of hash lookups).
 //!
 //! Results are **deterministic**: scores are collected in assignment
 //! order and ranked with a stable sort, so the ranking (including every
@@ -38,8 +39,8 @@ use an_numa::{simulate, MachineConfig, SimStats};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Pricing {
     /// Closed-form analytic counts (`an-model`): exact and fast — the
-    /// default. The top-k finalists are re-checked against the discrete
-    /// simulator ([`AutoDistOptions::validate_top_k`]).
+    /// default. Each of the [`AutoDistOptions::top_k`] finalists is
+    /// re-checked against the discrete simulator.
     #[default]
     Model,
     /// The discrete simulator for every candidate (the pre-model
@@ -85,8 +86,9 @@ pub struct AutoDistOptions {
     /// Worker threads (`0` = all available parallelism, `1` = serial).
     /// The ranking is identical for every value.
     pub jobs: usize,
-    /// How many winners to materialize as full [`DistributionCandidate`]s
-    /// (the ranking always covers every candidate).
+    /// How many winners to build as full [`DistributionCandidate`]s and,
+    /// under [`Pricing::Model`], re-check against the exact simulator
+    /// ([`SearchReport::mismatches`]). The ranking covers every candidate.
     pub top_k: usize,
     /// Run the independent soundness verifier (`an-verify`) on every
     /// compiled candidate and reject those with error-severity findings
@@ -96,10 +98,6 @@ pub struct AutoDistOptions {
     pub verify: bool,
     /// Candidate pricing function ([`Pricing::Model`] by default).
     pub price: Pricing,
-    /// Under [`Pricing::Model`], how many finalists to validate against
-    /// the exact simulator (integer counters must match bit-for-bit;
-    /// divergences are counted in [`SearchReport::mismatches`]).
-    pub validate_top_k: usize,
 }
 
 impl Default for AutoDistOptions {
@@ -112,7 +110,6 @@ impl Default for AutoDistOptions {
             top_k: 8,
             verify: false,
             price: Pricing::Model,
-            validate_top_k: 8,
         }
     }
 }
@@ -154,39 +151,11 @@ impl SearchReport {
 
 /// Outcome of evaluating one assignment in the parallel phase.
 enum Eval {
-    Scored {
-        time_us: f64,
-        remote: f64,
-        /// Present when the search keeps every compile (small spaces).
-        compiled: Option<Box<Compiled>>,
-    },
+    /// The scoring pricer's full record.
+    Scored(SimStats),
     Failed(Error),
     /// Compiled, but the independent verifier found an error.
     Rejected,
-}
-
-/// Searches per-array distributions for a program, returning candidates
-/// sorted by predicted time (best first).
-///
-/// Equivalent to [`search_report`] with an unbounded top-k, returning
-/// just the candidate list (every candidate carries its [`Compiled`]
-/// artifacts, as this function always did).
-///
-/// # Errors
-///
-/// Propagates pipeline errors; candidates whose pipeline fails
-/// (e.g. non-analyzable after a distribution change — cannot happen for
-/// distribution changes, which do not affect dependences) are skipped.
-pub fn search_distributions(
-    program: &Program,
-    machine: &MachineConfig,
-    opts: &AutoDistOptions,
-) -> Result<Vec<DistributionCandidate>, Error> {
-    let opts = AutoDistOptions {
-        top_k: usize::MAX,
-        ..opts.clone()
-    };
-    Ok(search_report(program, machine, &opts)?.candidates)
 }
 
 /// Searches per-array distributions in parallel, returning the ranked
@@ -202,7 +171,7 @@ pub fn search_distributions(
 ///
 /// # Errors
 ///
-/// Propagates pipeline errors from winner materialization. Candidates
+/// Propagates pipeline errors from building the winners. Candidates
 /// whose pipeline or pricing fails during scoring are counted in
 /// [`SearchReport::skipped`]; when that leaves nothing scored, the first
 /// such failure (in assignment order) is the error.
@@ -271,11 +240,9 @@ pub fn search_report(
     ctx.precompute_deps(program, &opts.compile.normalize.deps)?;
     let params = program.default_param_values();
 
-    // Main scoring fan-out. Full `Compiled` artifacts are only retained
-    // when the top-k covers the whole space (then a recompile pass would
-    // just redo everything); otherwise each worker drops them and the
-    // winners are recompiled through the warm cache at the end.
-    let keep_all = total <= opts.top_k;
+    // Main scoring fan-out. Workers keep only the pricer's record and
+    // drop the compile; the winners are recompiled through the warm
+    // cache at the end.
     let evals: Vec<Eval> = an_par::par_map_indexed(total, opts.jobs, |i| {
         let p = with_dists(&decode(i));
         match compile_program_with(&p, &worker_compile, &ctx) {
@@ -288,17 +255,11 @@ pub fn search_report(
                     }
                 }
                 let scored = match opts.price {
-                    Pricing::Model => model_stats(&compiled.spmd, machine, opts.procs, &params)
-                        .map(|s| (s.time_us, s.remote_fraction())),
-                    Pricing::Sim => simulate(&compiled.spmd, machine, opts.procs, &params)
-                        .map(|s| (s.time_us, s.remote_fraction())),
+                    Pricing::Model => model_stats(&compiled.spmd, machine, opts.procs, &params),
+                    Pricing::Sim => simulate(&compiled.spmd, machine, opts.procs, &params),
                 };
                 match scored {
-                    Ok((time_us, remote)) => Eval::Scored {
-                        time_us,
-                        remote,
-                        compiled: keep_all.then(|| Box::new(compiled)),
-                    },
+                    Ok(stats) => Eval::Scored(stats),
                     Err(e) => Eval::Failed(e.into()),
                 }
             }
@@ -314,13 +275,11 @@ pub fn search_report(
 
     // Rank: stable sort over assignment order, so equal times keep
     // enumeration order and the result is independent of `jobs`.
-    let mut order: Vec<(usize, f64, f64)> = evals
+    let mut order: Vec<(usize, &SimStats)> = evals
         .iter()
         .enumerate()
         .filter_map(|(i, e)| match e {
-            Eval::Scored {
-                time_us, remote, ..
-            } => Some((i, *time_us, *remote)),
+            Eval::Scored(stats) => Some((i, stats)),
             _ => None,
         })
         .collect();
@@ -335,70 +294,42 @@ pub fn search_report(
             return Err(e);
         }
     }
-    order.sort_by(|a, b| a.1.total_cmp(&b.1));
+    order.sort_by(|a, b| a.1.time_us.total_cmp(&b.1.time_us));
     let ranking: Vec<CandidateScore> = order
         .iter()
-        .map(|&(i, time_us, remote)| CandidateScore {
+        .map(|&(i, stats)| CandidateScore {
             assignment: decode(i),
-            predicted_time_us: time_us,
-            predicted_remote: remote,
+            predicted_time_us: stats.time_us,
+            predicted_remote: stats.remote_fraction(),
         })
         .collect();
 
-    // Materialize the winners.
-    let mut compiled_by_index: Vec<(usize, Box<Compiled>)> = Vec::new();
-    if keep_all {
-        for (i, e) in evals.into_iter().enumerate() {
-            if let Eval::Scored {
-                compiled: Some(c), ..
-            } = e
-            {
-                compiled_by_index.push((i, c));
-            }
-        }
-    }
+    // Build the winners, and under model pricing check each once: the
+    // exact simulator on the recompiled SPMD must agree with the stored
+    // model record on every integer counter. The model is *supposed* to
+    // be exact everywhere (the differential suite proves it on the
+    // corpus), so a mismatch means a model bug — surfaced, not fixed up.
     let mut candidates = Vec::new();
-    for &(i, time_us, remote) in order.iter().take(opts.top_k.min(order.len())) {
-        let compiled = match compiled_by_index
-            .iter()
-            .position(|(idx, _)| *idx == i)
-            .map(|pos| compiled_by_index.swap_remove(pos).1)
-        {
-            Some(c) => *c,
-            // Warm-cache recompile: deterministic, so it succeeds
-            // exactly when the scoring compile did.
-            None => compile_program_with(&with_dists(&decode(i)), &worker_compile, &ctx)?,
-        };
-        candidates.push(DistributionCandidate {
-            assignment: decode(i),
-            predicted_time_us: time_us,
-            predicted_remote: remote,
-            compiled,
-        });
-    }
-
-    // Top-k validation protocol: under model pricing, re-run the exact
-    // simulator on the finalists and demand bit-for-bit agreement on
-    // every integer counter. The model is *supposed* to be exact
-    // everywhere (the differential suite proves it on the corpus), so
-    // mismatches here mean a model bug — they are surfaced, not fixed up.
     let mut validated = 0usize;
     let mut mismatches = 0usize;
-    if opts.price == Pricing::Model {
-        for c in candidates.iter().take(opts.validate_top_k) {
-            let sim = simulate(&c.compiled.spmd, machine, opts.procs, &params);
-            let model = model_stats(&c.compiled.spmd, machine, opts.procs, &params);
+    for &(i, stats) in order.iter().take(opts.top_k) {
+        let assignment = decode(i);
+        // Warm-cache recompile: deterministic, so it succeeds exactly
+        // when the scoring compile did.
+        let compiled = compile_program_with(&with_dists(&assignment), &worker_compile, &ctx)?;
+        if opts.price == Pricing::Model {
             validated += 1;
-            match (sim, model) {
-                (Ok(s), Ok(m)) => {
-                    if !stats_agree(&s, &m) {
-                        mismatches += 1;
-                    }
-                }
-                (Err(a), Err(b)) if a == b => {}
-                _ => mismatches += 1,
+            let sim = simulate(&compiled.spmd, machine, opts.procs, &params);
+            if !sim.is_ok_and(|s| stats_agree(&s, stats)) {
+                mismatches += 1;
             }
         }
+        candidates.push(DistributionCandidate {
+            assignment,
+            predicted_time_us: stats.time_us,
+            predicted_remote: stats.remote_fraction(),
+            compiled,
+        });
     }
 
     if let Some(t) = tracer {
@@ -432,6 +363,8 @@ pub fn search_report(
 /// The model-vs-simulator agreement contract: every integer counter
 /// identical on every processor; busy/total times equal to floating
 /// point tolerance (same sums, different accumulation order).
+/// Fault accounting (`retries`, `timeouts`, [`SimStats::faults`]) is not
+/// compared: both evaluators price fault-free runs only.
 pub fn stats_agree(sim: &SimStats, model: &SimStats) -> bool {
     if sim.per_proc.len() != model.per_proc.len() {
         return false;
@@ -490,15 +423,29 @@ mod tests {
         .unwrap()
     }
 
+    /// One array, four candidates: a space smaller than the default
+    /// `top_k`.
+    fn single_array() -> Program {
+        an_lang::parse(
+            "param N = 8;
+             array A[N, N] distribute wrapped(0);
+             for i = 0, N - 1 { for j = 0, N - 1 {
+                 A[i, j] = A[i, j] + 1.0;
+             } }",
+        )
+        .unwrap()
+    }
+
     #[test]
     fn search_finds_a_fully_local_gemm_layout() {
         let machine = MachineConfig::butterfly_gp1000();
         let opts = AutoDistOptions {
             procs: 8,
             allow_replication: false,
+            top_k: usize::MAX,
             ..AutoDistOptions::default()
         };
-        let candidates = search_distributions(&gemm(), &machine, &opts).unwrap();
+        let candidates = search_report(&gemm(), &machine, &opts).unwrap().candidates;
         assert!(!candidates.is_empty());
         // 3 arrays x 4 options each = 64 candidates.
         assert_eq!(candidates.len(), 64);
@@ -539,8 +486,8 @@ mod tests {
             allow_replication: true,
             ..AutoDistOptions::default()
         };
-        let candidates = search_distributions(&gemm(), &machine, &opts).unwrap();
-        let best = &candidates[0];
+        let report = search_report(&gemm(), &machine, &opts).unwrap();
+        let best = report.best().unwrap();
         assert!(best.predicted_remote < 0.01);
     }
 
@@ -601,14 +548,7 @@ mod tests {
         // A small space (one array, four candidates) so the verifier's
         // per-candidate enumeration stays cheap. Every candidate should
         // pass — the accounting must still close.
-        let p = an_lang::parse(
-            "param N = 8;
-             array A[N, N] distribute wrapped(0);
-             for i = 0, N - 1 { for j = 0, N - 1 {
-                 A[i, j] = A[i, j] + 1.0;
-             } }",
-        )
-        .unwrap();
+        let p = single_array();
         let machine = MachineConfig::butterfly_gp1000();
         let opts = AutoDistOptions {
             procs: 4,
@@ -666,5 +606,113 @@ mod tests {
                 (c.predicted_time_us - sim_best_t).abs() / scale < 1e-9
             })
             .any(|c| c.assignment == best.assignment));
+    }
+
+    #[test]
+    fn every_winner_is_a_fresh_compile_of_its_assignment() {
+        // Both spaces fit in the default `top_k`, so every candidate is
+        // built (by the one warm recompile) and checked.
+        let cholesky = an_lang::parse(include_str!("../examples/kernels/cholesky.an")).unwrap();
+        let machine = MachineConfig::butterfly_gp1000();
+        let opts = AutoDistOptions {
+            procs: 4,
+            ..AutoDistOptions::default()
+        };
+        for p in [single_array(), cholesky] {
+            let report = search_report(&p, &machine, &opts).unwrap();
+            assert_eq!(report.evaluated, 4);
+            assert_eq!(report.candidates.len(), report.evaluated);
+            assert_eq!(report.validated, report.evaluated);
+            assert_eq!(report.mismatches, 0);
+            for c in &report.candidates {
+                let mut q = p.clone();
+                for (arr, d) in q.arrays.iter_mut().zip(&c.assignment) {
+                    arr.distribution = *d;
+                }
+                let fresh = crate::compile_program(&q, &CompileOptions::default()).unwrap();
+                assert_eq!(
+                    an_codegen::emit::emit_spmd(&c.compiled.spmd),
+                    an_codegen::emit::emit_spmd(&fresh.spmd),
+                    "{:?}",
+                    c.assignment
+                );
+            }
+        }
+    }
+
+    /// Two processors with distinct, nonzero counters and times large
+    /// enough that the tolerance is relative.
+    fn two_procs() -> SimStats {
+        let proc = |busy_us| an_numa::ProcStats {
+            local_accesses: 10,
+            remote_accesses: 3,
+            messages: 2,
+            transfer_bytes: 64,
+            outer_iterations: 5,
+            busy_us,
+            ..an_numa::ProcStats::default()
+        };
+        SimStats {
+            procs: 2,
+            time_us: 2000.0,
+            per_proc: vec![proc(1000.0), proc(2000.0)],
+            faults: an_numa::FaultStats::default(),
+        }
+    }
+
+    #[test]
+    fn stats_agree_demands_every_integer_counter() {
+        let base = two_procs();
+        assert!(stats_agree(&base, &base.clone()));
+        let bumps: [fn(&mut an_numa::ProcStats); 5] = [
+            |p| p.local_accesses += 1,
+            |p| p.remote_accesses += 1,
+            |p| p.messages += 1,
+            |p| p.transfer_bytes += 1,
+            |p| p.outer_iterations += 1,
+        ];
+        for bump in bumps {
+            let mut moved = base.clone();
+            bump(&mut moved.per_proc[1]);
+            assert!(!stats_agree(&base, &moved));
+            assert!(!stats_agree(&moved, &base));
+        }
+    }
+
+    #[test]
+    fn stats_agree_tolerates_times_within_one_part_per_million() {
+        let base = two_procs();
+        let scaled = |busy: f64, time: f64| {
+            let mut s = base.clone();
+            s.per_proc[0].busy_us *= busy;
+            s.time_us *= time;
+            s
+        };
+        assert!(stats_agree(&base, &scaled(1.0 + 1e-7, 1.0 + 1e-7)));
+        assert!(!stats_agree(&base, &scaled(1.0 + 1e-5, 1.0)));
+        assert!(!stats_agree(&base, &scaled(1.0, 1.0 + 1e-5)));
+    }
+
+    #[test]
+    fn stats_agree_rejects_a_different_processor_count() {
+        let base = two_procs();
+        let mut fewer = base.clone();
+        fewer.per_proc.pop();
+        assert!(!stats_agree(&base, &fewer));
+        assert!(!stats_agree(&fewer, &base));
+    }
+
+    #[test]
+    fn stats_agree_ignores_fault_accounting() {
+        let base = two_procs();
+        let mut faulted = base.clone();
+        faulted.per_proc[0].retries = 3;
+        faulted.per_proc[1].timeouts = 1;
+        faulted.faults = an_numa::FaultStats {
+            replayed_iterations: 7,
+            redistributed_bytes: 128,
+            failed_procs: vec![1],
+        };
+        assert!(stats_agree(&base, &faulted));
     }
 }

@@ -269,7 +269,6 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
             top_k: 5,
             verify,
             price,
-            ..AutoDistOptions::default()
         };
         let report = search_report(&compiled.program, &machine, &opts).map_err(failed)?;
         println!(

@@ -547,7 +547,7 @@ fn chaos_reports_recovery_for_every_scenario() {
 }
 
 #[test]
-fn chaos_json_is_byte_identical_for_any_jobs() {
+fn chaos_json_is_byte_identical_across_runs() {
     // `anc chaos` takes no `--jobs` (every pricing call is serial), so
     // this is a repeat-run check: the JSON has no wall-clock field.
     let run = || {

@@ -120,7 +120,7 @@ fn traced_model_run(src: &str) -> String {
 }
 
 #[test]
-fn model_trace_matches_golden_and_every_job_count() {
+fn model_trace_matches_golden() {
     // The analytic model's span subtree (span `model` + `model.*`
     // counters) must match its checked-in golden, exactly like the
     // simulator traces.
