@@ -1,5 +1,6 @@
-//! Home-processor computation for distributed arrays, and modular
-//! counting helpers used by the closed-form inner-loop costing.
+//! Home-processor computation for distributed arrays, and the modular
+//! and interval counting of the closed-form innermost count
+//! ([`crate::plan::Plan::local_hits`]).
 
 use crate::error::SimError;
 use an_ir::{ArrayDecl, Distribution, IrError, Program};
@@ -151,6 +152,7 @@ pub fn validate_extents(program: &Program, params: &[i64]) -> Result<Vec<Vec<i64
 
 /// Counts `w ∈ [lo, hi]` with `(a·w + c) mod P == p` — the number of
 /// inner-loop iterations whose wrapped home is processor `p`.
+#[inline]
 pub fn count_wrapped_hits(lo: i64, hi: i64, a: i64, c: i64, procs: usize, p: usize) -> i64 {
     if lo > hi {
         return 0;
@@ -223,6 +225,7 @@ pub fn invert_interval(a: i64, c: i64, blo: i64, bhi: i64) -> (i64, i64) {
 
 /// Counts `w ∈ [lo, hi]` with `a·w + c ∈ [blo, bhi]` — the number of
 /// inner-loop iterations whose blocked home is a given block.
+#[inline]
 pub fn count_interval_hits(lo: i64, hi: i64, a: i64, c: i64, blo: i64, bhi: i64) -> i64 {
     if lo > hi || blo > bhi {
         return 0;
@@ -234,6 +237,47 @@ pub fn count_interval_hits(lo: i64, hi: i64, a: i64, c: i64, blo: i64, bhi: i64)
     let s = wlo.max(lo);
     let e = whi.min(hi);
     (e - s + 1).max(0)
+}
+
+/// Counts `w ∈ [lo, hi]` whose Block2D home is processor `p`, for a
+/// row subscript `row.0·w + row.1` and a column subscript `col.0·w +
+/// col.1` over a `pr × pc` grid of `sr × sc` blocks: the intersection of
+/// the two inverted block intervals.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn count_block2d(
+    lo: i64,
+    hi: i64,
+    row: (i64, i64),
+    col: (i64, i64),
+    sr: i64,
+    sc: i64,
+    pr: usize,
+    pc: usize,
+    p: usize,
+) -> i64 {
+    if lo > hi {
+        return 0;
+    }
+    let (tr, tc) = ((p / pc) as i64, (p % pc) as i64);
+    let mut wlo = lo;
+    let mut whi = hi;
+    for ((a, c), (s, g, t)) in [row, col]
+        .into_iter()
+        .zip([(sr, pr as i64, tr), (sc, pc as i64, tc)])
+    {
+        let (blo, bhi) = block_interval(t, s, g);
+        if a == 0 {
+            if c < blo || c > bhi {
+                return 0;
+            }
+        } else {
+            let (ilo, ihi) = invert_interval(a, c, blo, bhi);
+            wlo = wlo.max(ilo);
+            whi = whi.min(ihi);
+        }
+    }
+    (whi - wlo + 1).max(0)
 }
 
 #[cfg(test)]
@@ -336,6 +380,52 @@ mod tests {
                     })
                     .count() as i64;
                 assert_eq!(fast, slow, "a={a} c={c}");
+            }
+        }
+    }
+
+    #[test]
+    fn block2d_count_matches_brute_force() {
+        for procs in [1usize, 2, 4, 6, 8] {
+            let (pr, pc) = grid_shape(procs);
+            for sr in [1i64, 3, 5] {
+                for sc in [2i64, 4] {
+                    for ar in [-2i64, 0, 1, 3] {
+                        for ac in [-1i64, 0, 2] {
+                            for cr in [-4i64, 0, 7] {
+                                for cc in [-3i64, 1] {
+                                    for p in 0..procs {
+                                        let fast = count_block2d(
+                                            -5,
+                                            23,
+                                            (ar, cr),
+                                            (ac, cc),
+                                            sr,
+                                            sc,
+                                            pr,
+                                            pc,
+                                            p,
+                                        );
+                                        let slow = (-5i64..=23)
+                                            .filter(|&w| {
+                                                let ir = ar * w + cr;
+                                                let ic = ac * w + cc;
+                                                let hr = div_floor(ir, sr).clamp(0, pr as i64 - 1);
+                                                let hc = div_floor(ic, sc).clamp(0, pc as i64 - 1);
+                                                (hr * pc as i64 + hc) as usize == p
+                                            })
+                                            .count()
+                                            as i64;
+                                        assert_eq!(
+                                            fast, slow,
+                                            "P={procs} sr={sr} sc={sc} ar={ar} ac={ac} cr={cr} cc={cc} p={p}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

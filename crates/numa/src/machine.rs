@@ -1,5 +1,7 @@
 //! Machine cost models.
 
+use crate::stats::ProcStats;
+
 /// Network contention model: inflates remote latency as a function of
 /// the processor count. The paper (Section 1, citing Agarwal) notes that
 /// long messages can increase contention; the knob lets benches explore
@@ -97,17 +99,32 @@ impl MachineConfig {
         }
     }
 
-    /// The effective block-transfer cost for `elements` elements at `p`
-    /// processors.
-    pub fn transfer_cost(&self, elements: i64, procs: usize) -> f64 {
-        let per_byte = match self.contention {
+    /// The effective block-transfer time per byte at `p` processors.
+    pub fn per_byte(&self, procs: usize) -> f64 {
+        match self.contention {
             ContentionModel::None => self.transfer_per_byte,
             ContentionModel::Linear { beta, .. } => {
                 let load = (procs.saturating_sub(1)) as f64 / procs.max(1) as f64;
                 self.transfer_per_byte * (1.0 + beta * load)
             }
-        };
-        self.transfer_startup + per_byte * self.element_bytes * elements.max(0) as f64
+        }
+    }
+
+    /// The effective block-transfer cost for `elements` elements at `p`
+    /// processors.
+    pub fn transfer_cost(&self, elements: i64, procs: usize) -> f64 {
+        self.transfer_startup + self.per_byte(procs) * self.element_bytes * elements.max(0) as f64
+    }
+
+    /// The fault-free busy time of one processor's counters at `procs`
+    /// processors: the one place a count becomes microseconds. Both
+    /// evaluators only count, so equal counters give bit-equal times.
+    pub fn busy_us(&self, s: &ProcStats, procs: usize) -> f64 {
+        s.ops as f64 * self.compute_per_op
+            + s.local_accesses as f64 * self.local_access
+            + s.remote_accesses as f64 * self.remote_effective(procs)
+            + s.messages as f64 * self.transfer_startup
+            + s.transfer_bytes as f64 * self.per_byte(procs)
     }
 }
 

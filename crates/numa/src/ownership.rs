@@ -38,7 +38,6 @@ pub fn simulate_ownership(
         });
     }
     let extents = validate_extents(program, params)?;
-    let remote = machine.remote_effective(procs);
     let mut per_proc = vec![ProcStats::default(); procs];
 
     program
@@ -53,7 +52,7 @@ pub fn simulate_ownership(
                 let owner = home_of(guard_decl, &extents[guard.array.0], &guard_idx, procs);
                 for (p, stats) in per_proc.iter_mut().enumerate() {
                     // Everyone pays the guard evaluation.
-                    stats.busy_us += machine.compute_per_op;
+                    stats.ops += 1;
                     if !owner.is_local_to(p) {
                         continue;
                     }
@@ -64,8 +63,7 @@ pub fn simulate_ownership(
                     }
                     // The owner executes the statement.
                     stats.outer_iterations += 1;
-                    let ops = rhs.op_count();
-                    stats.busy_us += ops as f64 * machine.compute_per_op;
+                    stats.ops += rhs.op_count();
                     let mut refs = vec![lhs.clone()];
                     refs.extend(rhs.reads().into_iter().cloned());
                     for r in refs {
@@ -75,10 +73,8 @@ pub fn simulate_ownership(
                             || home_of(decl, &extents[r.array.0], &idx, procs).is_local_to(p);
                         if local {
                             stats.local_accesses += 1;
-                            stats.busy_us += machine.local_access;
                         } else {
                             stats.remote_accesses += 1;
-                            stats.busy_us += remote;
                         }
                     }
                 }
@@ -89,6 +85,9 @@ pub fn simulate_ownership(
             _ => SimError::UnboundedLoop { var: 0 },
         })?;
 
+    for stats in &mut per_proc {
+        stats.busy_us = machine.busy_us(stats, procs);
+    }
     let time_us = per_proc.iter().map(|s| s.busy_us).fold(0.0, f64::max);
     Ok(SimStats {
         procs,

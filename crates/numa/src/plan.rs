@@ -7,17 +7,18 @@
 //! array extents, each access's distribution subscript flattened for the
 //! innermost loop, which reads a hoisted transfer covers, which outer
 //! iterations a processor executes, and where a transfer's slice lives.
-//! This module owns all of them. The simulator
-//! ([`crate::simulate`]) is the *enumerating* evaluator of a [`Plan`]
-//! (it takes over at the innermost loop); `an-model` is the
-//! *closed-form* evaluator of the same plan (it takes over one level
-//! higher and collapses that level into residue classes). What they do
-//! not share, on purpose, is the innermost hit counting: the
-//! simulator's per-element Block2D path is the reference the
-//! differential suite checks the model's closed form against.
+//! This module owns all of them, and the one innermost count
+//! ([`Plan::local_hits`]). The simulator ([`mod@crate::simulate`]) is the
+//! *enumerating* evaluator of a [`Plan`] (it takes over at the innermost
+//! loop); `an-model` is the *closed-form* evaluator of the same plan (it
+//! takes over one level higher and collapses that level into residue
+//! classes, handing the levels it cannot collapse to the simulator's
+//! walk). Both only count; [`evaluate`] turns each processor's counts
+//! into time with [`MachineConfig::busy_us`].
 
 use crate::distribution::{
-    block_interval, block_size, grid_shape, home_of, invert_interval, validate_extents, HEADROOM,
+    block_interval, block_size, count_block2d, count_interval_hits, count_wrapped_hits, grid_shape,
+    home_of, invert_interval, validate_extents, HEADROOM,
 };
 use crate::machine::MachineConfig;
 use crate::stats::{FaultStats, ProcStats, SimStats};
@@ -113,7 +114,7 @@ pub struct Access<'a> {
     pub covered: bool,
 }
 
-/// A hoisted block transfer with its (point-independent) price.
+/// A hoisted block transfer with its (point-independent) size.
 #[derive(Debug, Clone)]
 pub struct Transfer<'a> {
     /// The transfer as generated by `an-codegen`.
@@ -122,16 +123,13 @@ pub struct Transfer<'a> {
     pub elements: i64,
     /// Bytes moved per firing.
     pub bytes: u64,
-    /// Fault-free cost of one firing (µs).
-    pub cost_us: f64,
 }
 
 impl Transfer<'_> {
-    /// Accounts one fault-free firing.
+    /// Counts one firing.
     pub fn charge(&self, stats: &mut ProcStats) {
         stats.messages += 1;
         stats.transfer_bytes += self.bytes;
-        stats.busy_us += self.cost_us;
     }
 }
 
@@ -150,7 +148,7 @@ pub fn covered(spmd: &SpmdProgram, r: &ArrayRef, is_write: bool) -> bool {
 
 /// What an evaluator adds to the shared level walk.
 pub trait Evaluator {
-    /// Prices everything from the take-over level down at the iteration
+    /// Counts everything from the take-over level down at the iteration
     /// prefix in `point`; returns whether any full-depth iteration
     /// executed there.
     ///
@@ -160,9 +158,11 @@ pub trait Evaluator {
     /// evaluated.
     fn leaf(&self, p: usize, point: &mut [i64], stats: &mut ProcStats) -> Result<bool, SimError>;
 
-    /// Prices transfer `t`, hoisted above the take-over level, at an
-    /// iteration prefix that did real work.
-    fn transfer(&self, t: &Transfer<'_>, p: usize, point: &[i64], stats: &mut ProcStats);
+    /// Counts transfer `t`, hoisted above the take-over level, firing
+    /// for processor `p` at an iteration prefix that did real work.
+    fn transfer(&self, t: &Transfer<'_>, _p: usize, _point: &[i64], stats: &mut ProcStats) {
+        t.charge(stats);
+    }
 }
 
 /// The domain plan of one `(program, machine, P, parameters)` point.
@@ -185,8 +185,6 @@ pub struct Plan<'a> {
     pub n_access: usize,
     /// Transfers grouped by hoist level.
     pub transfers_at: Vec<Vec<Transfer<'a>>>,
-    /// Per-element remote latency at this processor count (µs).
-    pub remote_us: f64,
 }
 
 impl<'a> Plan<'a> {
@@ -208,7 +206,6 @@ impl<'a> Plan<'a> {
                 block,
                 elements,
                 bytes: (elements.max(0) as u64) * machine.element_bytes as u64,
-                cost_us: machine.transfer_cost(elements, procs),
             });
         }
         let plan_access = |r: &'a ArrayRef, is_write: bool| {
@@ -263,7 +260,6 @@ impl<'a> Plan<'a> {
             n_access: stmts.iter().map(|(_, a)| a.len()).sum(),
             stmts,
             transfers_at,
-            remote_us: machine.remote_effective(procs),
             extents,
         }
     }
@@ -369,7 +365,45 @@ impl<'a> Plan<'a> {
         !home_of(decl, &self.extents[t.array.0], &idx, self.procs).is_local_to(p)
     }
 
-    /// Prices processor `p`'s slice of the iteration space: the shared
+    /// How many `w ∈ [lo, hi]` of the innermost loop at `point` find
+    /// access `acc` local to processor `p`: every one for a covered read
+    /// or a local array, else the closed-form count of its distribution.
+    #[inline]
+    pub fn local_hits(&self, acc: &Access<'_>, lo: i64, hi: i64, p: usize, point: &[i64]) -> i64 {
+        if lo > hi {
+            return 0;
+        }
+        let procs = self.procs;
+        match &acc.dist {
+            _ if acc.covered => hi - lo + 1,
+            Dist::Local => hi - lo + 1,
+            Dist::Wrapped(sub) => count_wrapped_hits(lo, hi, sub.a, sub.eval(point), procs, p),
+            Dist::Blocked { sub, size } => {
+                let (blo, bhi) = block_interval(p as i64, *size, procs as i64);
+                count_interval_hits(lo, hi, sub.a, sub.eval(point), blo, bhi)
+            }
+            Dist::Block2D {
+                row,
+                col,
+                sr,
+                sc,
+                pr,
+                pc,
+            } => count_block2d(
+                lo,
+                hi,
+                (row.a, row.eval(point)),
+                (col.a, col.eval(point)),
+                *sr,
+                *sc,
+                *pr,
+                *pc,
+                p,
+            ),
+        }
+    }
+
+    /// Counts processor `p`'s slice of the iteration space: the shared
     /// walk over loop levels `0..leaf_level`, with `eval` taking over at
     /// `leaf_level`.
     ///
@@ -392,7 +426,7 @@ impl<'a> Plan<'a> {
     /// executed below it. Hoisted transfers (and outer-iteration
     /// counting) fire only for prefixes with real work, matching an
     /// element-by-element execution.
-    fn walk(
+    pub(crate) fn walk(
         &self,
         eval: &impl Evaluator,
         leaf_level: usize,
@@ -419,7 +453,9 @@ impl<'a> Plan<'a> {
                     stats.outer_iterations += 1;
                 }
                 for t in &self.transfers_at[level] {
-                    eval.transfer(t, p, point, stats);
+                    if self.transfer_fires(t.block, p, point) {
+                        eval.transfer(t, p, point, stats);
+                    }
                 }
             }
         }
@@ -535,8 +571,9 @@ fn validate_ranges(plan: &Plan<'_>) -> Result<(), SimError> {
 }
 
 /// The entry point both evaluators share: validates the request, builds
-/// the [`Plan`], prices each processor in order with `per_proc`, and
-/// folds the completion time.
+/// the [`Plan`], counts each processor in order with `per_proc`, adds
+/// [`MachineConfig::busy_us`] of its counts to its busy time, and folds
+/// the completion time.
 ///
 /// # Errors
 ///
@@ -568,7 +605,11 @@ pub fn evaluate(
     let plan = Plan::build(spmd, machine, procs, params);
     validate_ranges(&plan)?;
     let per_proc = (0..procs)
-        .map(|p| per_proc(&plan, p))
+        .map(|p| {
+            let mut stats = per_proc(&plan, p)?;
+            stats.busy_us += machine.busy_us(&stats, procs);
+            Ok(stats)
+        })
         .collect::<Result<Vec<_>, _>>()?;
     let time_us = if spmd.outer_carried {
         per_proc.iter().map(|s| s.busy_us).sum()

@@ -2,17 +2,19 @@
 //!
 //! The enumerating evaluator of the shared domain plan
 //! ([`crate::plan`]): each processor's loop nest is walked explicitly
-//! down to the second-innermost level; the innermost loop is priced in
-//! closed form by counting, with modular arithmetic, how many of its
-//! iterations hit local vs. remote homes. That makes paper-sized problems (400×400
-//! GEMM on 28 processors) simulate in milliseconds while charging
-//! *exactly* the same per-access costs as an element-by-element walk —
-//! a property the test suite checks against a reference implementation.
+//! down to the second-innermost level; the innermost loop is counted in
+//! closed form by [`Plan::local_hits`], which tells, with modular
+//! arithmetic, how many of its iterations hit local vs. remote homes.
+//! That makes paper-sized problems (400×400 GEMM on 28 processors)
+//! simulate in milliseconds while counting *exactly* what an
+//! element-by-element walk counts — a property the test suite checks
+//! against a reference implementation. The engine only counts;
+//! [`evaluate`] prices the counts. [`enumerate_from`] lends the same walk
+//! to `an-model` for the levels it does not collapse.
 
-use crate::distribution::{block_interval, count_interval_hits, count_wrapped_hits, home_of};
 use crate::faults::{backoff_us, ChaosCtx, MAX_RETRIES, TIMEOUT_US};
 use crate::machine::MachineConfig;
-use crate::plan::{evaluate, Dist, Evaluator, Plan, Transfer};
+use crate::plan::{evaluate, Evaluator, Plan, Transfer};
 use crate::stats::{ProcStats, SimStats};
 use crate::SimError;
 use an_codegen::spmd::SpmdProgram;
@@ -76,9 +78,28 @@ pub fn simulate_traced(
     Ok(stats)
 }
 
+/// Counts processor `p`'s iterations from loop `level` down, at the
+/// prefix in `point`, with the simulator's walk: how `an-model` prices a
+/// level it does not collapse. Returns whether any full-depth iteration
+/// executed.
+///
+/// # Errors
+///
+/// [`SimError::UnboundedLoop`] if a loop bound cannot be evaluated.
+pub fn enumerate_from(
+    plan: &Plan<'_>,
+    level: usize,
+    p: usize,
+    point: &mut [i64],
+    stats: &mut ProcStats,
+) -> Result<bool, SimError> {
+    let sim = Sim { plan, chaos: None };
+    plan.walk(&sim, sim.leaf_level(), level, p, point, stats)
+}
+
 /// The enumerating evaluator of a [`Plan`]: the shared walk visits every
-/// iteration prefix down to the second-innermost level and this prices
-/// the innermost loop there by counting home hits.
+/// iteration prefix down to the second-innermost level and this counts
+/// the innermost loop there.
 pub(crate) struct Sim<'p, 'a> {
     pub(crate) plan: &'p Plan<'a>,
     /// Armed fault-injection context; `None` keeps every chaos hook a
@@ -87,16 +108,14 @@ pub(crate) struct Sim<'p, 'a> {
 }
 
 impl Evaluator for Sim<'_, '_> {
-    /// Prices the innermost loop at `point` — the whole loop for nests
+    /// Counts the innermost loop at `point` — the whole loop for nests
     /// deeper than 1, the single iteration `point[0]` for depth-1 nests
     /// (whose only loop the shared walk enumerates).
     fn leaf(&self, p: usize, point: &mut [i64], stats: &mut ProcStats) -> Result<bool, SimError> {
         let plan = self.plan;
         let inner = point.len() - 1;
         if inner == 0 {
-            let v = point[0];
-            self.cost_innermost(v, v, p, point, stats);
-            point[0] = v; // cost_innermost resets the slot
+            self.cost_innermost(point[0], point[0], p, point, stats);
             return Ok(true);
         }
         let (lo, hi) = plan.spmd.program.nest.bounds[inner]
@@ -113,135 +132,100 @@ impl Evaluator for Sim<'_, '_> {
         Ok(lo <= hi)
     }
 
-    /// Charges a firing transfer; under an armed chaos scenario, through
+    /// Counts a firing transfer; under an armed chaos scenario, through
     /// the resilient retry protocol.
     fn transfer(&self, t: &Transfer<'_>, p: usize, point: &[i64], stats: &mut ProcStats) {
-        if !self.plan.transfer_fires(t.block, p, point) {
-            return; // the slice is already local
-        }
+        t.charge(stats);
         let Some(ctx) = &self.chaos else {
-            t.charge(stats);
             return;
         };
         // Resilient protocol: each attempt can be dropped (timeout, then
         // exponential backoff with seed-derived jitter and a retry) or
         // delayed; a contention spike multiplies the switch latency. All
         // rolls hash stable identities, so survivor renumbering cannot
-        // shift an outcome.
+        // shift an outcome. Every attempt is counted as a firing, which
+        // the fault-free price charges one transfer cost, so busy time
+        // gains only what a fault changes.
         let spike = ctx.plan.spike_factor(point[0]);
         let mseed = ctx
             .plan
             .message_seed(ctx.proc_ids[p], t.block.array.0, t.block.dim, point);
+        let cost = self.plan.machine.transfer_cost(t.elements, self.plan.procs);
         let mut attempt: u32 = 0;
         loop {
-            stats.messages += 1;
-            stats.transfer_bytes += t.bytes;
             if !ctx.plan.roll_drop(mseed, attempt) {
-                let mut cost = t.cost_us * spike;
+                stats.busy_us += cost * (spike - 1.0);
                 if ctx.plan.roll_delay(mseed, attempt) {
-                    cost += ctx.plan.delay_us;
+                    stats.busy_us += ctx.plan.delay_us;
                 }
-                stats.busy_us += cost;
                 return;
             }
-            // Lost in the switch: wait out the timeout.
+            // Lost in the switch: wait out the timeout instead.
             stats.timeouts += 1;
-            stats.busy_us += TIMEOUT_US;
+            stats.busy_us += TIMEOUT_US - cost;
             if attempt >= MAX_RETRIES {
                 // Retries exhausted against a live home: the slow-switch
                 // path falls back to element-wise remote fetches. The data
                 // still arrives, so semantics are unaffected — only time.
-                stats.busy_us += t.elements.max(0) as f64 * self.plan.remote_us * spike;
+                stats.busy_us += t.elements.max(0) as f64 * self.remote_us() * spike;
                 return;
             }
             attempt += 1;
             stats.retries += 1;
             stats.busy_us += backoff_us(mseed, attempt);
+            t.charge(stats);
         }
     }
 }
 
 impl Sim<'_, '_> {
-    /// Takes over from the shared walk at the innermost loop — or, for
-    /// depth-1 nests, below it, so the walk still applies the outer
+    /// The level the simulator takes over at: the innermost loop — or,
+    /// for depth-1 nests, below it, so the walk still applies the outer
     /// filter and the transfers per iteration.
+    fn leaf_level(&self) -> usize {
+        self.plan.spmd.program.nest.depth().max(2) - 1
+    }
+
+    /// Counts processor `p`'s slice of the iteration space.
     pub(crate) fn run_processor(&self, p: usize) -> Result<ProcStats, SimError> {
-        let depth = self.plan.spmd.program.nest.depth();
-        self.plan.run_processor(self, depth.max(2) - 1, p)
+        self.plan.run_processor(self, self.leaf_level(), p)
     }
 
-    /// Effective per-element remote latency at outer iteration `outer` —
-    /// the base cost, times the contention-spike factor when a chaos
-    /// scenario arms one.
-    #[inline]
-    fn remote_at(&self, outer: i64) -> f64 {
-        match &self.chaos {
-            None => self.plan.remote_us,
-            Some(ctx) => self.plan.remote_us * ctx.plan.spike_factor(outer),
-        }
-    }
-
-    /// Prices the innermost loop `w ∈ [lo, hi]` in closed form.
-    fn cost_innermost(&self, lo: i64, hi: i64, p: usize, point: &mut [i64], stats: &mut ProcStats) {
+    /// Counts the innermost loop `w ∈ [lo, hi]` in closed form. Under an
+    /// armed contention spike, each remote access also pays the spike's
+    /// surcharge over its fault-free price.
+    fn cost_innermost(&self, lo: i64, hi: i64, p: usize, point: &[i64], stats: &mut ProcStats) {
         if lo > hi {
             return;
         }
         let plan = self.plan;
-        let procs = plan.procs;
         let trips = (hi - lo + 1) as u64;
-        let inner = point.len() - 1;
-        let remote_us = self.remote_at(point[0]);
-        let mut local_total: u64 = 0;
-        let mut remote_total: u64 = 0;
+        let mut remote: u64 = 0;
         for (ops, accesses) in &plan.stmts {
-            stats.busy_us += trips as f64 * *ops as f64 * plan.machine.compute_per_op;
+            stats.ops += trips * ops;
             for acc in accesses {
-                let local = match &acc.dist {
-                    _ if acc.covered && procs > 1 => trips as i64,
-                    Dist::Local => trips as i64,
-                    Dist::Wrapped(sub) => {
-                        count_wrapped_hits(lo, hi, sub.a, sub.eval(point), procs, p)
-                    }
-                    Dist::Blocked { sub, size } => {
-                        let (blo, bhi) = block_interval(p as i64, *size, procs as i64);
-                        count_interval_hits(lo, hi, sub.a, sub.eval(point), blo, bhi)
-                    }
-                    Dist::Block2D { .. } => {
-                        // Slow path: per-element homes. Kept independent
-                        // of the flattened row/column subscripts on
-                        // purpose — it is the reference the model's
-                        // closed-form Block2D count is checked against.
-                        let decl = plan.spmd.program.array(acc.r.array);
-                        let mut l = 0i64;
-                        for w in lo..=hi {
-                            point[inner] = w;
-                            let idx = acc.r.eval_subscripts(point, plan.params);
-                            if home_of(decl, &plan.extents[acc.r.array.0], &idx, procs)
-                                .is_local_to(p)
-                            {
-                                l += 1;
-                            }
-                        }
-                        point[inner] = 0;
-                        l
-                    }
-                };
-                let remote = trips as i64 - local;
-                local_total += local as u64;
-                remote_total += remote as u64;
-                stats.busy_us +=
-                    local as f64 * plan.machine.local_access + remote as f64 * remote_us;
+                let local = plan.local_hits(acc, lo, hi, p, point) as u64;
+                stats.local_accesses += local;
+                remote += trips - local;
             }
         }
-        stats.local_accesses += local_total;
-        stats.remote_accesses += remote_total;
-        point[inner] = 0;
+        stats.remote_accesses += remote;
+        if let Some(ctx) = &self.chaos {
+            let spike = ctx.plan.spike_factor(point[0]);
+            stats.busy_us += remote as f64 * self.remote_us() * (spike - 1.0);
+        }
+    }
+
+    /// Per-element remote latency at this processor count (µs).
+    fn remote_us(&self) -> f64 {
+        self.plan.machine.remote_effective(self.plan.procs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution::home_of;
     use crate::stats::FaultStats;
     use an_codegen::spmd::{generate_spmd, SpmdOptions};
     use an_codegen::transform::apply_transform;
@@ -282,12 +266,12 @@ mod tests {
                             if lvl == 0 {
                                 st.outer_iterations += 1;
                             }
-                            let sim = Sim {
-                                plan: &plan,
-                                chaos: None,
-                            };
                             for t in &plan.transfers_at[lvl] {
-                                sim.transfer(t, p, pt, &mut st);
+                                if plan.transfer_fires(t.block, p, pt) {
+                                    st.messages += 1;
+                                    st.transfer_bytes += t.bytes;
+                                    st.busy_us += machine.transfer_cost(t.elements, procs);
+                                }
                             }
                         }
                     }

@@ -19,7 +19,13 @@ pub struct ProcStats {
     /// Transfer attempts that timed out waiting on the interconnect
     /// (always zero outside fault-injected runs).
     pub timeouts: u64,
-    /// Busy time in microseconds (compute + memory + transfers).
+    /// Arithmetic operations executed (an ownership guard counts as
+    /// one).
+    pub ops: u64,
+    /// Busy time in microseconds: [`MachineConfig::busy_us`] of the
+    /// counters above, plus a fault-injected run's recovery surcharges.
+    ///
+    /// [`MachineConfig::busy_us`]: crate::MachineConfig::busy_us
     pub busy_us: f64,
 }
 
@@ -35,6 +41,7 @@ impl ProcStats {
         self.outer_iterations += other.outer_iterations;
         self.retries += other.retries;
         self.timeouts += other.timeouts;
+        self.ops += other.ops;
         self.busy_us += other.busy_us;
     }
 }
@@ -146,6 +153,7 @@ mod tests {
                     outer_iterations: 3,
                     retries: 0,
                     timeouts: 0,
+                    ops: 0,
                     busy_us: 10.0,
                 },
                 ProcStats {
@@ -156,6 +164,7 @@ mod tests {
                     outer_iterations: 3,
                     retries: 0,
                     timeouts: 0,
+                    ops: 0,
                     busy_us: 5.0,
                 },
             ],
@@ -191,6 +200,7 @@ mod tests {
             outer_iterations: 5,
             retries: 6,
             timeouts: 7,
+            ops: 9,
             busy_us: 8.0,
         };
         a.absorb(&a.clone());
@@ -201,6 +211,7 @@ mod tests {
         assert_eq!(a.outer_iterations, 10);
         assert_eq!(a.retries, 12);
         assert_eq!(a.timeouts, 14);
+        assert_eq!(a.ops, 18);
         assert_eq!(a.busy_us, 16.0);
     }
 }

@@ -11,7 +11,7 @@
 //! distributions is practical for real kernels. Each of the top
 //! [`AutoDistOptions::top_k`] finalists is simulated once and checked
 //! against its stored model record ([`stats_agree`]: bit-for-bit on
-//! every integer counter); `Pricing::Sim` prices everything with the
+//! every counter and time); `Pricing::Sim` prices everything with the
 //! simulator instead (the pre-model behavior).
 //!
 //! # Search engine
@@ -360,24 +360,24 @@ pub fn search_report(
     })
 }
 
-/// The model-vs-simulator agreement contract: every integer counter
-/// identical on every processor; busy/total times equal to floating
-/// point tolerance (same sums, different accumulation order).
-/// Fault accounting (`retries`, `timeouts`, [`SimStats::faults`]) is not
-/// compared: both evaluators price fault-free runs only.
+/// The model-vs-simulator agreement contract: every counter identical
+/// on every processor, and busy and total times bit-equal — both
+/// evaluators only count, and one function prices the counts, so equal
+/// counts give equal times. Fault accounting (`retries`, `timeouts`,
+/// [`SimStats::faults`]) is not compared: both evaluators price
+/// fault-free runs only.
 pub fn stats_agree(sim: &SimStats, model: &SimStats) -> bool {
-    if sim.per_proc.len() != model.per_proc.len() {
-        return false;
-    }
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0);
-    sim.per_proc.iter().zip(&model.per_proc).all(|(a, b)| {
-        a.local_accesses == b.local_accesses
-            && a.remote_accesses == b.remote_accesses
-            && a.messages == b.messages
-            && a.transfer_bytes == b.transfer_bytes
-            && a.outer_iterations == b.outer_iterations
-            && close(a.busy_us, b.busy_us)
-    }) && close(sim.time_us, model.time_us)
+    sim.per_proc.len() == model.per_proc.len()
+        && sim.per_proc.iter().zip(&model.per_proc).all(|(a, b)| {
+            a.local_accesses == b.local_accesses
+                && a.remote_accesses == b.remote_accesses
+                && a.messages == b.messages
+                && a.transfer_bytes == b.transfer_bytes
+                && a.outer_iterations == b.outer_iterations
+                && a.ops == b.ops
+                && a.busy_us == b.busy_us
+        })
+        && sim.time_us == model.time_us
 }
 
 /// Candidate distributions for one array: wrapped and blocked on every
@@ -585,27 +585,41 @@ mod tests {
         )
         .unwrap();
         assert_eq!(by_sim.validated, 0, "sim pricing needs no validation");
-        // Exact model and exact simulator agree on every score up to
-        // float accumulation order, so rank-for-rank the times coincide
-        // (tie *order* within a bit-equal group may differ).
-        assert_eq!(by_model.ranking.len(), by_sim.ranking.len());
-        for (a, b) in by_model.ranking.iter().zip(&by_sim.ranking) {
-            let scale = b.predicted_time_us.abs().max(1.0);
-            assert!((a.predicted_time_us - b.predicted_time_us).abs() / scale < 1e-9);
+        // Both pricers count the same and one function prices the
+        // counts, so the rankings are identical, tie order included.
+        assert_eq!(by_model.ranking, by_sim.ranking);
+    }
+
+    #[test]
+    fn model_and_sim_rank_every_candidate_identically() {
+        // `anc --autodist` searches whose winner (mvt, trmm) or scores
+        // (correlation) differed between the two pricers while each
+        // summed its own float time.
+        let machine = MachineConfig::butterfly_gp1000();
+        for (kernel, procs) in [("mvt", 3), ("mvt", 12), ("trmm", 2), ("correlation", 16)] {
+            let path = format!(
+                "{}/examples/kernels/{kernel}.an",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let p = an_lang::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+            let base = AutoDistOptions {
+                procs,
+                allow_replication: false,
+                top_k: 1,
+                ..AutoDistOptions::default()
+            };
+            let by_model = search_report(&p, &machine, &base).unwrap();
+            let by_sim = search_report(
+                &p,
+                &machine,
+                &AutoDistOptions {
+                    price: Pricing::Sim,
+                    ..base
+                },
+            )
+            .unwrap();
+            assert_eq!(by_model.ranking, by_sim.ranking, "{kernel} P={procs}");
         }
-        // The model's winner must sit in the simulator's leading tie
-        // group: some sim candidate with a bit-near-best time has the
-        // same assignment.
-        let best = by_model.best().unwrap();
-        let sim_best_t = by_sim.ranking[0].predicted_time_us;
-        assert!(by_sim
-            .ranking
-            .iter()
-            .take_while(|c| {
-                let scale = sim_best_t.abs().max(1.0);
-                (c.predicted_time_us - sim_best_t).abs() / scale < 1e-9
-            })
-            .any(|c| c.assignment == best.assignment));
     }
 
     #[test]
@@ -640,8 +654,7 @@ mod tests {
         }
     }
 
-    /// Two processors with distinct, nonzero counters and times large
-    /// enough that the tolerance is relative.
+    /// Two processors with nonzero counters and distinct times.
     fn two_procs() -> SimStats {
         let proc = |busy_us| an_numa::ProcStats {
             local_accesses: 10,
@@ -649,6 +662,7 @@ mod tests {
             messages: 2,
             transfer_bytes: 64,
             outer_iterations: 5,
+            ops: 7,
             busy_us,
             ..an_numa::ProcStats::default()
         };
@@ -664,12 +678,13 @@ mod tests {
     fn stats_agree_demands_every_integer_counter() {
         let base = two_procs();
         assert!(stats_agree(&base, &base.clone()));
-        let bumps: [fn(&mut an_numa::ProcStats); 5] = [
+        let bumps: [fn(&mut an_numa::ProcStats); 6] = [
             |p| p.local_accesses += 1,
             |p| p.remote_accesses += 1,
             |p| p.messages += 1,
             |p| p.transfer_bytes += 1,
             |p| p.outer_iterations += 1,
+            |p| p.ops += 1,
         ];
         for bump in bumps {
             let mut moved = base.clone();
@@ -680,17 +695,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_agree_tolerates_times_within_one_part_per_million() {
+    fn stats_agree_demands_bitwise_times() {
         let base = two_procs();
-        let scaled = |busy: f64, time: f64| {
-            let mut s = base.clone();
-            s.per_proc[0].busy_us *= busy;
-            s.time_us *= time;
-            s
-        };
-        assert!(stats_agree(&base, &scaled(1.0 + 1e-7, 1.0 + 1e-7)));
-        assert!(!stats_agree(&base, &scaled(1.0 + 1e-5, 1.0)));
-        assert!(!stats_agree(&base, &scaled(1.0, 1.0 + 1e-5)));
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let mut busy = base.clone();
+        busy.per_proc[0].busy_us = next_up(busy.per_proc[0].busy_us);
+        let mut time = base.clone();
+        time.time_us = next_up(time.time_us);
+        for moved in [busy, time] {
+            assert!(!stats_agree(&base, &moved));
+            assert!(!stats_agree(&moved, &base));
+        }
     }
 
     #[test]

@@ -473,7 +473,7 @@ fn fuzz_model_differential(rng: &mut Rng, iter: u64, report: &mut FuzzReport) {
 }
 
 /// Prices `compiled` with the simulator and the analytic model under
-/// `catch_unwind`: every integer counter of every processor must match,
+/// `catch_unwind`: the two must agree ([`crate::autodist::stats_agree`]),
 /// or both must reject with the same typed error.
 fn guarded_pricing(
     compiled: &crate::Compiled,
@@ -488,13 +488,7 @@ fn guarded_pricing(
         let sim = an_numa::simulate(&compiled.spmd, &machine, procs, &params);
         let model = an_model::model_stats(&compiled.spmd, &machine, procs, &params);
         match (sim, model) {
-            (Ok(s), Ok(m)) => s.per_proc.iter().zip(&m.per_proc).all(|(a, b)| {
-                a.local_accesses == b.local_accesses
-                    && a.remote_accesses == b.remote_accesses
-                    && a.messages == b.messages
-                    && a.transfer_bytes == b.transfer_bytes
-                    && a.outer_iterations == b.outer_iterations
-            }),
+            (Ok(s), Ok(m)) => crate::autodist::stats_agree(&s, &m),
             // Errors must agree too: same typed error from both paths.
             (Err(a), Err(b)) => a == b,
             _ => false,
