@@ -2,26 +2,28 @@
 //!
 //! The simulator ([`an_numa::simulate`]) prices a candidate by walking
 //! every iteration of the second-innermost loop and costing the
-//! innermost loop in closed form. This crate removes the remaining
-//! enumeration: the second-innermost loop is collapsed into residue
-//! classes modulo `M = P · lcm(bound divisors, access coefficients)`,
-//! within which every quantity the per-iteration costing reads — bound
-//! values, wrapped-home residues, block-interval endpoints, transfer
-//! subscripts — is *exactly affine* in the class index. Each class is
-//! split at the (rational) crossings of those affine lines and summed
-//! as arithmetic series, so a loop of a million iterations prices in a
-//! handful of evaluations.
+//! innermost loop in closed form. On a depth-2 nest this crate removes
+//! the remaining enumeration: the outer loop (level 0) is collapsed into
+//! residue classes modulo `M = P · lcm(bound divisors, access
+//! coefficients)`, within which every quantity the per-iteration costing
+//! reads — bound values, wrapped-home residues, block-interval endpoints,
+//! transfer subscripts — is *exactly affine* in the class index. Each
+//! class is split at the (rational) crossings of those affine lines and
+//! summed as arithmetic series, so a loop of a million iterations prices
+//! in a handful of evaluations.
 //!
-//! Both evaluators count over one structure, [`an_numa::plan::Plan`]:
+//! The rule is by depth: the model takes over at level 0 or not at all.
+//! Every other nest — depth 1, and depth 3 or more, where the walk beats
+//! a level-1 collapse under every level-0 iteration — goes whole to the
+//! simulator's walk ([`enumerate_from`]), and so does a depth-2
+//! processor whose level 0 cannot be collapsed: a range shorter than
+//! `3·M`, a modulus past `CLASS_CAP`, an unbounded inner loop. Both
+//! evaluators count over one structure, [`an_numa::plan::Plan`]:
 //! extents, flattened distribution subscripts, transfer coverage and
-//! sizes, the outer-assignment filter, the transfer-home test, the
-//! innermost count ([`Plan::local_hits`]) and the walk over the loop
-//! levels above the collapse level all live there. A level this crate
-//! cannot collapse — a depth-1 nest, a range shorter than `3·M`, a
-//! modulus past `CLASS_CAP`, an unbounded inner loop — goes to the
-//! simulator's walk ([`enumerate_from`]). This crate holds only what
-//! makes the evaluation closed-form — the class modulus, the probe lines
-//! and the per-class series.
+//! sizes, the outer-assignment filter, the transfer-home test and the
+//! innermost count ([`Plan::local_hits`]) live there. This crate holds
+//! only what makes the evaluation closed-form — the class modulus, the
+//! probe lines and the per-class series.
 //!
 //! The contract is exactness, not approximation: every counter
 //! (`local_accesses`, `remote_accesses`, `messages`, `transfer_bytes`,
@@ -31,19 +33,19 @@
 //! bit-equal too. A differential oracle (`tests/model_property.rs`) pins
 //! the equality on the whole corpus and on fuzz-generated programs;
 //! [`Mutation`] exists so the mutation harness can prove the oracle
-//! actually bites.
+//! actually bites on the nests the model collapses.
 
 use an_codegen::spmd::{OuterAssignment, SpmdProgram};
 use an_ir::Distribution;
 use an_linalg::gcd;
 use an_numa::distribution::{block_interval, block_size, grid_shape, invert_interval};
-use an_numa::plan::{evaluate, Dist, Evaluator, Flat, Plan};
+use an_numa::plan::{evaluate, Dist, Flat, Plan};
 use an_numa::simulate::enumerate_from;
 use an_numa::{MachineConfig, ProcStats, SimError, SimStats};
 
 /// Largest class modulus the analytic path accepts; beyond it (huge
-/// skew divisors or coefficient lcms) the level goes to the simulator's
-/// walk.
+/// skew divisors or coefficient lcms) the processor goes to the
+/// simulator's walk.
 const CLASS_CAP: i64 = 4096;
 
 /// Deliberate model corruptions for the differential mutation harness
@@ -64,8 +66,8 @@ pub enum Mutation {
 }
 
 /// Analytic counterpart of [`an_numa::simulate`]: identical validation,
-/// identical counters, no iteration-space enumeration on the collapse
-/// level.
+/// identical counters, no enumeration of the outer loop of a depth-2
+/// nest.
 ///
 /// # Errors
 ///
@@ -138,8 +140,7 @@ fn div_floor_i128(a: i128, b: i128) -> i128 {
     }
 }
 
-/// How the outer-assignment filter restricts the collapse level for one
-/// processor.
+/// How the outer-assignment filter restricts level 0 for one processor.
 enum UFilter {
     /// Every iteration executes here.
     All,
@@ -152,10 +153,9 @@ enum UFilter {
     ClassConstant,
 }
 
-/// One exact evaluation of the collapse-level body at `point[cl] = u`:
-/// the restricted inner trip count, per-access local-hit counts (in
-/// statement order), and the would-fire flag of each transfer hoisted
-/// to the collapse level.
+/// One exact evaluation of the outer-loop body at `u`: the restricted
+/// inner trip count, per-access local-hit counts (in statement order),
+/// and the would-fire flag of each transfer hoisted to level 0.
 struct Sample {
     worked: bool,
     trips: i64,
@@ -221,23 +221,11 @@ fn components(s: &Sample) -> Vec<i128> {
     v
 }
 
-/// The closed-form evaluator of a [`Plan`]: the shared walk enumerates
-/// the levels above `n − 2`, and this collapses level `n − 2` (with the
-/// innermost loop under it) into residue classes.
+/// The closed-form evaluator of a [`Plan`]: it collapses level 0 of a
+/// depth-2 nest (with the innermost loop under it) into residue classes.
 struct Model<'p, 'a> {
     plan: &'p Plan<'a>,
     mutation: Mutation,
-}
-
-impl Evaluator for Model<'_, '_> {
-    fn leaf(&self, p: usize, point: &mut [i64], stats: &mut ProcStats) -> Result<bool, SimError> {
-        if point.len() == 1 {
-            // A depth-1 nest has no level to collapse.
-            enumerate_from(self.plan, 0, p, point, stats)
-        } else {
-            self.collapse(p, point, stats)
-        }
-    }
 }
 
 impl Model<'_, '_> {
@@ -250,17 +238,10 @@ impl Model<'_, '_> {
         }
     }
 
-    /// Takes over from the shared walk at the collapse level `n − 2`
-    /// (level 0 for depth-1 nests, which go to the simulator's walk).
-    fn run_processor(&self, p: usize) -> Result<ProcStats, SimError> {
-        let depth = self.plan.spmd.program.nest.depth();
-        self.plan.run_processor(self, depth.saturating_sub(2), p)
-    }
-
-    /// Classifies the outer-assignment filter at the collapse level into
-    /// a shape the class machinery can use without per-iteration tests.
-    fn collapse_filter(&self, cl: usize, p: usize) -> UFilter {
-        if self.plan.procs == 1 || cl > 1 {
+    /// Classifies the outer-assignment filter at level 0 into a shape
+    /// the class machinery can use without per-iteration tests.
+    fn collapse_filter(&self, p: usize) -> UFilter {
+        if self.plan.procs == 1 {
             return UFilter::All;
         }
         let nvars = self.plan.spmd.program.nest.space.num_vars();
@@ -279,22 +260,13 @@ impl Model<'_, '_> {
             }
         };
         match &self.plan.spmd.outer {
-            OuterAssignment::RoundRobin => {
-                if cl == 0 {
-                    UFilter::ClassConstant
-                } else {
-                    UFilter::All
-                }
-            }
+            OuterAssignment::RoundRobin => UFilter::ClassConstant,
             OuterAssignment::ByHome {
                 array,
                 dim: _,
                 coeff,
                 offset,
             } => {
-                if cl != 0 {
-                    return UFilter::All;
-                }
                 let off = offset.eval(&zeros, self.plan.params);
                 let decl = self.plan.spmd.program.array(*array);
                 let extents = &self.plan.extents[array.0];
@@ -322,29 +294,17 @@ impl Model<'_, '_> {
             OuterAssignment::ByHome2D {
                 array,
                 row_dim,
-                col_dim,
                 row_coeff,
                 row_offset,
-                col_coeff,
-                col_offset,
+                ..
             } => {
+                // Level 0 is tiled by grid row; the column filter is the
+                // inner loop's, applied per sample.
                 let (gr, gc) = grid_shape(self.plan.procs);
-                let extents = &self.plan.extents[array.0];
-                match cl {
-                    0 => {
-                        let off = row_offset.eval(&zeros, self.plan.params);
-                        let sr = block_size(extents[*row_dim], gr);
-                        let (blo, bhi) = block_interval((p / gc) as i64, sr, gr as i64);
-                        affine_in(*row_coeff, off, blo, bhi)
-                    }
-                    1 => {
-                        let off = col_offset.eval(&zeros, self.plan.params);
-                        let sc = block_size(extents[*col_dim], gc);
-                        let (blo, bhi) = block_interval((p % gc) as i64, sc, gc as i64);
-                        affine_in(*col_coeff, off, blo, bhi)
-                    }
-                    _ => UFilter::All,
-                }
+                let off = row_offset.eval(&zeros, self.plan.params);
+                let sr = block_size(self.plan.extents[array.0][*row_dim], gr);
+                let (blo, bhi) = block_interval((p / gc) as i64, sr, gr as i64);
+                affine_in(*row_coeff, off, blo, bhi)
             }
         }
     }
@@ -354,8 +314,7 @@ impl Model<'_, '_> {
     /// class every tracked quantity is exactly affine in the class
     /// index. `None` means the lcm overflowed or exceeded [`CLASS_CAP`].
     fn class_modulus(&self) -> Option<i64> {
-        let inner = self.plan.spmd.program.nest.depth() - 1;
-        let bounds = &self.plan.spmd.program.nest.bounds[inner];
+        let bounds = &self.plan.spmd.program.nest.bounds[1];
         let mut l: i64 = 1;
         let mut fold = |d: i64| -> bool {
             if d == 0 {
@@ -392,22 +351,17 @@ impl Model<'_, '_> {
             .filter(|&m| m <= CLASS_CAP)
     }
 
-    /// Evaluates the collapse-level body at `point[cl] = u`: the inner
-    /// loop's trip count, each access's local hits (in statement order)
-    /// by the plan's innermost count, and the would-fire flag of each
-    /// transfer hoisted to `cl`. Restores `point[cl]` to 0.
-    fn sample(&self, cl: usize, u: i64, p: usize, point: &mut [i64]) -> Sample {
+    /// Evaluates the outer-loop body at `u`: the inner loop's trip
+    /// count, each access's local hits (in statement order) by the
+    /// plan's innermost count, and the would-fire flag of each transfer
+    /// hoisted to level 0.
+    fn sample(&self, u: i64, p: usize) -> Sample {
         let plan = self.plan;
-        point[cl] = u;
-        let inner = cl + 1;
-        let (lo, hi) = plan.spmd.program.nest.bounds[inner]
-            .eval(point, plan.params)
+        let point = [u, 0];
+        let (lo, hi) = plan.spmd.program.nest.bounds[1]
+            .eval(&point, plan.params)
             .expect("inner bounds checked non-empty before collapse");
-        let (lo, mut hi) = if inner == 1 {
-            plan.restrict_to_grid_column(p, lo, hi)
-        } else {
-            (lo, hi)
-        };
+        let (lo, mut hi) = plan.restrict_to_grid_column(p, lo, hi);
         if self.mutation == Mutation::TripOffByOne && lo <= hi {
             hi += 1;
         }
@@ -416,13 +370,12 @@ impl Model<'_, '_> {
             .stmts
             .iter()
             .flat_map(|(_, accesses)| accesses)
-            .map(|acc| plan.local_hits(acc, lo, hi, p_acc, point))
+            .map(|acc| plan.local_hits(acc, lo, hi, p_acc, &point))
             .collect();
-        let fired = plan.transfers_at[cl]
+        let fired = plan.transfers_at[0]
             .iter()
-            .map(|t| plan.transfer_fires(t.block, p, point))
+            .map(|t| plan.transfer_fires(t.block, p, &point))
             .collect();
-        point[cl] = 0;
         Sample {
             worked: lo <= hi,
             trips: (hi - lo + 1).max(0),
@@ -432,8 +385,12 @@ impl Model<'_, '_> {
     }
 
     /// Folds a collapse accumulator into the processor's counters.
-    fn fold(&self, cl: usize, acc: &Acc, stats: &mut ProcStats) {
+    fn fold(&self, acc: &Acc) -> ProcStats {
         let to_u64 = |v: i128| u64::try_from(v).expect("negative model count");
+        let mut stats = ProcStats {
+            outer_iterations: to_u64(acc.worked),
+            ..ProcStats::default()
+        };
         for (ops, _) in &self.plan.stmts {
             stats.ops += to_u64(acc.trips) * ops;
         }
@@ -443,36 +400,30 @@ impl Model<'_, '_> {
                 stats.remote_accesses += to_u64(acc.trips - l);
             }
         }
-        for (t, &count) in self.plan.transfers_at[cl].iter().zip(&acc.fired) {
+        for (t, &count) in self.plan.transfers_at[0].iter().zip(&acc.fired) {
             stats.messages += to_u64(count);
             stats.transfer_bytes += to_u64(count) * t.bytes;
         }
-        if cl == 0 {
-            stats.outer_iterations += to_u64(acc.worked);
-        }
+        stats
     }
 
-    /// Collapses loop level `cl = n − 2` for processor `p`: residue
-    /// classes mod `M`, each split at the crossings of its tracked
-    /// affine lines and summed as arithmetic series. A range shorter
-    /// than `3·M`, a modulus past [`CLASS_CAP`] or an unbounded inner
-    /// loop goes to the simulator's walk instead. Returns whether any
-    /// full-depth iteration executed (the `worked` signal the explicit
-    /// walk above needs).
-    fn collapse(
-        &self,
-        p: usize,
-        point: &mut [i64],
-        stats: &mut ProcStats,
-    ) -> Result<bool, SimError> {
+    /// Counts processor `p`. On a depth-2 nest, level 0 collapses into
+    /// residue classes mod `M`, each split at the crossings of its
+    /// tracked affine lines and summed as arithmetic series. Every other
+    /// nest, and a processor with a range shorter than `3·M`, a modulus
+    /// past [`CLASS_CAP`] or an unbounded inner loop, goes whole to the
+    /// simulator's walk instead.
+    fn run_processor(&self, p: usize) -> Result<ProcStats, SimError> {
         let nest = &self.plan.spmd.program.nest;
-        let cl = nest.depth() - 2;
-        let (mut lo_u, mut hi_u) = nest.bounds[cl]
-            .eval(point, self.plan.params)
-            .ok_or(SimError::UnboundedLoop { var: cl })?;
-        let filter = self.collapse_filter(cl, p);
+        if nest.depth() != 2 {
+            return enumerate_from(self.plan, p);
+        }
+        let (mut lo_u, mut hi_u) = nest.bounds[0]
+            .eval(&[0, 0], self.plan.params)
+            .ok_or(SimError::UnboundedLoop { var: 0 })?;
+        let filter = self.collapse_filter(p);
         match filter {
-            UFilter::Never => return Ok(false),
+            UFilter::Never => return Ok(ProcStats::default()),
             UFilter::Interval(flo, fhi) => {
                 lo_u = lo_u.max(flo);
                 hi_u = hi_u.min(fhi);
@@ -480,44 +431,33 @@ impl Model<'_, '_> {
             UFilter::All | UFilter::ClassConstant => {}
         }
         if lo_u > hi_u {
-            return Ok(false);
+            return Ok(ProcStats::default());
         }
-        let ib = &nest.bounds[cl + 1];
+        let ib = &nest.bounds[1];
         let bounded = !ib.lowers.is_empty() && !ib.uppers.is_empty();
         let Some(m) = self
             .class_modulus()
             .filter(|&m| bounded && hi_u - lo_u >= 3 * m)
         else {
-            return enumerate_from(self.plan, cl, p, point, stats);
+            return enumerate_from(self.plan, p);
         };
-        let mut acc = Acc::new(self.plan.n_access, self.plan.transfers_at[cl].len());
+        let mut acc = Acc::new(self.plan.n_access, self.plan.transfers_at[0].len());
         for u0 in lo_u..lo_u + m {
-            if matches!(filter, UFilter::ClassConstant) && !self.plan.executes_level(cl, p, u0) {
+            if matches!(filter, UFilter::ClassConstant) && !self.plan.executes_level(0, p, u0) {
                 continue;
             }
             let kmax = (hi_u - u0) / m;
-            self.collapse_class(cl, u0, m, kmax, p, point, &mut acc);
+            self.collapse_class(u0, m, kmax, p, &mut acc);
         }
-        self.fold(cl, &acc, stats);
-        Ok(acc.worked > 0)
+        Ok(self.fold(&acc))
     }
 
     /// Sums one residue class `{u0 + t·M : t ∈ [0, kmax]}`, `kmax ≥ 2`.
-    #[allow(clippy::too_many_arguments)]
-    fn collapse_class(
-        &self,
-        cl: usize,
-        u0: i64,
-        m: i64,
-        kmax: i64,
-        p: usize,
-        point: &mut [i64],
-        acc: &mut Acc,
-    ) {
+    fn collapse_class(&self, u0: i64, m: i64, kmax: i64, p: usize, acc: &mut Acc) {
         // Two probes determine every tracked line exactly (each probed
         // quantity is affine in the class index across the whole class).
-        let l0 = self.probe(cl, u0, p, point);
-        let l1 = self.probe(cl, u0 + m, p, point);
+        let l0 = self.probe(u0, p);
+        let l1 = self.probe(u0 + m, p);
         let mut lines: Vec<(i128, i128)> = l0
             .iter()
             .zip(&l1)
@@ -559,18 +499,18 @@ impl Model<'_, '_> {
         segs.push((kmax, kmax));
         for (t0, t1) in segs {
             let len = t1 - t0 + 1;
-            let s0 = self.sample(cl, u0 + t0 * m, p, point);
+            let s0 = self.sample(u0 + t0 * m, p);
             if len == 1 {
                 acc.add(&s0);
                 continue;
             }
-            let s_end = self.sample(cl, u0 + t1 * m, p, point);
+            let s_end = self.sample(u0 + t1 * m, p);
             if len == 2 {
                 acc.add(&s0);
                 acc.add(&s_end);
                 continue;
             }
-            let s_mid = self.sample(cl, u0 + (t0 + 1) * m, p, point);
+            let s_mid = self.sample(u0 + (t0 + 1) * m, p);
             let c0 = components(&s0);
             let c_mid = components(&s_mid);
             let c_end = components(&s_end);
@@ -590,8 +530,7 @@ impl Model<'_, '_> {
                 // Defense in depth: a missed breakpoint degrades to the
                 // exact per-iteration walk, never to a wrong count.
                 for t in t0..=t1 {
-                    let s = self.sample(cl, u0 + t * m, p, point);
-                    acc.add(&s);
+                    acc.add(&self.sample(u0 + t * m, p));
                 }
             }
         }
@@ -602,35 +541,32 @@ impl Model<'_, '_> {
     /// grid-column limits, block-interval inversions, and transfer
     /// subscripts. Crossings between any two of these lines are the
     /// only places the collapse body stops being affine.
-    fn probe(&self, cl: usize, u: i64, p: usize, point: &mut [i64]) -> Vec<i64> {
-        point[cl] = u;
-        let inner = self.plan.spmd.program.nest.depth() - 1;
-        let ib = &self.plan.spmd.program.nest.bounds[inner];
+    fn probe(&self, u: i64, p: usize) -> Vec<i64> {
+        let point = [u, 0];
+        let ib = &self.plan.spmd.program.nest.bounds[1];
         let mut out = Vec::with_capacity(8 + 2 * self.plan.n_access);
         for b in &ib.lowers {
-            out.push(b.eval_lower(point, self.plan.params));
+            out.push(b.eval_lower(&point, self.plan.params));
         }
         for b in &ib.uppers {
-            out.push(b.eval_upper(point, self.plan.params));
+            out.push(b.eval_upper(&point, self.plan.params));
         }
         for g in &ib.guards {
-            out.push(g.eval(point, self.plan.params));
+            out.push(g.eval(&point, self.plan.params));
             out.push(0);
         }
-        if inner == 1 {
-            let (vlo, vhi) = self
-                .plan
-                .restrict_to_grid_column(p, i64::MIN / 2, i64::MAX / 2);
-            out.push(vlo);
-            out.push(vhi);
-        }
+        let (vlo, vhi) = self
+            .plan
+            .restrict_to_grid_column(p, i64::MIN / 2, i64::MAX / 2);
+        out.push(vlo);
+        out.push(vhi);
         let p_acc = self.p_access(p);
         let procs = self.plan.procs;
         // A blocked subscript bends the count where its inverted block
         // interval (or, for an inner-invariant subscript, its value)
         // crosses another line.
         let mut blocked = |sub: &Flat, (blo, bhi): (i64, i64)| {
-            let c = sub.eval(point);
+            let c = sub.eval(&point);
             if sub.a == 0 {
                 out.extend([c, blo, bhi]);
             } else {
@@ -660,9 +596,9 @@ impl Model<'_, '_> {
                 }
             }
         }
-        for t in self.plan.transfers_at[cl].iter().map(|t| t.block) {
+        for t in self.plan.transfers_at[0].iter().map(|t| t.block) {
             let decl = self.plan.spmd.program.array(t.array);
-            let s_val = t.subscript.eval(point, self.plan.params);
+            let s_val = t.subscript.eval(&point, self.plan.params);
             match decl.distribution {
                 Distribution::Replicated | Distribution::Wrapped { .. } => {}
                 Distribution::Blocked { dim } => {
@@ -687,7 +623,6 @@ impl Model<'_, '_> {
                 }
             }
         }
-        point[cl] = 0;
         out
     }
 }
@@ -836,31 +771,32 @@ mod tests {
 
     #[test]
     fn mutations_diverge_from_sim() {
+        // A depth-2 nest long enough (19 ≥ 3·M at P = 4) that level 0
+        // collapses: the mutation hooks live in the collapse.
         let spmd = build_spmd(
-            "param N = 13;
-             array C[N, N] distribute wrapped(1);
-             array A[N, N] distribute wrapped(1);
-             array B[N, N] distribute wrapped(1);
-             for i = 0, N - 1 { for j = 0, N - 1 { for k = 0, N - 1 {
-                 C[i, j] = C[i, j] + A[i, k] * B[k, j];
-             } } }",
-            Some(IMatrix::identity(3)),
+            "param N = 19;
+             array A[N, N] distribute blocked(0);
+             array B[N, N] distribute blocked(1);
+             for i = 0, N - 1 { for j = 0, N - 1 {
+                 A[j, i] = A[j, i] + B[i, j];
+             } }",
+            Some(IMatrix::identity(2)),
             false,
         );
         let machine = MachineConfig::butterfly_gp1000();
-        let sim = simulate(&spmd, &machine, 4, &[13]).unwrap();
+        let sim = simulate(&spmd, &machine, 4, &[19]).unwrap();
         for m in [
             Mutation::TripOffByOne,
             Mutation::DropRemoteTerm,
             Mutation::WrongOwnershipPlane,
         ] {
-            let mutated = model_stats_mutated(&spmd, &machine, 4, &[13], m).unwrap();
+            let mutated = model_stats_mutated(&spmd, &machine, 4, &[19], m).unwrap();
             let diverges = mutated.per_proc.iter().zip(&sim.per_proc).any(|(a, b)| {
                 a.local_accesses != b.local_accesses || a.remote_accesses != b.remote_accesses
             });
             assert!(diverges, "{m:?} not caught");
         }
-        let faithful = model_stats_mutated(&spmd, &machine, 4, &[13], Mutation::None).unwrap();
+        let faithful = model_stats_mutated(&spmd, &machine, 4, &[19], Mutation::None).unwrap();
         for (a, b) in faithful.per_proc.iter().zip(&sim.per_proc) {
             assert_eq!(a.local_accesses, b.local_accesses);
             assert_eq!(a.remote_accesses, b.remote_accesses);

@@ -136,6 +136,19 @@ impl Lin {
         }
     }
 
+    /// Reads a scalar-free affine expression as written, every
+    /// identifier a symbol; `None` on a non-linear product.
+    pub fn from_ast(e: &AstAffine) -> Option<Lin> {
+        match e {
+            AstAffine::Num(v, _) => Some(Lin::num(*v)),
+            AstAffine::Ident(name, _) => Some(Lin::sym(name)),
+            AstAffine::Neg(a, _) => Some(Lin::from_ast(a)?.scale(-1)),
+            AstAffine::Add(a, b, _) => Some(Lin::from_ast(a)?.add(&Lin::from_ast(b)?)),
+            AstAffine::Sub(a, b, _) => Some(Lin::from_ast(a)?.sub(&Lin::from_ast(b)?)),
+            AstAffine::Mul(a, b, _) => Lin::from_ast(a)?.mul(&Lin::from_ast(b)?),
+        }
+    }
+
     /// Renders the expression back into AST form at position `pos`.
     ///
     /// # Panics

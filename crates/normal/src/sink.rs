@@ -27,35 +27,24 @@ use crate::lin::Lin;
 use crate::proof::{Level, ProofCtx};
 use crate::{Code, Ctx, Diagnostic, Mutation};
 use an_diag::Anchor;
-use an_lang::ast::{AstAffine, AstBody, AstExpr, AstItem, AstLoop, AstProgram, AstStmt};
+use an_lang::ast::{AstBody, AstExpr, AstItem, AstLoop, AstProgram, AstStmt};
 use an_lang::token::Pos;
 
 pub fn run(ast: &mut AstProgram, ctx: &mut Ctx) {
     let assumes = ast
         .assumes
         .iter()
-        .filter_map(|a| Some(pure_lin(&a.lhs)?.sub(&pure_lin(&a.rhs)?)))
+        .filter_map(|a| Some(Lin::from_ast(&a.lhs)?.sub(&Lin::from_ast(&a.rhs)?)))
         .collect();
     let mut proof = ProofCtx::new(assumes);
     visit(&mut ast.nest, &mut proof, ctx);
 }
 
-fn pure_lin(e: &AstAffine) -> Option<Lin> {
-    match e {
-        AstAffine::Num(v, _) => Some(Lin::num(*v)),
-        AstAffine::Ident(name, _) => Some(Lin::sym(name)),
-        AstAffine::Neg(a, _) => Some(pure_lin(a)?.scale(-1)),
-        AstAffine::Add(a, b, _) => Some(pure_lin(a)?.add(&pure_lin(b)?)),
-        AstAffine::Sub(a, b, _) => Some(pure_lin(a)?.sub(&pure_lin(b)?)),
-        AstAffine::Mul(a, b, _) => pure_lin(a)?.mul(&pure_lin(b)?),
-    }
-}
-
 fn level_of(l: &AstLoop) -> Level {
     Level {
         var: l.var.clone(),
-        lowers: l.lowers.iter().filter_map(pure_lin).collect(),
-        uppers: l.uppers.iter().filter_map(pure_lin).collect(),
+        lowers: l.lowers.iter().filter_map(Lin::from_ast).collect(),
+        uppers: l.uppers.iter().filter_map(Lin::from_ast).collect(),
     }
 }
 
@@ -91,7 +80,7 @@ struct Ref {
 fn stmt_write(s: &AstStmt) -> Ref {
     Ref {
         array: s.array.clone(),
-        subs: s.subscripts.iter().map(pure_lin).collect(),
+        subs: s.subscripts.iter().map(Lin::from_ast).collect(),
     }
 }
 
@@ -103,7 +92,7 @@ fn expr_reads(e: &AstExpr, out: &mut Vec<Ref>) {
             if !subs.is_empty() {
                 out.push(Ref {
                     array: name.clone(),
-                    subs: subs.iter().map(pure_lin).collect(),
+                    subs: subs.iter().map(Lin::from_ast).collect(),
                 });
             }
         }
@@ -158,8 +147,8 @@ fn disjoint(a: &Ref, b: &Ref, proof: &ProofCtx) -> bool {
 /// executes at least once. Returns the failing loop's name on failure
 /// (stack is restored by the caller via `truncate`).
 fn push_subtree_proven(t: &AstLoop, proof: &mut ProofCtx) -> Result<(), String> {
-    let lows: Vec<Lin> = t.lowers.iter().filter_map(pure_lin).collect();
-    let ups: Vec<Lin> = t.uppers.iter().filter_map(pure_lin).collect();
+    let lows: Vec<Lin> = t.lowers.iter().filter_map(Lin::from_ast).collect();
+    let ups: Vec<Lin> = t.uppers.iter().filter_map(Lin::from_ast).collect();
     if lows.len() != t.lowers.len() || ups.len() != t.uppers.len() {
         return Err(t.var.clone());
     }

@@ -33,19 +33,6 @@ fn visit(l: &mut AstLoop, ctx: &mut Ctx) {
     }
 }
 
-/// Evaluates a scalar-free affine bound; `None` on non-linear products
-/// or leftover scalars from an errored induction pass.
-fn pure_lin(e: &AstAffine) -> Option<Lin> {
-    match e {
-        AstAffine::Num(v, _) => Some(Lin::num(*v)),
-        AstAffine::Ident(name, _) => Some(Lin::sym(name)),
-        AstAffine::Neg(a, _) => Some(pure_lin(a)?.scale(-1)),
-        AstAffine::Add(a, b, _) => Some(pure_lin(a)?.add(&pure_lin(b)?)),
-        AstAffine::Sub(a, b, _) => Some(pure_lin(a)?.sub(&pure_lin(b)?)),
-        AstAffine::Mul(a, b, _) => pure_lin(a)?.mul(&pure_lin(b)?),
-    }
-}
-
 fn normalize_header(l: &mut AstLoop, ctx: &mut Ctx) {
     let Some(step) = l.step else { return };
     if step.value == 1 {
@@ -92,7 +79,7 @@ fn normalize_header(l: &mut AstLoop, ctx: &mut Ctx) {
         );
         return;
     }
-    let (Some(lo), Some(hi)) = (pure_lin(&l.lowers[0]), pure_lin(&l.uppers[0])) else {
+    let (Some(lo), Some(hi)) = (Lin::from_ast(&l.lowers[0]), Lin::from_ast(&l.uppers[0])) else {
         return; // induction errors upstream; nothing more to say here
     };
     let range = hi.sub(&lo);

@@ -65,65 +65,6 @@ pub fn home_of(decl: &ArrayDecl, extents: &[i64], index: &[i64], procs: usize) -
     }
 }
 
-/// Checked variant of [`block_size`]: rejects an empty machine and
-/// negative extents instead of clamping them away.
-///
-/// # Errors
-///
-/// [`SimError::NoProcessors`] when `procs == 0`, [`SimError::BadExtent`]
-/// (with an empty array name) when `extent < 0`.
-pub fn try_block_size(extent: i64, procs: usize) -> Result<i64, SimError> {
-    if procs == 0 {
-        return Err(SimError::NoProcessors);
-    }
-    if extent < 0 {
-        return Err(SimError::BadExtent {
-            array: String::new(),
-            dim: 0,
-            extent,
-        });
-    }
-    Ok(block_size(extent, procs))
-}
-
-/// Checked variant of [`grid_shape`].
-///
-/// # Errors
-///
-/// [`SimError::NoProcessors`] when `procs == 0`.
-pub fn try_grid_shape(procs: usize) -> Result<(usize, usize), SimError> {
-    if procs == 0 {
-        return Err(SimError::NoProcessors);
-    }
-    Ok(grid_shape(procs))
-}
-
-/// Checked variant of [`home_of`]: surfaces an empty machine or a
-/// negative extent as an error before computing the home.
-///
-/// # Errors
-///
-/// [`SimError::NoProcessors`] when `procs == 0`, [`SimError::BadExtent`]
-/// when any extent is negative.
-pub fn try_home_of(
-    decl: &ArrayDecl,
-    extents: &[i64],
-    index: &[i64],
-    procs: usize,
-) -> Result<Home, SimError> {
-    if procs == 0 {
-        return Err(SimError::NoProcessors);
-    }
-    if let Some((dim, &extent)) = extents.iter().enumerate().find(|&(_, &e)| e < 0) {
-        return Err(SimError::BadExtent {
-            array: decl.name.clone(),
-            dim,
-            extent,
-        });
-    }
-    Ok(home_of(decl, extents, index, procs))
-}
-
 /// Evaluates every array extent of `program` at `params` and rejects any
 /// negative size. Simulation entry points call this once up front so the
 /// unchecked [`home_of`]/[`block_size`] fast paths stay total afterwards.
@@ -437,52 +378,6 @@ mod tests {
         assert_eq!(grid_shape(6), (2, 3));
         assert_eq!(grid_shape(7), (1, 7));
         assert_eq!(grid_shape(16), (4, 4));
-    }
-
-    #[test]
-    fn checked_variants_reject_zero_procs() {
-        assert_eq!(try_block_size(12, 0), Err(SimError::NoProcessors));
-        assert_eq!(try_grid_shape(0), Err(SimError::NoProcessors));
-        let d = decl(Distribution::Wrapped { dim: 0 });
-        assert_eq!(
-            try_home_of(&d, &[12, 12], &[0, 0], 0),
-            Err(SimError::NoProcessors)
-        );
-    }
-
-    #[test]
-    fn checked_variants_reject_negative_extents() {
-        assert_eq!(
-            try_block_size(-3, 4),
-            Err(SimError::BadExtent {
-                array: String::new(),
-                dim: 0,
-                extent: -3,
-            })
-        );
-        let d = decl(Distribution::Blocked { dim: 1 });
-        assert_eq!(
-            try_home_of(&d, &[12, -7], &[0, 0], 4),
-            Err(SimError::BadExtent {
-                array: "A".into(),
-                dim: 1,
-                extent: -7,
-            })
-        );
-    }
-
-    #[test]
-    fn checked_variants_agree_with_unchecked_on_valid_input() {
-        assert_eq!(try_block_size(12, 4).unwrap(), block_size(12, 4));
-        assert_eq!(try_grid_shape(6).unwrap(), grid_shape(6));
-        let d = decl(Distribution::Block2D {
-            row_dim: 0,
-            col_dim: 1,
-        });
-        assert_eq!(
-            try_home_of(&d, &[12, 12], &[7, 9], 4).unwrap(),
-            home_of(&d, &[12, 12], &[7, 9], 4)
-        );
     }
 
     #[test]

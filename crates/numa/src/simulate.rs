@@ -9,12 +9,14 @@
 //! simulate in milliseconds while counting *exactly* what an
 //! element-by-element walk counts — a property the test suite checks
 //! against a reference implementation. The engine only counts;
-//! [`evaluate`] prices the counts. [`enumerate_from`] lends the same walk
-//! to `an-model` for the levels it does not collapse.
+//! [`evaluate`] prices the counts. It is the only walk that prices:
+//! `an-model` hands every nest and processor it does not collapse to it
+//! whole, through [`enumerate_from`], and the chaos runtime prices each
+//! fault stage with it.
 
 use crate::faults::{backoff_us, ChaosCtx, MAX_RETRIES, TIMEOUT_US};
 use crate::machine::MachineConfig;
-use crate::plan::{evaluate, Evaluator, Plan, Transfer};
+use crate::plan::{evaluate, Plan, Transfer};
 use crate::stats::{ProcStats, SimStats};
 use crate::SimError;
 use an_codegen::spmd::SpmdProgram;
@@ -33,9 +35,7 @@ pub fn simulate(
     procs: usize,
     params: &[i64],
 ) -> Result<SimStats, SimError> {
-    evaluate(spmd, machine, procs, params, |plan, p| {
-        Sim { plan, chaos: None }.run_processor(p)
-    })
+    evaluate(spmd, machine, procs, params, enumerate_from)
 }
 
 /// [`simulate`], recording a `"simulate"` span on `tracer` when present:
@@ -78,28 +78,20 @@ pub fn simulate_traced(
     Ok(stats)
 }
 
-/// Counts processor `p`'s iterations from loop `level` down, at the
-/// prefix in `point`, with the simulator's walk: how `an-model` prices a
-/// level it does not collapse. Returns whether any full-depth iteration
-/// executed.
+/// Counts processor `p`'s slice of the iteration space with the
+/// simulator's walk: how `an-model` prices a nest or a processor it does
+/// not collapse.
 ///
 /// # Errors
 ///
 /// [`SimError::UnboundedLoop`] if a loop bound cannot be evaluated.
-pub fn enumerate_from(
-    plan: &Plan<'_>,
-    level: usize,
-    p: usize,
-    point: &mut [i64],
-    stats: &mut ProcStats,
-) -> Result<bool, SimError> {
-    let sim = Sim { plan, chaos: None };
-    plan.walk(&sim, sim.leaf_level(), level, p, point, stats)
+pub fn enumerate_from(plan: &Plan<'_>, p: usize) -> Result<ProcStats, SimError> {
+    Sim { plan, chaos: None }.run_processor(p)
 }
 
-/// The enumerating evaluator of a [`Plan`]: the shared walk visits every
-/// iteration prefix down to the second-innermost level and this counts
-/// the innermost loop there.
+/// The enumerating evaluator of a [`Plan`]: it visits every iteration
+/// prefix down to the second-innermost level and counts the innermost
+/// loop there.
 pub(crate) struct Sim<'p, 'a> {
     pub(crate) plan: &'p Plan<'a>,
     /// Armed fault-injection context; `None` keeps every chaos hook a
@@ -107,10 +99,60 @@ pub(crate) struct Sim<'p, 'a> {
     pub(crate) chaos: Option<ChaosCtx<'a>>,
 }
 
-impl Evaluator for Sim<'_, '_> {
+impl Sim<'_, '_> {
+    /// Counts processor `p`'s slice of the iteration space.
+    pub(crate) fn run_processor(&self, p: usize) -> Result<ProcStats, SimError> {
+        let mut stats = ProcStats::default();
+        let mut point = vec![0i64; self.plan.spmd.program.nest.depth()];
+        self.walk(0, p, &mut point, &mut stats)?;
+        Ok(stats)
+    }
+
+    /// Walks one loop level; returns `true` if any full-depth iteration
+    /// executed below it. Hoisted transfers (and outer-iteration
+    /// counting) fire only for prefixes with real work, matching an
+    /// element-by-element execution. The innermost loop — or, for
+    /// depth-1 nests, the single iteration below the only loop — is
+    /// counted by [`Sim::leaf`].
+    fn walk(
+        &self,
+        level: usize,
+        p: usize,
+        point: &mut [i64],
+        stats: &mut ProcStats,
+    ) -> Result<bool, SimError> {
+        let plan = self.plan;
+        if level == point.len().max(2) - 1 {
+            return self.leaf(p, point, stats);
+        }
+        let (lo, hi) = plan.spmd.program.nest.bounds[level]
+            .eval(point, plan.params)
+            .ok_or(SimError::UnboundedLoop { var: level })?;
+        let mut any = false;
+        for v in lo..=hi {
+            point[level] = v;
+            if level <= 1 && !plan.executes_level(level, p, v) {
+                continue;
+            }
+            if self.walk(level + 1, p, point, stats)? {
+                any = true;
+                if level == 0 {
+                    stats.outer_iterations += 1;
+                }
+                for t in &plan.transfers_at[level] {
+                    if plan.transfer_fires(t.block, p, point) {
+                        self.transfer(t, p, point, stats);
+                    }
+                }
+            }
+        }
+        point[level] = 0;
+        Ok(any)
+    }
+
     /// Counts the innermost loop at `point` — the whole loop for nests
     /// deeper than 1, the single iteration `point[0]` for depth-1 nests
-    /// (whose only loop the shared walk enumerates).
+    /// (whose only loop the walk enumerates).
     fn leaf(&self, p: usize, point: &mut [i64], stats: &mut ProcStats) -> Result<bool, SimError> {
         let plan = self.plan;
         let inner = point.len() - 1;
@@ -175,20 +217,6 @@ impl Evaluator for Sim<'_, '_> {
             stats.busy_us += backoff_us(mseed, attempt);
             t.charge(stats);
         }
-    }
-}
-
-impl Sim<'_, '_> {
-    /// The level the simulator takes over at: the innermost loop — or,
-    /// for depth-1 nests, below it, so the walk still applies the outer
-    /// filter and the transfers per iteration.
-    fn leaf_level(&self) -> usize {
-        self.plan.spmd.program.nest.depth().max(2) - 1
-    }
-
-    /// Counts processor `p`'s slice of the iteration space.
-    pub(crate) fn run_processor(&self, p: usize) -> Result<ProcStats, SimError> {
-        self.plan.run_processor(self, self.leaf_level(), p)
     }
 
     /// Counts the innermost loop `w ∈ [lo, hi]` in closed form. Under an

@@ -76,13 +76,14 @@ fn each_mutation_is_caught_on_a_specific_kernel() {
     // witness per class so a regression report names the exact scene.
     let machine = MachineConfig::butterfly_gp1000();
     let witnesses = [
-        // Any kernel with nonempty loops exposes a trip off-by-one.
-        (Mutation::TripOffByOne, "gemm", 4usize),
+        // Any depth-2 kernel whose outer loop collapses exposes a trip
+        // off-by-one.
+        (Mutation::TripOffByOne, "jacobi2d", 4usize),
         // mvt's mixed layout keeps remote element reads around (~9% of
         // accesses stay remote at P=4).
         (Mutation::DropRemoteTerm, "mvt", 4),
         // P∤N work split makes the ownership plane observable.
-        (Mutation::WrongOwnershipPlane, "cholesky", 3),
+        (Mutation::WrongOwnershipPlane, "seidel2d", 3),
     ];
     for (m, name, procs) in witnesses {
         let src = kernel_source(name);
@@ -94,5 +95,27 @@ fn each_mutation_is_caught_on_a_specific_kernel() {
             diverges(&sim, &bad),
             "{m:?} on {name} P={procs}: mutation was invisible to the gate"
         );
+    }
+}
+
+#[test]
+fn depth_three_nests_are_the_simulators_walk() {
+    // The model collapses only level 0 of a depth-2 nest; a depth-3 nest
+    // goes whole to the simulator's walk, so no mutation hook is reached.
+    let machine = MachineConfig::butterfly_gp1000();
+    let compiled = compile(&kernel_source("gemm"), &CompileOptions::default()).unwrap();
+    assert_eq!(compiled.program.nest.depth(), 3);
+    let params = compiled.program.default_param_values();
+    for &procs in PROCS {
+        let sim = simulate(&compiled.spmd, &machine, procs, &params).unwrap();
+        for m in [
+            Mutation::None,
+            Mutation::TripOffByOne,
+            Mutation::DropRemoteTerm,
+            Mutation::WrongOwnershipPlane,
+        ] {
+            let model = model_stats_mutated(&compiled.spmd, &machine, procs, &params, m).unwrap();
+            assert_eq!(model, sim, "{m:?} on gemm P={procs}");
+        }
     }
 }
