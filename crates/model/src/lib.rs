@@ -244,8 +244,6 @@ impl Model<'_, '_> {
         if self.plan.procs == 1 {
             return UFilter::All;
         }
-        let nvars = self.plan.spmd.program.nest.space.num_vars();
-        let zeros = vec![0i64; nvars];
         // `blo ≤ coeff·u + off ≤ bhi` as a u-interval (or a constant).
         let affine_in = |coeff: i64, off: i64, blo: i64, bhi: i64| -> UFilter {
             if coeff == 0 {
@@ -261,13 +259,8 @@ impl Model<'_, '_> {
         };
         match &self.plan.spmd.outer {
             OuterAssignment::RoundRobin => UFilter::ClassConstant,
-            OuterAssignment::ByHome {
-                array,
-                dim: _,
-                coeff,
-                offset,
-            } => {
-                let off = offset.eval(&zeros, self.plan.params);
+            OuterAssignment::ByHome { array, coeff, .. } => {
+                let off = self.plan.owner_offsets[0];
                 let decl = self.plan.spmd.program.array(*array);
                 let extents = &self.plan.extents[array.0];
                 match decl.distribution {
@@ -295,13 +288,12 @@ impl Model<'_, '_> {
                 array,
                 row_dim,
                 row_coeff,
-                row_offset,
                 ..
             } => {
                 // Level 0 is tiled by grid row; the column filter is the
                 // inner loop's, applied per sample.
                 let (gr, gc) = grid_shape(self.plan.procs);
-                let off = row_offset.eval(&zeros, self.plan.params);
+                let off = self.plan.owner_offsets[0];
                 let sr = block_size(self.plan.extents[array.0][*row_dim], gr);
                 let (blo, bhi) = block_interval((p / gc) as i64, sr, gr as i64);
                 affine_in(*row_coeff, off, blo, bhi)
@@ -314,7 +306,7 @@ impl Model<'_, '_> {
     /// class every tracked quantity is exactly affine in the class
     /// index. `None` means the lcm overflowed or exceeded [`CLASS_CAP`].
     fn class_modulus(&self) -> Option<i64> {
-        let bounds = &self.plan.spmd.program.nest.bounds[1];
+        let bounds = &self.plan.bounds[1];
         let mut l: i64 = 1;
         let mut fold = |d: i64| -> bool {
             if d == 0 {
@@ -338,7 +330,7 @@ impl Model<'_, '_> {
         for (_, accesses) in &self.plan.stmts {
             for acc in accesses {
                 let ok = match &acc.dist {
-                    Dist::Local | Dist::Wrapped(_) => true,
+                    Dist::Local | Dist::Wrapped { .. } => true,
                     Dist::Blocked { sub, .. } => fold(sub.a),
                     Dist::Block2D { row, col, .. } => fold(row.a) && fold(col.a),
                 };
@@ -358,8 +350,8 @@ impl Model<'_, '_> {
     fn sample(&self, u: i64, p: usize) -> Sample {
         let plan = self.plan;
         let point = [u, 0];
-        let (lo, hi) = plan.spmd.program.nest.bounds[1]
-            .eval(&point, plan.params)
+        let (lo, hi) = plan.bounds[1]
+            .eval(&point)
             .expect("inner bounds checked non-empty before collapse");
         let (lo, mut hi) = plan.restrict_to_grid_column(p, lo, hi);
         if self.mutation == Mutation::TripOffByOne && lo <= hi {
@@ -374,7 +366,7 @@ impl Model<'_, '_> {
             .collect();
         let fired = plan.transfers_at[0]
             .iter()
-            .map(|t| plan.transfer_fires(t.block, p, &point))
+            .map(|t| plan.transfer_fires(t, p, &point))
             .collect();
         Sample {
             worked: lo <= hi,
@@ -414,12 +406,11 @@ impl Model<'_, '_> {
     /// past [`CLASS_CAP`] or an unbounded inner loop, goes whole to the
     /// simulator's walk instead.
     fn run_processor(&self, p: usize) -> Result<ProcStats, SimError> {
-        let nest = &self.plan.spmd.program.nest;
-        if nest.depth() != 2 {
+        if self.plan.bounds.len() != 2 {
             return enumerate_from(self.plan, p);
         }
-        let (mut lo_u, mut hi_u) = nest.bounds[0]
-            .eval(&[0, 0], self.plan.params)
+        let (mut lo_u, mut hi_u) = self.plan.bounds[0]
+            .eval(&[0, 0])
             .ok_or(SimError::UnboundedLoop { var: 0 })?;
         let filter = self.collapse_filter(p);
         match filter {
@@ -433,7 +424,7 @@ impl Model<'_, '_> {
         if lo_u > hi_u {
             return Ok(ProcStats::default());
         }
-        let ib = &nest.bounds[1];
+        let ib = &self.plan.bounds[1];
         let bounded = !ib.lowers.is_empty() && !ib.uppers.is_empty();
         let Some(m) = self
             .class_modulus()
@@ -543,16 +534,16 @@ impl Model<'_, '_> {
     /// only places the collapse body stops being affine.
     fn probe(&self, u: i64, p: usize) -> Vec<i64> {
         let point = [u, 0];
-        let ib = &self.plan.spmd.program.nest.bounds[1];
+        let ib = &self.plan.bounds[1];
         let mut out = Vec::with_capacity(8 + 2 * self.plan.n_access);
         for b in &ib.lowers {
-            out.push(b.eval_lower(&point, self.plan.params));
+            out.push(b.lower(&point));
         }
         for b in &ib.uppers {
-            out.push(b.eval_upper(&point, self.plan.params));
+            out.push(b.upper(&point));
         }
         for g in &ib.guards {
-            out.push(g.eval(&point, self.plan.params));
+            out.push(g.eval(&point));
             out.push(0);
         }
         let (vlo, vhi) = self
@@ -577,7 +568,7 @@ impl Model<'_, '_> {
         for (_, accesses) in &self.plan.stmts {
             for acc in accesses {
                 match &acc.dist {
-                    Dist::Local | Dist::Wrapped(_) => {}
+                    Dist::Local | Dist::Wrapped { .. } => {}
                     Dist::Blocked { sub, size } => {
                         blocked(sub, block_interval(p_acc as i64, *size, procs as i64));
                     }
@@ -596,9 +587,10 @@ impl Model<'_, '_> {
                 }
             }
         }
-        for t in self.plan.transfers_at[0].iter().map(|t| t.block) {
+        for t in &self.plan.transfers_at[0] {
+            let s_val = t.sub.eval(&point);
+            let t = t.block;
             let decl = self.plan.spmd.program.array(t.array);
-            let s_val = t.subscript.eval(&point, self.plan.params);
             match decl.distribution {
                 Distribution::Replicated | Distribution::Wrapped { .. } => {}
                 Distribution::Blocked { dim } => {

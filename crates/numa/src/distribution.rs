@@ -4,7 +4,7 @@
 
 use crate::error::SimError;
 use an_ir::{ArrayDecl, Distribution, IrError, Program};
-use an_linalg::{div_ceil, div_floor, gcd, mod_floor};
+use an_linalg::{div_ceil, div_floor, extended_gcd, gcd, mod_floor};
 
 /// Where an element lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,21 +45,36 @@ pub fn grid_shape(procs: usize) -> (usize, usize) {
 /// simulator traps genuine out-of-bounds earlier via the interpreter
 /// path in tests; cost simulation stays total).
 pub fn home_of(decl: &ArrayDecl, extents: &[i64], index: &[i64], procs: usize) -> Home {
+    home(decl, extents, procs, |d| index[d])
+}
+
+/// [`home_of`] of the index that is `value` along dimension `dim` and
+/// zero everywhere else, without building that index: the ownership and
+/// transfer checks of the pricing walk.
+#[inline]
+pub fn home_along(decl: &ArrayDecl, extents: &[i64], dim: usize, value: i64, procs: usize) -> Home {
+    home(decl, extents, procs, |d| if d == dim { value } else { 0 })
+}
+
+/// The one home computation: the distribution function of `decl` at
+/// the index whose dimension `d` is `coord(d)`.
+#[inline]
+fn home(decl: &ArrayDecl, extents: &[i64], procs: usize, coord: impl Fn(usize) -> i64) -> Home {
     let p = procs as i64;
     match decl.distribution {
         Distribution::Replicated => Home::Everywhere,
-        Distribution::Wrapped { dim } => Home::Proc(mod_floor(index[dim], p) as usize),
+        Distribution::Wrapped { dim } => Home::Proc(mod_floor(coord(dim), p) as usize),
         Distribution::Blocked { dim } => {
             let s = block_size(extents[dim], procs);
-            let h = div_floor(index[dim], s).clamp(0, p - 1);
+            let h = div_floor(coord(dim), s).clamp(0, p - 1);
             Home::Proc(h as usize)
         }
         Distribution::Block2D { row_dim, col_dim } => {
             let (pr, pc) = grid_shape(procs);
             let sr = block_size(extents[row_dim], pr);
             let sc = block_size(extents[col_dim], pc);
-            let hr = div_floor(index[row_dim], sr).clamp(0, pr as i64 - 1);
-            let hc = div_floor(index[col_dim], sc).clamp(0, pc as i64 - 1);
+            let hr = div_floor(coord(row_dim), sr).clamp(0, pr as i64 - 1);
+            let hc = div_floor(coord(col_dim), sc).clamp(0, pc as i64 - 1);
             Home::Proc((hr * pc as i64 + hc) as usize)
         }
     }
@@ -91,44 +106,90 @@ pub fn validate_extents(program: &Program, params: &[i64]) -> Result<Vec<Vec<i64
     Ok(extents)
 }
 
-/// Counts `w ∈ [lo, hi]` with `(a·w + c) mod P == p` — the number of
-/// inner-loop iterations whose wrapped home is processor `p`.
-#[inline]
-pub fn count_wrapped_hits(lo: i64, hi: i64, a: i64, c: i64, procs: usize, p: usize) -> i64 {
-    if lo > hi {
-        return 0;
-    }
-    let pp = procs as i64;
-    let target = p as i64;
-    // Only residues matter: reduced mod P, the period scan's `a·w + c`
-    // stays below P² however large the subscript's coefficients are.
-    let (a, c) = (mod_floor(a, pp), mod_floor(c, pp));
-    if a == 0 {
-        return if c == target { hi - lo + 1 } else { 0 };
-    }
-    // a·w ≡ target − c (mod P): solvable iff g = gcd(a, P) divides rhs.
-    let g = gcd(a, pp);
-    let rhs = mod_floor(target - c, pp);
-    if rhs % g != 0 {
-        return 0;
-    }
-    // Solutions form w ≡ w0 (mod P/g). Find w0 by scanning one period
-    // (P ≤ a few hundred, so this is cheap and robust).
-    let period = pp / g;
-    let mut w0 = None;
-    for w in 0..period {
-        if mod_floor(a * w + c, pp) == target {
-            w0 = Some(w);
-            break;
+/// The congruence `a·w + c ≡ p (mod P)` of one wrapped access, solved
+/// for `w` once per plan: `a` is the access's innermost coefficient, so
+/// only `c` (the rest of the subscript) and the target `p` vary from one
+/// innermost loop to the next.
+///
+/// With `g = gcd(a mod P, P)` the congruence is solvable iff `g` divides
+/// `p − c`, and then its solutions are `w ≡ (p − c)/g · inv (mod P/g)`,
+/// `inv` the inverse of `a/g` modulo the period `P/g`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResidueSolver {
+    /// Processor count `P`.
+    procs: i64,
+    /// `a mod P`.
+    a: i64,
+    /// `gcd(a mod P, P)` (`P` when `a ≡ 0`).
+    g: i64,
+    /// `P / g`: the spacing of consecutive solutions.
+    period: i64,
+    /// The inverse of `a/g` modulo `period` (0 when the period is 1).
+    inv: i64,
+}
+
+impl ResidueSolver {
+    /// Precomputes the solver for innermost coefficient `a` on `procs`
+    /// processors.
+    pub fn new(a: i64, procs: usize) -> ResidueSolver {
+        let pp = procs as i64;
+        let a = mod_floor(a, pp);
+        let g = gcd(a, pp);
+        let period = pp / g;
+        // (a/g)·x ≡ 1 (mod period): `a/g` and `period` are coprime.
+        let (_, x, _) = extended_gcd(a / g, period);
+        ResidueSolver {
+            procs: pp,
+            a,
+            g,
+            period,
+            inv: mod_floor(x, period),
         }
     }
-    let Some(w0) = w0 else { return 0 };
-    // Count w in [lo, hi] with w ≡ w0 (mod period).
-    let first = lo + mod_floor(w0 - lo, period);
-    if first > hi {
-        0
-    } else {
-        (hi - first) / period + 1
+
+    /// Counts `w ∈ [lo, hi]` with `(a·w + c) mod P == p` — the number of
+    /// inner-loop iterations whose wrapped home is processor `p`.
+    #[inline]
+    pub fn count(&self, lo: i64, hi: i64, c: i64, p: usize) -> i64 {
+        if lo > hi {
+            return 0;
+        }
+        let (pp, target) = (self.procs, p as i64);
+        if self.a == 0 {
+            return if mod_floor(c, pp) == target {
+                hi - lo + 1
+            } else {
+                0
+            };
+        }
+        // How far the first solution lies above `lo`.
+        let skip = if self.a == 1 {
+            // w ≡ p − c (mod P): no reduction of `c`, no inverse.
+            match target.checked_sub(c).and_then(|d| d.checked_sub(lo)) {
+                Some(d) => mod_floor(d, pp),
+                None => (target as i128 - c as i128 - lo as i128).rem_euclid(pp as i128) as i64,
+            }
+        } else {
+            let mut rhs = target - mod_floor(c, pp);
+            if rhs < 0 {
+                rhs += pp;
+            }
+            if rhs % self.g != 0 {
+                return 0;
+            }
+            let q = rhs / self.g;
+            let w0 = match q.checked_mul(self.inv) {
+                Some(v) => v % self.period,
+                None => (q as i128 * self.inv as i128 % self.period as i128) as i64,
+            };
+            mod_floor(w0 - lo, self.period)
+        };
+        let first = lo + skip;
+        if first > hi {
+            0
+        } else {
+            (hi - first) / self.period + 1
+        }
     }
 }
 
@@ -274,17 +335,33 @@ mod tests {
         assert!(home_of(&d, &[12, 12], &[5, 5], 4).is_local_to(3));
     }
 
+    /// Brute force for [`ResidueSolver::count`], in `i128` so that
+    /// `a·w + c` cannot leave the range it is reduced in.
+    fn wrapped_hits_by_enumeration(
+        lo: i64,
+        hi: i64,
+        a: i64,
+        c: i64,
+        procs: usize,
+        p: usize,
+    ) -> i64 {
+        (lo..=hi)
+            .filter(|&w| (a as i128 * w as i128 + c as i128).rem_euclid(procs as i128) == p as i128)
+            .count() as i64
+    }
+
     #[test]
-    fn wrapped_hit_counting_matches_enumeration() {
-        for a in [-3i64, -1, 0, 1, 2, 4, 6] {
-            for c in [-5i64, 0, 3] {
-                for procs in [1usize, 2, 3, 4, 7] {
+    fn residue_solver_matches_enumeration() {
+        for procs in 1usize..=16 {
+            for a in [-3i64, -1, 0, 1, 2, 4, 6, 12, 17] {
+                let solver = ResidueSolver::new(a, procs);
+                for c in [-5i64, 0, 3, 11] {
                     for p in 0..procs {
-                        let fast = count_wrapped_hits(-4, 17, a, c, procs, p);
-                        let slow = (-4..=17)
-                            .filter(|&w| mod_floor(a * w + c, procs as i64) == p as i64)
-                            .count() as i64;
-                        assert_eq!(fast, slow, "a={a} c={c} P={procs} p={p}");
+                        assert_eq!(
+                            solver.count(-4, 17, c, p),
+                            wrapped_hits_by_enumeration(-4, 17, a, c, procs, p),
+                            "a={a} c={c} P={procs} p={p}"
+                        );
                     }
                 }
             }
@@ -292,19 +369,85 @@ mod tests {
     }
 
     #[test]
-    fn wrapped_hit_counting_survives_coefficients_near_i64_max() {
-        // `a·w + c` over one period would leave i64 unreduced.
+    fn residue_solver_handles_coefficients_sharing_a_factor_with_p() {
+        // gcd(a, P) > 1: solutions exist only for every g-th target, and
+        // then one per period P/g.
+        for procs in [8usize, 12] {
+            for a in [2i64, 4, 6, 12, -6] {
+                let solver = ResidueSolver::new(a, procs);
+                for c in -13i64..=13 {
+                    for p in 0..procs {
+                        for (lo, hi) in [(-9, 30), (5, 5), (3, 2), (0, 47)] {
+                            assert_eq!(
+                                solver.count(lo, hi, c, p),
+                                wrapped_hits_by_enumeration(lo, hi, a, c, procs, p),
+                                "a={a} c={c} P={procs} p={p} w in [{lo}, {hi}]"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn residue_solver_survives_coefficients_near_i64_max() {
+        // `a·w + c` would leave i64 unreduced, and so would `p − c − lo`.
         let (a, c) = (4_000_000_000_000_000_001i64, -(i64::MAX / 2));
         for procs in [3usize, 4, 5, 8] {
             for p in 0..procs {
-                let slow = (-3i128..=9)
-                    .filter(|&w| (a as i128 * w + c as i128).rem_euclid(procs as i128) == p as i128)
-                    .count() as i64;
-                assert_eq!(
-                    count_wrapped_hits(-3, 9, a, c, procs, p),
-                    slow,
-                    "P={procs} p={p}"
-                );
+                for a in [a, a - 3, 1 - 4 * procs as i64] {
+                    let solver = ResidueSolver::new(a, procs);
+                    for c in [c, i64::MAX, -i64::MAX] {
+                        assert_eq!(
+                            solver.count(-3, 9, c, p),
+                            wrapped_hits_by_enumeration(-3, 9, a, c, procs, p),
+                            "a={a} c={c} P={procs} p={p}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn home_along_is_home_of_the_one_coordinate_index() {
+        let dists = [
+            Distribution::Replicated,
+            Distribution::Wrapped { dim: 0 },
+            Distribution::Wrapped { dim: 2 },
+            Distribution::Blocked { dim: 1 },
+            Distribution::Block2D {
+                row_dim: 0,
+                col_dim: 2,
+            },
+            Distribution::Block2D {
+                row_dim: 2,
+                col_dim: 1,
+            },
+        ];
+        let extents = [13, 7, 20];
+        for distribution in dists {
+            let s = Space::new(&[], &[]);
+            let d = ArrayDecl {
+                name: "A".into(),
+                dims: extents.iter().map(|&e| Affine::constant(&s, e)).collect(),
+                distribution,
+            };
+            for procs in 1usize..=16 {
+                for dim in 0..extents.len() {
+                    // Negative values and values past every extent
+                    // exercise the clamp.
+                    for value in [-40i64, -13, -1, 0, 1, 6, 7, 12, 13, 19, 20, 41, 1000] {
+                        let mut idx = [0i64; 3];
+                        idx[dim] = value;
+                        assert_eq!(
+                            home_along(&d, &extents, dim, value, procs),
+                            home_of(&d, &extents, &idx, procs),
+                            "{distribution:?} P={procs} dim={dim} value={value}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -16,10 +16,18 @@
 //! it cannot collapse, to the simulator's walk whole. Both only count;
 //! [`evaluate`] turns each processor's counts into time with
 //! [`MachineConfig::busy_us`].
+//!
+//! Everything a walk evaluates is bound to the parameters once, here:
+//! each level's loop bounds ([`LevelBounds`]), each access subscript and
+//! transfer slice subscript ([`Flat`]), the outer assignment's offsets
+//! ([`Plan::owner_offsets`]), and each wrapped access's innermost
+//! congruence ([`ResidueSolver`]). The walk's ownership, transfer and
+//! innermost-count checks are then dot products and a few integer
+//! divisions — no `Affine` re-walk and no allocation.
 
 use crate::distribution::{
-    block_interval, block_size, count_block2d, count_interval_hits, count_wrapped_hits, grid_shape,
-    home_of, invert_interval, validate_extents, HEADROOM,
+    block_interval, block_size, count_block2d, count_interval_hits, grid_shape, home_along,
+    invert_interval, validate_extents, Home, ResidueSolver, HEADROOM,
 };
 use crate::machine::MachineConfig;
 use crate::stats::{FaultStats, ProcStats, SimStats};
@@ -28,27 +36,51 @@ use an_codegen::spmd::{OuterAssignment, SpmdProgram};
 use an_codegen::transfers::BlockTransfer;
 use an_ir::nest::magnitude;
 use an_ir::{ArrayId, ArrayRef, Distribution, IrError, Stmt};
-use an_linalg::{div_floor, mod_floor};
-use an_poly::Affine;
+use an_linalg::{div_ceil, div_floor, mod_floor};
+use an_poly::{Affine, BoundExpr, LoopBounds};
 
-/// A distribution subscript flattened for innermost-loop pricing: the
-/// constant-plus-parameter part is folded into `base` and the innermost
-/// variable's coefficient is split out as `a`, so pricing an access at
-/// an iteration prefix is one dot product — no `Affine` re-walk.
+/// An affine form bound to the plan's parameters: the constant-plus-
+/// parameter part is folded into `base` and, for a distribution
+/// subscript, the innermost variable's coefficient is split out as `a`,
+/// so evaluating the form at an iteration prefix is one dot product —
+/// no `Affine` re-walk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Flat {
-    /// Coefficient of the innermost loop variable.
+    /// Coefficient of the innermost loop variable (0 for a form bound
+    /// whole by [`Flat::bind`]).
     pub a: i64,
     /// Constant term plus the parameter terms at the plan's parameters.
     pub base: i128,
-    /// Loop-variable coefficients with the innermost slot zeroed.
+    /// Loop-variable coefficients up to the last non-zero one, with the
+    /// split-out innermost slot zeroed.
     pub coeffs: Vec<i64>,
 }
 
 impl Flat {
-    /// The subscript's value at `point` minus its innermost-variable
-    /// term (the innermost slot's coefficient is zero, so whatever
-    /// `point` holds there never matters).
+    /// Binds `s` to `params`, keeping every loop variable in `coeffs`.
+    pub fn bind(s: &Affine, params: &[i64]) -> Flat {
+        Flat::split(s, None, params)
+    }
+
+    /// Binds `s` to `params`, splitting out the coefficient of loop
+    /// variable `inner` when there is one.
+    fn split(s: &Affine, inner: Option<usize>, params: &[i64]) -> Flat {
+        let mut base = s.constant_term() as i128;
+        for (c, v) in s.param_coeffs().iter().zip(params) {
+            base += *c as i128 * *v as i128;
+        }
+        let mut coeffs = s.var_coeffs().to_vec();
+        let a = inner
+            .and_then(|k| coeffs.get_mut(k))
+            .map_or(0, std::mem::take);
+        let used = coeffs.iter().rposition(|&c| c != 0).map_or(0, |k| k + 1);
+        coeffs.truncate(used);
+        Flat { a, base, coeffs }
+    }
+
+    /// The form's value at `point` minus its innermost-variable term
+    /// (the innermost slot's coefficient is zero, so whatever `point`
+    /// holds there never matters).
     #[inline]
     pub fn eval(&self, point: &[i64]) -> i64 {
         let mut acc = self.base;
@@ -61,16 +93,91 @@ impl Flat {
 
 /// Flattens subscript `s` around the innermost loop variable `inner`.
 pub fn flatten(s: &Affine, inner: usize, params: &[i64]) -> Flat {
-    let mut base = s.constant_term() as i128;
-    for (c, v) in s.param_coeffs().iter().zip(params) {
-        base += *c as i128 * *v as i128;
+    Flat::split(s, Some(inner), params)
+}
+
+/// One loop-bound term bound to the plan's parameters: `⌈form / divisor⌉`
+/// as a lower bound, `⌊form / divisor⌋` as an upper one. A divisor of 1
+/// takes no division.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundTerm {
+    /// The numerator.
+    pub form: Flat,
+    /// The positive divisor.
+    pub divisor: i64,
+}
+
+impl BoundTerm {
+    /// The term as a lower bound at `point`.
+    #[inline]
+    pub fn lower(&self, point: &[i64]) -> i64 {
+        let v = self.form.eval(point);
+        if self.divisor == 1 {
+            v
+        } else {
+            div_ceil(v, self.divisor)
+        }
     }
-    let mut coeffs = s.var_coeffs().to_vec();
-    let a = coeffs.get(inner).copied().unwrap_or(0);
-    if inner < coeffs.len() {
-        coeffs[inner] = 0;
+
+    /// The term as an upper bound at `point`.
+    #[inline]
+    pub fn upper(&self, point: &[i64]) -> i64 {
+        let v = self.form.eval(point);
+        if self.divisor == 1 {
+            v
+        } else {
+            div_floor(v, self.divisor)
+        }
     }
-    Flat { a, base, coeffs }
+}
+
+/// One level's [`LoopBounds`] bound to the plan's parameters: the same
+/// guards, lowers and uppers, each a [`Flat`] form.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LevelBounds {
+    /// Guards `g ≥ 0`; a violated one empties the loop.
+    pub guards: Vec<Flat>,
+    /// Lower-bound terms (take the maximum).
+    pub lowers: Vec<BoundTerm>,
+    /// Upper-bound terms (take the minimum).
+    pub uppers: Vec<BoundTerm>,
+}
+
+impl LevelBounds {
+    /// Binds `bounds` to `params`.
+    pub fn bind(bounds: &LoopBounds, params: &[i64]) -> LevelBounds {
+        let terms = |exprs: &[BoundExpr]| {
+            exprs
+                .iter()
+                .map(|b| BoundTerm {
+                    form: Flat::bind(&b.expr, params),
+                    divisor: b.divisor,
+                })
+                .collect()
+        };
+        LevelBounds {
+            guards: bounds
+                .guards
+                .iter()
+                .map(|g| Flat::bind(g, params))
+                .collect(),
+            lowers: terms(&bounds.lowers),
+            uppers: terms(&bounds.uppers),
+        }
+    }
+
+    /// [`LoopBounds::eval`] at `point` and the bound parameters: the
+    /// loop's `(lo, hi)`, `(0, -1)` under a violated guard, `None` if it
+    /// is unbounded on either side.
+    #[inline]
+    pub fn eval(&self, point: &[i64]) -> Option<(i64, i64)> {
+        if self.guards.iter().any(|g| g.eval(point) < 0) {
+            return Some((0, -1));
+        }
+        let lo = self.lowers.iter().map(|b| b.lower(point)).max()?;
+        let hi = self.uppers.iter().map(|b| b.upper(point)).min()?;
+        Some((lo, hi))
+    }
 }
 
 /// How an access's home depends on the iteration point.
@@ -79,7 +186,12 @@ pub enum Dist {
     /// Always local: replicated array, or a single processor.
     Local,
     /// Home is `subscript mod P`.
-    Wrapped(Flat),
+    Wrapped {
+        /// The distribution-dimension subscript.
+        sub: Flat,
+        /// Its innermost congruence, solved once for the plan's `P`.
+        solver: ResidueSolver,
+    },
     /// Home is `subscript / size`, clamped to the processor range.
     Blocked {
         /// The distribution-dimension subscript.
@@ -115,11 +227,14 @@ pub struct Access<'a> {
     pub covered: bool,
 }
 
-/// A hoisted block transfer with its (point-independent) size.
+/// A hoisted block transfer with its (point-independent) size and its
+/// slice subscript bound to the plan's parameters.
 #[derive(Debug, Clone)]
 pub struct Transfer<'a> {
     /// The transfer as generated by `an-codegen`.
     pub block: &'a BlockTransfer,
+    /// The slice subscript along the transfer's dimension.
+    pub sub: Flat,
     /// Elements moved per firing.
     pub elements: i64,
     /// Bytes moved per firing.
@@ -167,6 +282,15 @@ pub struct Plan<'a> {
     pub n_access: usize,
     /// Transfers grouped by hoist level.
     pub transfers_at: Vec<Vec<Transfer<'a>>>,
+    /// Loop bounds per level, bound to `params`.
+    pub bounds: Vec<LevelBounds>,
+    /// The outer assignment's variable-free subscript parts at `params`,
+    /// by the level they distribute: `ByHome`'s offset at level 0,
+    /// `ByHome2D`'s row offset at level 0 and column offset at level 1.
+    pub owner_offsets: [i64; 2],
+    /// The dimension `ByHome`'s filter homes along: its array's first
+    /// distribution dimension.
+    owner_dim: usize,
 }
 
 impl<'a> Plan<'a> {
@@ -186,6 +310,7 @@ impl<'a> Plan<'a> {
             let elements = block.elements(program, params);
             transfers_at[block.level].push(Transfer {
                 block,
+                sub: Flat::bind(&block.subscript, params),
                 elements,
                 bytes: (elements.max(0) as u64) * machine.element_bytes as u64,
             });
@@ -197,7 +322,9 @@ impl<'a> Plan<'a> {
                 Distribution::Replicated => Dist::Local,
                 _ if procs == 1 => Dist::Local,
                 Distribution::Wrapped { dim } => {
-                    Dist::Wrapped(flatten(&r.subscripts[dim], inner, params))
+                    let sub = flatten(&r.subscripts[dim], inner, params);
+                    let solver = ResidueSolver::new(sub.a, procs);
+                    Dist::Wrapped { sub, solver }
                 }
                 Distribution::Blocked { dim } => Dist::Blocked {
                     sub: flatten(&r.subscripts[dim], inner, params),
@@ -234,6 +361,24 @@ impl<'a> Plan<'a> {
                 (rhs.op_count(), accesses)
             })
             .collect();
+        // Validation rejects an offset past `i64` before any evaluator
+        // reads one, so saturating here only keeps the build total.
+        let bind = |offset: &Affine| {
+            let v = Flat::bind(offset, params).base;
+            v.clamp(i64::MIN as i128, i64::MAX as i128) as i64
+        };
+        let (owner_offsets, owner_dim) = match &spmd.outer {
+            OuterAssignment::RoundRobin => ([0, 0], 0),
+            OuterAssignment::ByHome { array, offset, .. } => {
+                let dims = program.array(*array).distribution.dims();
+                ([bind(offset), 0], dims.first().copied().unwrap_or(0))
+            }
+            OuterAssignment::ByHome2D {
+                row_offset,
+                col_offset,
+                ..
+            } => ([bind(row_offset), bind(col_offset)], 0),
+        };
         Plan {
             spmd,
             machine,
@@ -242,15 +387,16 @@ impl<'a> Plan<'a> {
             n_access: stmts.iter().map(|(_, a)| a.len()).sum(),
             stmts,
             transfers_at,
+            bounds: program
+                .nest
+                .bounds
+                .iter()
+                .map(|b| LevelBounds::bind(b, params))
+                .collect(),
+            owner_offsets,
+            owner_dim,
             extents,
         }
-    }
-
-    /// A variable-free affine form (an outer-assignment offset) at the
-    /// plan's parameters.
-    fn offset(&self, a: &Affine) -> i64 {
-        let zeros = vec![0i64; self.spmd.program.nest.space.num_vars()];
-        a.eval(&zeros, self.params)
     }
 
     /// Whether processor `p` executes iterations with `value` at `level`
@@ -264,29 +410,21 @@ impl<'a> Plan<'a> {
             OuterAssignment::RoundRobin => {
                 level != 0 || mod_floor(value, self.procs as i64) == p as i64
             }
-            OuterAssignment::ByHome {
-                array,
-                dim: _,
-                coeff,
-                offset,
-            } => {
+            OuterAssignment::ByHome { array, coeff, .. } => {
                 if level != 0 {
                     return true;
                 }
-                let decl = self.spmd.program.array(*array);
-                // Home along the (single) distribution dimension.
-                let mut idx = vec![0i64; decl.rank()];
-                idx[decl.distribution.dims()[0]] = coeff * value + self.offset(offset);
-                home_of(decl, &self.extents[array.0], &idx, self.procs).is_local_to(p)
+                let s_val = coeff * value + self.owner_offsets[0];
+                self.home_along(*array, self.owner_dim, s_val)
+                    .is_local_to(p)
             }
             OuterAssignment::ByHome2D {
                 array,
                 row_dim,
                 col_dim,
                 row_coeff,
-                row_offset,
                 col_coeff,
-                col_offset,
+                ..
             } => {
                 let (gr, gc) = grid_shape(self.procs);
                 let extents = &self.extents[array.0];
@@ -295,11 +433,11 @@ impl<'a> Plan<'a> {
                 };
                 match level {
                     0 => {
-                        let s_val = row_coeff * value + self.offset(row_offset);
+                        let s_val = row_coeff * value + self.owner_offsets[0];
                         cell(s_val, extents[*row_dim], gr) == p / gc
                     }
                     1 => {
-                        let s_val = col_coeff * value + self.offset(col_offset);
+                        let s_val = col_coeff * value + self.owner_offsets[1];
                         cell(s_val, extents[*col_dim], gc) == p % gc
                     }
                     _ => true,
@@ -315,7 +453,6 @@ impl<'a> Plan<'a> {
             array,
             col_dim,
             col_coeff,
-            col_offset,
             ..
         } = &self.spmd.outer
         else {
@@ -328,23 +465,26 @@ impl<'a> Plan<'a> {
         let sc = block_size(self.extents[array.0][*col_dim], gc);
         let (blo, bhi) = block_interval((p % gc) as i64, sc, gc as i64);
         // blo <= col_coeff·v + off <= bhi.
-        let (vlo, vhi) = invert_interval(*col_coeff, self.offset(col_offset), blo, bhi);
+        let (vlo, vhi) = invert_interval(*col_coeff, self.owner_offsets[1], blo, bhi);
         (lo.max(vlo), hi.min(vhi))
+    }
+
+    /// The home of element `value` along dimension `dim` of `array`
+    /// (zero along every other dimension).
+    #[inline]
+    fn home_along(&self, array: ArrayId, dim: usize, value: i64) -> Home {
+        let decl = self.spmd.program.array(array);
+        home_along(decl, &self.extents[array.0], dim, value, self.procs)
     }
 
     /// Whether transfer `t` moves data for processor `p` at `point`:
     /// `false` when the slice it names is already local.
-    pub fn transfer_fires(&self, t: &BlockTransfer, p: usize, point: &[i64]) -> bool {
-        if self.procs == 1 {
-            return false;
-        }
-        let decl = self.spmd.program.array(t.array);
-        if decl.distribution == Distribution::Replicated {
-            return false;
-        }
-        let mut idx = vec![0i64; decl.rank()];
-        idx[t.dim] = t.subscript.eval(point, self.params);
-        !home_of(decl, &self.extents[t.array.0], &idx, self.procs).is_local_to(p)
+    #[inline]
+    pub fn transfer_fires(&self, t: &Transfer<'_>, p: usize, point: &[i64]) -> bool {
+        self.procs != 1
+            && !self
+                .home_along(t.block.array, t.block.dim, t.sub.eval(point))
+                .is_local_to(p)
     }
 
     /// How many `w ∈ [lo, hi]` of the innermost loop at `point` find
@@ -359,7 +499,7 @@ impl<'a> Plan<'a> {
         match &acc.dist {
             _ if acc.covered => hi - lo + 1,
             Dist::Local => hi - lo + 1,
-            Dist::Wrapped(sub) => count_wrapped_hits(lo, hi, sub.a, sub.eval(point), procs, p),
+            Dist::Wrapped { sub, solver } => solver.count(lo, hi, sub.eval(point), p),
             Dist::Blocked { sub, size } => {
                 let (blo, bhi) = block_interval(p as i64, *size, procs as i64);
                 count_interval_hits(lo, hi, sub.a, sub.eval(point), blo, bhi)

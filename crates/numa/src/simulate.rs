@@ -2,9 +2,11 @@
 //!
 //! The enumerating evaluator of the shared domain plan
 //! ([`crate::plan`]): each processor's loop nest is walked explicitly
-//! down to the second-innermost level; the innermost loop is counted in
-//! closed form by [`Plan::local_hits`], which tells, with modular
-//! arithmetic, how many of its iterations hit local vs. remote homes.
+//! down to the second-innermost level, reading the plan's
+//! parameter-bound loop bounds; the innermost loop is counted in closed
+//! form by [`Plan::local_hits`], which tells, with modular arithmetic,
+//! how many of its iterations hit local vs. remote homes. No step of the
+//! walk re-binds a parameter or allocates.
 //! That makes paper-sized problems (400×400 GEMM on 28 processors)
 //! simulate in milliseconds while counting *exactly* what an
 //! element-by-element walk counts — a property the test suite checks
@@ -125,8 +127,8 @@ impl Sim<'_, '_> {
         if level == point.len().max(2) - 1 {
             return self.leaf(p, point, stats);
         }
-        let (lo, hi) = plan.spmd.program.nest.bounds[level]
-            .eval(point, plan.params)
+        let (lo, hi) = plan.bounds[level]
+            .eval(point)
             .ok_or(SimError::UnboundedLoop { var: level })?;
         let mut any = false;
         for v in lo..=hi {
@@ -140,7 +142,7 @@ impl Sim<'_, '_> {
                     stats.outer_iterations += 1;
                 }
                 for t in &plan.transfers_at[level] {
-                    if plan.transfer_fires(t.block, p, point) {
+                    if plan.transfer_fires(t, p, point) {
                         self.transfer(t, p, point, stats);
                     }
                 }
@@ -160,8 +162,8 @@ impl Sim<'_, '_> {
             self.cost_innermost(point[0], point[0], p, point, stats);
             return Ok(true);
         }
-        let (lo, hi) = plan.spmd.program.nest.bounds[inner]
-            .eval(point, plan.params)
+        let (lo, hi) = plan.bounds[inner]
+            .eval(point)
             .ok_or(SimError::UnboundedLoop { var: inner })?;
         // When 2-D tiling distributes this level (depth-2 nests),
         // restrict the range to the processor's column block first.
@@ -295,7 +297,7 @@ mod tests {
                                 st.outer_iterations += 1;
                             }
                             for t in &plan.transfers_at[lvl] {
-                                if plan.transfer_fires(t.block, p, pt) {
+                                if plan.transfer_fires(t, p, pt) {
                                     st.messages += 1;
                                     st.transfer_bytes += t.bytes;
                                     st.busy_us += machine.transfer_cost(t.elements, procs);

@@ -6,13 +6,23 @@
 //! short-circuits. These tests pin that down on fuzzed inputs by running
 //! both paths and comparing exactly.
 //!
+//! The pricing walk's parameter-bound loop bounds
+//! (`an_numa::plan::LevelBounds`) are the same kind of rung over
+//! `LoopBounds::eval`, pinned here on every corpus kernel and on the
+//! non-unimodular nests of `tests/scaling.rs`.
+//!
 //! (`an-linalg` has no fast rung beside its checked-`i64` → `BigInt`
 //! promotion, which `an_linalg::hnf`'s own rung-agreement test and
 //! `tests/overflow_property.rs` pin; a directed solution-validity
 //! property guards `solve_integer`'s forward substitution here.)
 
+use access_normalization::codegen::apply_transform;
+use access_normalization::codegen::spmd::{generate_spmd, SpmdOptions, SpmdProgram};
 use access_normalization::linalg::solve::solve_integer;
 use access_normalization::linalg::{IMatrix, IVec};
+use access_normalization::numa::plan::Plan;
+use access_normalization::numa::MachineConfig;
+use access_normalization::{compile, CompileOptions};
 use an_deps::distance::{representatives, DistanceSet};
 use an_ir::{interp, IrError};
 use an_normal::eval::{run_messy, EvalError};
@@ -263,4 +273,110 @@ proptest! {
         let (got, _) = representatives(&set, reach);
         prop_assert_eq!(got, reference_representatives(&set, reach));
     }
+}
+
+/// Walks every iteration prefix of `plan`'s nest, one value past its
+/// bounds on each side of every level, and checks that the plan's
+/// parameter-bound bounds of each level equal `LoopBounds::eval` there.
+/// Returns the number of (level, prefix) pairs compared.
+fn check_level_bounds(plan: &Plan<'_>, level: usize, point: &mut [i64]) -> usize {
+    let nest = &plan.spmd.program.nest;
+    let expected = nest.bounds[level].eval(point, plan.params);
+    assert_eq!(
+        plan.bounds[level].eval(point),
+        expected,
+        "level {level} at {point:?}, params {:?}",
+        plan.params
+    );
+    let Some((lo, hi)) = expected.filter(|_| level + 1 < nest.depth()) else {
+        return 1;
+    };
+    let mut checked = 1;
+    for v in lo - 1..=hi + 1 {
+        point[level] = v;
+        checked += check_level_bounds(plan, level + 1, point);
+    }
+    point[level] = 0;
+    checked
+}
+
+fn check_plan_bounds(spmd: &SpmdProgram, params: &[i64]) -> usize {
+    let machine = MachineConfig::butterfly_gp1000();
+    let plan = Plan::build(spmd, &machine, 4, params);
+    check_level_bounds(&plan, 0, &mut vec![0; spmd.program.nest.depth()])
+}
+
+#[test]
+fn plan_bounds_match_loop_bounds_on_the_corpus() {
+    let dir = format!("{}/examples/kernels", env!("CARGO_MANIFEST_DIR"));
+    let mut kernels: Vec<_> = std::fs::read_dir(&dir)
+        .expect("corpus directory")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "an"))
+        .collect();
+    kernels.sort();
+    assert_eq!(kernels.len(), 15, "{kernels:?}");
+    for path in kernels {
+        let src = std::fs::read_to_string(&path).expect("kernel source");
+        let compiled = compile(&src, &CompileOptions::default()).expect("corpus kernel compiles");
+        // A small instance: every parameter a quarter of its default.
+        let params: Vec<i64> = compiled
+            .spmd
+            .program
+            .default_param_values()
+            .iter()
+            .map(|&v| (v / 4).max(3))
+            .collect();
+        let checked = check_plan_bounds(&compiled.spmd, &params);
+        let depth = compiled.spmd.program.nest.depth();
+        assert!(
+            checked >= depth,
+            "{path:?}: {checked} prefixes at depth {depth}"
+        );
+    }
+}
+
+#[test]
+fn plan_bounds_match_loop_bounds_on_scaled_nests() {
+    // The §3 scaling example and its 1-D warm-up (tests/scaling.rs),
+    // plus a parametric variant: non-unimodular transforms give bound
+    // divisors > 1, and a parameter-dependent domain gives guards.
+    let cases: [(&str, IMatrix, &[&[i64]]); 3] = [
+        (
+            "array A[19, 19];
+             for i = 1, 3 { for j = 1, 3 { A[2 * i + 4 * j, i + 5 * j] = 1.0; } }",
+            IMatrix::from_rows(&[&[2, 4], &[1, 5]]),
+            &[&[]],
+        ),
+        (
+            "array A[7]; for i = 1, 3 { A[2 * i] = 1.0; }",
+            IMatrix::from_rows(&[&[2]]),
+            &[&[]],
+        ),
+        (
+            "param N = 5; param M = 4;
+             array A[4 * N + 8 * M, 2 * N + 5 * M];
+             for i = 1, N { for j = M - 2, M { A[2 * i + 4 * j, i + 5 * j] = 1.0; } }",
+            IMatrix::from_rows(&[&[2, 4], &[1, 5]]),
+            &[&[5, 4], &[1, 1], &[0, 3], &[3, 0], &[-1, 2]],
+        ),
+    ];
+    let (mut divided, mut guarded) = (false, false);
+    for (src, t, param_sets) in cases {
+        let p = an_lang::parse(src).expect("parses");
+        let tp = apply_transform(&p, &t).expect("invertible transform");
+        let nest = &tp.program.nest;
+        divided |= nest
+            .bounds
+            .iter()
+            .flat_map(|b| b.lowers.iter().chain(&b.uppers))
+            .any(|b| b.divisor > 1);
+        guarded |= nest.bounds.iter().any(|b| !b.guards.is_empty());
+        let spmd = generate_spmd(&tp, None, &SpmdOptions::default());
+        for params in param_sets {
+            check_plan_bounds(&spmd, params);
+        }
+    }
+    assert!(divided, "no bound divisor > 1 was exercised");
+    assert!(guarded, "no guard was exercised");
 }
