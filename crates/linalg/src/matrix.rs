@@ -272,6 +272,18 @@ impl<T: Scalar> Matrix<T> {
     /// `self.cols() != v.len()`, or [`LinalgError::Overflow`] if an entry
     /// of the exact product is not representable in `T`.
     pub fn mul_vec(&self, v: &[T]) -> Result<Vec<T>, LinalgError> {
+        let mut out = Vec::with_capacity(self.rows);
+        self.mul_vec_into(v, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::mul_vec`] into `out`, which is cleared first: a caller
+    /// that multiplies many vectors reuses one buffer.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Matrix::mul_vec`]; `out` then holds a partial product.
+    pub fn mul_vec_into(&self, v: &[T], out: &mut Vec<T>) -> Result<(), LinalgError> {
         if self.cols != v.len() {
             return Err(LinalgError::DimensionMismatch {
                 op: "matrix-vector multiplication",
@@ -279,7 +291,7 @@ impl<T: Scalar> Matrix<T> {
                 rhs: (v.len(), 1),
             });
         }
-        let mut out = Vec::with_capacity(self.rows);
+        out.clear();
         for r in 0..self.rows {
             let mut acc = T::zero();
             for k in 0..self.cols {
@@ -287,7 +299,7 @@ impl<T: Scalar> Matrix<T> {
             }
             out.push(acc);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Sum `self + rhs`.

@@ -9,14 +9,14 @@
 //! - symbolic: mutual inclusion of the two constraint systems via
 //!   Fourier–Motzkin implication in `an-poly`;
 //! - concrete: per-point set comparison on a small parameter
-//!   instantiation, cross-checked by a differential interpreter run.
+//!   instantiation, cross-checked by a differential interpreter run
+//!   against the original's state kept in the [`ConcreteContext`].
 
 use crate::diag::{Anchor, Code, Diagnostic};
 use crate::oracle::{ConcreteContext, SEED};
 use an_codegen::TransformedProgram;
 use an_ir::interp::run_seeded;
 use an_ir::Program;
-use std::collections::BTreeSet;
 
 /// Runs the bounds checks, appending findings to `diags`. Returns
 /// `false` when the lattice bookkeeping is broken (dependent checks
@@ -95,60 +95,57 @@ pub fn check_bounds(
         );
     }
 
-    // Concrete set comparison and differential oracle.
+    // Concrete set comparison and differential oracle. The original
+    // points are enumerated in lexicographic order, so membership of
+    // `U·t` is a binary search, and the first uncovered point is the
+    // smallest dropped one.
     let Some(ctx) = ctx else { return true };
-    let original: BTreeSet<&[i64]> = ctx.original_points.iter().map(Vec::as_slice).collect();
-    let mut covered: BTreeSet<Vec<i64>> = BTreeSet::new();
-    let mut extra = Vec::new();
+    let original = &ctx.original_points;
+    let mut covered = vec![false; original.len()];
+    let (mut extra, mut first_extra) = (0usize, None);
+    let mut old = Vec::with_capacity(u.rows());
     for tp in &ctx.transformed_points {
-        let old = u.mul_vec(tp).expect("lattice coordinate arity");
-        if original.contains(old.as_slice()) {
-            covered.insert(old);
-        } else {
-            extra.push(old);
+        u.mul_vec_into(tp, &mut old)
+            .expect("lattice coordinate arity");
+        match original.binary_search_by(|p| p.as_slice().cmp(&old)) {
+            Ok(i) => covered[i] = true,
+            Err(_) => {
+                extra += 1;
+                first_extra.get_or_insert_with(|| old.clone());
+            }
         }
     }
-    let dropped: Vec<&[i64]> = original
-        .iter()
-        .filter(|p| !covered.contains(**p))
-        .copied()
-        .collect();
-    let had_set_errors = !extra.is_empty() || !dropped.is_empty();
-    if !extra.is_empty() {
+    let dropped = covered.iter().filter(|&&c| !c).count();
+    if let Some(first) = first_extra {
         diags.push(Diagnostic::new(
             Code::BoundsExtra,
             Anchor::Program,
             format!(
-                "transformed nest scans {} point(s) outside the original space \
-                 at params {:?}, e.g. original-coordinate {:?}",
-                extra.len(),
+                "transformed nest scans {extra} point(s) outside the original space \
+                 at params {:?}, e.g. original-coordinate {first:?}",
                 ctx.params,
-                extra[0]
             ),
         ));
     }
-    if !dropped.is_empty() {
+    if let Some(first) = covered.iter().position(|&c| !c) {
         diags.push(Diagnostic::new(
             Code::BoundsDropped,
             Anchor::Program,
             format!(
-                "transformed nest drops {} original iteration(s) at params {:?}, \
+                "transformed nest drops {dropped} original iteration(s) at params {:?}, \
                  e.g. {:?}",
-                dropped.len(),
-                ctx.params,
-                dropped[0]
+                ctx.params, original[first]
             ),
         ));
     }
 
     // Differential oracle: only meaningful when the iteration sets agree
     // (extra points would fault or double-write, masking the comparison).
-    if !had_set_errors {
-        let before = run_seeded(program, &ctx.params, SEED);
-        let after = run_seeded(&transformed.program, &ctx.params, SEED);
-        match (before, after) {
-            (Ok(b), Ok(a)) => {
-                let diff = b.max_abs_diff(&a);
+    // The original side is the context's run.
+    if extra == 0 && dropped == 0 {
+        match run_seeded(&transformed.program, &ctx.params, SEED) {
+            Ok(after) => {
+                let diff = ctx.original_store.max_abs_diff(&after);
                 if diff > 1e-12 {
                     diags.push(Diagnostic::new(
                         Code::DifferentialMismatch,
@@ -162,12 +159,11 @@ pub fn check_bounds(
                     ));
                 }
             }
-            (_, Err(e)) => diags.push(Diagnostic::new(
+            Err(e) => diags.push(Diagnostic::new(
                 Code::DifferentialMismatch,
                 Anchor::Program,
                 format!("transformed program fails to interpret: {e}"),
             )),
-            (Err(_), Ok(_)) => {}
         }
     }
     true
@@ -218,6 +214,55 @@ mod tests {
         assert!(
             diags.iter().any(|d| d.code == Code::BoundsDropped),
             "{diags:?}"
+        );
+    }
+
+    /// `code: message` of every finding of the bounds check on `tp`.
+    fn messages(p: &Program, tp: &TransformedProgram) -> Vec<String> {
+        let ctx = ConcreteContext::build(p, &tp.program, 4096).unwrap();
+        let mut diags = Vec::new();
+        check_bounds(p, tp, Some(&ctx), &mut diags, &mut Vec::new());
+        diags
+            .into_iter()
+            .map(|d| format!("{}: {}", d.code.as_str(), d.message))
+            .collect()
+    }
+
+    /// Adds `delta` to the first upper bound term of the innermost level.
+    fn nudge_innermost(tp: &mut TransformedProgram, delta: i64) {
+        let last = tp.program.nest.bounds.len() - 1;
+        let shift = an_poly::Affine::constant(&tp.program.nest.space, delta);
+        let upper = &mut tp.program.nest.bounds[last].uppers[0].expr;
+        *upper = upper.add(&shift);
+    }
+
+    #[test]
+    fn dropped_iterations_are_counted_and_the_smallest_is_the_witness() {
+        let (p, mut tp) = fig1();
+        // The innermost level is `w = i`; its upper `N1 - 1` loses one,
+        // so all 3 · 4 iterations at i = 4 go, (4, 4, 0) the smallest.
+        nudge_innermost(&mut tp, -1);
+        assert_eq!(
+            messages(&p, &tp),
+            [
+                "AN0201: transformed nest drops 12 original iteration(s) at params \
+                 [5, 3, 4], e.g. [4, 4, 0]"
+            ]
+        );
+    }
+
+    #[test]
+    fn extra_points_are_counted_and_the_first_scanned_is_the_witness() {
+        let (p, mut tp) = fig1();
+        // i = 5 is scanned; the first such lattice point in scan order
+        // is (u, v, w) = (0, 5, 5), i.e. (i, j, k) = (5, 5, 0).
+        nudge_innermost(&mut tp, 1);
+        assert_eq!(
+            messages(&p, &tp),
+            [
+                "AN0202: transformed nest scans 9 point(s) outside the original \
+                 space at params [5, 3, 4], e.g. original-coordinate [5, 5, 0]"
+            ]
         );
     }
 

@@ -69,12 +69,9 @@ pub fn check_legality(
     // Ranges come from the program's declared parameter defaults (the
     // box legality is claimed over), falling back to the concrete
     // context's shrunk box when the default space is too large to walk.
-    let default_ranges = walk_ranges(program);
-    let ranges: Vec<(i64, i64)> = default_ranges
-        .clone()
-        .or_else(|| ctx.map(|c| c.ranges.clone()))
-        .unwrap_or_default(); // empty: the tests fall back to wide ranges
-    let params = program.default_param_values();
+    // They are computed at the first pair that needs them: most nests
+    // have no non-uniform pair the GCD test leaves standing.
+    let mut walked = None;
     let accesses = collect_accesses(program);
     for (i, j) in conflicting_pairs(&accesses) {
         let (a, b) = (&accesses[i], &accesses[j]);
@@ -86,6 +83,12 @@ pub fn check_legality(
         if !gcd_test_refs(&a.reference, &b.reference) {
             continue;
         }
+        let default_ranges: &Option<_> = walked.get_or_insert_with(|| walk_ranges(program));
+        let ranges: Vec<(i64, i64)> = default_ranges
+            .clone()
+            .or_else(|| ctx.map(|c| c.ranges.clone()))
+            .unwrap_or_default(); // empty: the tests fall back to wide ranges
+        let params = program.default_param_values();
         if default_ranges.is_some() {
             let excluded = a
                 .reference

@@ -4,11 +4,13 @@
 //! so they only run when some parameter instantiation keeps the space
 //! small. [`ConcreteContext::build`] shrinks the program's default
 //! parameters until the nest fits under a point budget (or gives up),
-//! and caches the enumerated original and transformed iteration sets.
+//! and caches the enumerated original and transformed iteration sets
+//! and the original program's interpreted array state.
 
-use an_ir::interp::run_seeded;
+use an_ir::interp::{run_seeded, ArrayStore};
 use an_ir::{collect_accesses, AccessInfo, ArrayRef, Program};
 use an_linalg::lex_negative;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// Seed for differential interpreter runs (arbitrary but fixed, so
@@ -27,6 +29,10 @@ pub struct ConcreteContext {
     pub transformed_points: Vec<Vec<i64>>,
     /// Per-level `(min, max)` of the original iteration vectors.
     pub ranges: Vec<(i64, i64)>,
+    /// The original program's array state after its seeded run at
+    /// `params`: the run that proves the program interpretable there,
+    /// kept as the reference of the bounds check's differential run.
+    pub original_store: ArrayStore,
 }
 
 impl ConcreteContext {
@@ -90,9 +96,9 @@ impl ConcreteContext {
             if elements > MAX_STORE_ELEMENTS {
                 continue;
             }
-            if run_seeded(program, &params, SEED).is_err() {
+            let Ok(original_store) = run_seeded(program, &params, SEED) else {
                 continue;
-            }
+            };
             let mut original_points = Vec::new();
             if program
                 .nest
@@ -118,6 +124,7 @@ impl ConcreteContext {
                 original_points,
                 transformed_points,
                 ranges,
+                original_store,
             });
         }
         None
@@ -174,6 +181,8 @@ pub fn is_uniform_pair(a: &AccessInfo, b: &AccessInfo) -> bool {
 /// that touch different elements are ever compared. The offset only
 /// labels a bucket; a match is confirmed on the subscript values, so a
 /// subscript outside the declared extents cannot merge two elements.
+/// Each access's subscripts are evaluated once per point, and a match
+/// allocates nothing unless it realizes a distance not seen before.
 pub fn oracle_distances(
     program: &Program,
     points: &[Vec<i64>],
@@ -181,8 +190,9 @@ pub fn oracle_distances(
 ) -> BTreeSet<Vec<i64>> {
     let accesses = collect_accesses(program);
     let pairs = conflicting_pairs(&accesses);
-    let mut out = BTreeSet::new();
-    let mut d = vec![0i64; program.nest.depth()];
+    let depth = program.nest.depth();
+    let mut out = Distances::default();
+    let mut d = vec![0i64; depth];
     for (array, decl) in program.arrays.iter().enumerate() {
         // One table per access to this array, dropped before the next
         // array's are built.
@@ -195,48 +205,102 @@ pub fn oracle_distances(
             let (Some(ti), Some(tj)) = (&touched[i], &touched[j]) else {
                 continue;
             };
-            let (ri, rj) = (&accesses[i].reference, &accesses[j].reference);
             ti.join(tj, |px, py| {
-                let (x, y) = (&points[px], &points[py]);
-                let mut subscripts = ri.subscripts.iter().zip(&rj.subscripts);
-                if !subscripts.all(|(s, t)| s.eval(x, params) == t.eval(y, params)) {
+                // An access paired with itself meets every two points
+                // both ways round, and both give one canonical distance.
+                if (i == j && py <= px) || ti.at(px) != tj.at(py) {
                     return;
                 }
-                for (dv, (yv, xv)) in d.iter_mut().zip(y.iter().zip(x)) {
+                for (dv, (yv, xv)) in d.iter_mut().zip(points[py].iter().zip(&points[px])) {
                     *dv = yv - xv;
                 }
                 if lex_negative(&d) {
                     d.iter_mut().for_each(|v| *v = -*v);
                 }
-                if d.iter().any(|&v| v != 0) && !out.contains(d.as_slice()) {
-                    out.insert(d.clone());
+                if d.iter().any(|&v| v != 0) {
+                    out.insert(&d);
                 }
             });
         }
     }
-    out
+    // (A depth-0 nest realizes no distance: `flat` is empty.)
+    out.flat
+        .chunks_exact(depth.max(1))
+        .map(<[i64]>::to_vec)
+        .collect()
 }
 
-/// Where one access lands at every point.
-struct Touched {
-    /// Row-major element offset per point (wrapping when a subscript
-    /// leaves the extents: still equal for equal subscripts).
-    offsets: Vec<i64>,
-    /// Point indices ordered by `offsets`.
-    order: Vec<usize>,
+/// Distinct distance vectors of one length, sorted and stored end to
+/// end: a lookup is a binary search with no pointer to follow.
+#[derive(Default)]
+struct Distances {
+    flat: Vec<i64>,
+}
+
+impl Distances {
+    /// Adds `d`, which is not empty, unless it is already there.
+    fn insert(&mut self, d: &[i64]) {
+        let n = d.len();
+        let (mut lo, mut hi) = (0, self.flat.len() / n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match self.flat[mid * n..(mid + 1) * n].cmp(d) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return,
+            }
+        }
+        self.flat.splice(lo * n..lo * n, d.iter().copied());
+    }
+}
+
+/// Where one access lands at every point of a point set: the access's
+/// subscripts evaluated once per point, shared by the distance join and
+/// the race check.
+pub(crate) struct Touched {
+    /// Subscripts per point.
+    rank: usize,
+    /// The subscript values, `rank` per point, in point order.
+    subscripts: Vec<i64>,
+    /// `(offset, point)` sorted, where `offset` is the row-major element
+    /// offset (wrapping when a subscript leaves the extents: still equal
+    /// for equal subscripts).
+    order: Vec<(i64, usize)>,
 }
 
 impl Touched {
-    fn by(r: &ArrayRef, extents: &[i64], points: &[Vec<i64>], params: &[i64]) -> Touched {
-        let offset = |x: &Vec<i64>| {
-            (r.subscripts.iter().zip(extents)).fold(0i64, |flat, (s, &e)| {
-                flat.wrapping_mul(e).wrapping_add(s.eval(x, params))
-            })
-        };
-        let offsets: Vec<i64> = points.iter().map(offset).collect();
-        let mut order: Vec<usize> = (0..points.len()).collect();
-        order.sort_unstable_by_key(|&p| offsets[p]);
-        Touched { offsets, order }
+    pub(crate) fn by(
+        r: &ArrayRef,
+        extents: &[i64],
+        points: &[Vec<i64>],
+        params: &[i64],
+    ) -> Touched {
+        let rank = r.subscripts.len();
+        let mut subscripts = Vec::with_capacity(rank * points.len());
+        let mut order = Vec::with_capacity(points.len());
+        for (p, x) in points.iter().enumerate() {
+            let at = subscripts.len();
+            subscripts.extend(r.subscripts.iter().map(|s| s.eval(x, params)));
+            let offset = (subscripts[at..].iter().zip(extents))
+                .fold(0i64, |flat, (&v, &e)| flat.wrapping_mul(e).wrapping_add(v));
+            order.push((offset, p));
+        }
+        order.sort_unstable();
+        Touched {
+            rank,
+            subscripts,
+            order,
+        }
+    }
+
+    /// `(offset, point)` for every point, in offset order.
+    pub(crate) fn by_offset(&self) -> &[(i64, usize)] {
+        &self.order
+    }
+
+    /// The subscript values at point index `p`.
+    pub(crate) fn at(&self, p: usize) -> &[i64] {
+        &self.subscripts[p * self.rank..(p + 1) * self.rank]
     }
 
     /// Calls `matched(p, q)` for every two point indices at which
@@ -244,13 +308,12 @@ impl Touched {
     /// orders, so points on different offsets never meet.
     fn join(&self, other: &Touched, mut matched: impl FnMut(usize, usize)) {
         let mut lo = 0;
-        for &p in &self.order {
-            let offset = self.offsets[p];
-            while lo < other.order.len() && other.offsets[other.order[lo]] < offset {
+        for &(offset, p) in &self.order {
+            while lo < other.order.len() && other.order[lo].0 < offset {
                 lo += 1;
             }
             let run = other.order[lo..].iter();
-            for &q in run.take_while(|&&q| other.offsets[q] == offset) {
+            for &(_, q) in run.take_while(|&&(o, _)| o == offset) {
                 matched(p, q);
             }
         }
