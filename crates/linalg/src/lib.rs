@@ -196,6 +196,45 @@ pub fn mod_floor(a: i64, b: i64) -> i64 {
     a.rem_euclid(b)
 }
 
+/// `Σ_{i<n} ⌊(a·i + b)/m⌋` for `m > 0` and any `a`, `b`, in
+/// `O(log max(a, m))` steps: the whole-multiple parts of `a` and `b`
+/// first, then the Euclid-like reduction that trades the roles of `a`
+/// and `m` each round. `None` when an intermediate leaves `i128`; `0`
+/// for `n ≤ 0`.
+///
+/// ```
+/// // ⌊0/3⌋ + ⌊2/3⌋ + ⌊4/3⌋ + ⌊6/3⌋ + ⌊8/3⌋ = 0 + 0 + 1 + 2 + 2
+/// assert_eq!(an_linalg::floor_sum(5, 3, 2, 0), Some(5));
+/// assert_eq!(an_linalg::floor_sum(3, 2, -1, 0), Some(-2));
+/// ```
+pub fn floor_sum(n: i128, m: i128, a: i128, b: i128) -> Option<i128> {
+    debug_assert!(m > 0);
+    if n <= 0 {
+        return Some(0);
+    }
+    // Σ_{i<n} i, the weight of the whole-multiple part of `a`.
+    let tri = |n: i128| n.checked_mul(n - 1).map(|t| t / 2);
+    let mut ans = tri(n)?
+        .checked_mul(a.div_euclid(m))?
+        .checked_add(n.checked_mul(b.div_euclid(m))?)?;
+    let (mut n, mut m, mut a, mut b) = (n, m, a.rem_euclid(m), b.rem_euclid(m));
+    loop {
+        if a >= m {
+            ans = ans.checked_add(tri(n)?.checked_mul(a / m)?)?;
+            a %= m;
+        }
+        if b >= m {
+            ans = ans.checked_add(n.checked_mul(b / m)?)?;
+            b %= m;
+        }
+        let y_max = a.checked_mul(n)?.checked_add(b)?;
+        if y_max < m {
+            return Some(ans);
+        }
+        (n, b, m, a) = (y_max / m, y_max % m, a, m);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,6 +253,42 @@ mod tests {
             assert_eq!(g, gcd(a, b));
             assert_eq!(a * x + b * y, g);
         }
+    }
+
+    #[test]
+    fn floor_sum_matches_brute_force() {
+        let brute = |n: i128, m: i128, a: i128, b: i128| {
+            (0..n.max(0))
+                .map(|i| (a * i + b).div_euclid(m))
+                .sum::<i128>()
+        };
+        let mut z: u64 = 7;
+        let mut next = |span: i64| {
+            z = z
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((z >> 33) % (2 * span as u64 + 1)) as i64 - span
+        };
+        for _ in 0..4000 {
+            let n = next(10_000).unsigned_abs() as i128;
+            let m = next(60).unsigned_abs() as i128 + 1;
+            let (a, b) = (next(1_000) as i128, next(100_000) as i128);
+            assert_eq!(
+                floor_sum(n, m, a, b),
+                Some(brute(n, m, a, b)),
+                "n={n} m={m} a={a} b={b}"
+            );
+        }
+        for n in -2..40 {
+            for m in 1..9 {
+                for a in -9..10 {
+                    for b in -20..21 {
+                        assert_eq!(floor_sum(n, m, a, b), Some(brute(n, m, a, b)));
+                    }
+                }
+            }
+        }
+        assert_eq!(floor_sum(3, 1, i128::MAX, 0), None);
     }
 
     #[test]

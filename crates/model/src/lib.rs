@@ -1,9 +1,12 @@
 //! Closed-form analytic locality model for the search inner loop.
 //!
-//! The simulator ([`an_numa::simulate`]) prices a candidate by walking
-//! every iteration of the second-innermost loop and costing the
-//! innermost loop in closed form. On a depth-2 nest this crate removes
-//! the remaining enumeration: the outer loop (level 0) is collapsed into
+//! The simulator ([`an_numa::simulate()`]) prices a candidate by walking
+//! the levels above the innermost loop and costing the innermost loop
+//! in closed form (on a nest of depth 3 or more, every range of the
+//! second-innermost level of at least
+//! [`MIN_SUMMED`](an_numa::simulate::MIN_SUMMED) values too). On a depth-2 nest, whose one level above the innermost
+//! the walk visits value by value, this crate removes that enumeration:
+//! the outer loop (level 0) is collapsed into
 //! residue classes modulo `M = P · lcm(bound divisors, access
 //! coefficients)`, within which every quantity the per-iteration costing
 //! reads — bound values, wrapped-home residues, block-interval endpoints,
@@ -13,9 +16,10 @@
 //! in a handful of evaluations.
 //!
 //! The rule is by depth: the model takes over at level 0 or not at all.
-//! Every other nest — depth 1, and depth 3 or more, where the walk beats
-//! a level-1 collapse under every level-0 iteration — goes whole to the
-//! simulator's walk ([`enumerate_from`]), and so does a depth-2
+//! Every other nest — depth 1, and depth 3 or more, whose
+//! second-innermost level the walk itself sums in closed form — goes
+//! whole to the simulator's walk ([`enumerate_from`]), and so does a
+//! depth-2
 //! processor whose level 0 cannot be collapsed: a range shorter than
 //! `3·M`, a modulus past `CLASS_CAP`, an unbounded inner loop. Both
 //! evaluators count over one structure, [`an_numa::plan::Plan`]:
@@ -41,7 +45,7 @@ use an_linalg::gcd;
 use an_numa::distribution::{block_interval, block_size, grid_shape, invert_interval};
 use an_numa::plan::{evaluate, Dist, Flat, Plan};
 use an_numa::simulate::enumerate_from;
-use an_numa::{MachineConfig, ProcStats, SimError, SimStats};
+use an_numa::{add_count, MachineConfig, ProcStats, SimError, SimStats};
 
 /// Largest class modulus the analytic path accepts; beyond it (huge
 /// skew divisors or coefficient lcms) the processor goes to the
@@ -65,13 +69,13 @@ pub enum Mutation {
     WrongOwnershipPlane,
 }
 
-/// Analytic counterpart of [`an_numa::simulate`]: identical validation,
+/// Analytic counterpart of [`an_numa::simulate()`]: identical validation,
 /// identical counters, no enumeration of the outer loop of a depth-2
 /// nest.
 ///
 /// # Errors
 ///
-/// As [`an_numa::simulate`]: [`SimError::NoProcessors`],
+/// As [`an_numa::simulate()`]: [`SimError::NoProcessors`],
 /// [`SimError::BadParameters`], [`SimError::BadExtent`],
 /// [`SimError::UnboundedLoop`].
 pub fn model_stats(
@@ -89,7 +93,8 @@ pub fn model_stats(
 ///
 /// # Errors
 ///
-/// As [`model_stats`].
+/// As [`model_stats`]; with a tracer also [`SimError::CountOverflow`]
+/// when an aggregate counter, a sum over the processors, leaves `u64`.
 pub fn model_stats_traced(
     spmd: &SpmdProgram,
     machine: &MachineConfig,
@@ -103,10 +108,13 @@ pub fn model_stats_traced(
     let _span = t.span("model");
     let stats = model_stats(spmd, machine, procs, params)?;
     let m = t.metrics();
-    m.add("model.local_accesses", stats.total_local());
-    m.add("model.remote_accesses", stats.total_remote());
-    m.add("model.messages", stats.total_messages());
-    m.add("model.transfer_bytes", stats.total_transfer_bytes());
+    m.add("model.local_accesses", stats.counter(|p| p.local_accesses)?);
+    m.add(
+        "model.remote_accesses",
+        stats.counter(|p| p.remote_accesses)?,
+    );
+    m.add("model.messages", stats.counter(|p| p.messages)?);
+    m.add("model.transfer_bytes", stats.counter(|p| p.transfer_bytes)?);
     for ps in &stats.per_proc {
         m.observe("model.proc_transfer_bytes", ps.transfer_bytes);
     }
@@ -377,26 +385,29 @@ impl Model<'_, '_> {
     }
 
     /// Folds a collapse accumulator into the processor's counters.
-    fn fold(&self, acc: &Acc) -> ProcStats {
-        let to_u64 = |v: i128| u64::try_from(v).expect("negative model count");
-        let mut stats = ProcStats {
-            outer_iterations: to_u64(acc.worked),
-            ..ProcStats::default()
-        };
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CountOverflow`] for a counter past `u64`.
+    fn fold(&self, acc: &Acc) -> Result<ProcStats, SimError> {
+        let times =
+            |count: i128, k: u64| count.checked_mul(k as i128).ok_or(SimError::CountOverflow);
+        let mut stats = ProcStats::default();
+        add_count(&mut stats.outer_iterations, acc.worked)?;
         for (ops, _) in &self.plan.stmts {
-            stats.ops += to_u64(acc.trips) * ops;
+            add_count(&mut stats.ops, times(acc.trips, *ops)?)?;
         }
         for &l in &acc.local {
-            stats.local_accesses += to_u64(l);
+            add_count(&mut stats.local_accesses, l)?;
             if self.mutation != Mutation::DropRemoteTerm {
-                stats.remote_accesses += to_u64(acc.trips - l);
+                add_count(&mut stats.remote_accesses, acc.trips - l)?;
             }
         }
         for (t, &count) in self.plan.transfers_at[0].iter().zip(&acc.fired) {
-            stats.messages += to_u64(count);
-            stats.transfer_bytes += to_u64(count) * t.bytes;
+            add_count(&mut stats.messages, count)?;
+            add_count(&mut stats.transfer_bytes, times(count, t.bytes)?)?;
         }
-        stats
+        Ok(stats)
     }
 
     /// Counts processor `p`. On a depth-2 nest, level 0 collapses into
@@ -440,7 +451,7 @@ impl Model<'_, '_> {
             let kmax = (hi_u - u0) / m;
             self.collapse_class(u0, m, kmax, p, &mut acc);
         }
-        Ok(self.fold(&acc))
+        self.fold(&acc)
     }
 
     /// Sums one residue class `{u0 + t·M : t ∈ [0, kmax]}`, `kmax ≥ 2`.

@@ -147,6 +147,37 @@ impl ResidueSolver {
         }
     }
 
+    /// The solutions of `a·w + c ≡ p (mod P)`: `Some((w0, q))` when they
+    /// are exactly the `w ≡ w0 (mod q)` (`q = 1` when every `w` is one),
+    /// `None` when there are none. [`ResidueSolver::count`] is the same
+    /// congruence counted over one interval.
+    fn solutions(&self, c: i64, p: usize) -> Option<(i64, i64)> {
+        let mut rhs = p as i64 - mod_floor(c, self.procs);
+        if rhs < 0 {
+            rhs += self.procs;
+        }
+        if self.a == 0 {
+            return (rhs == 0).then_some((0, 1));
+        }
+        if rhs % self.g != 0 {
+            return None;
+        }
+        let w0 = (rhs / self.g) as i128 * self.inv as i128 % self.period as i128;
+        Some((w0 as i64, self.period))
+    }
+
+    /// This congruence with a second variable `v` moving its constant,
+    /// `a·w + σ·v + τ ≡ p (mod P)`, its part that does not depend on `τ`
+    /// or `p` solved once ([`AlongSolver::solutions`]).
+    pub(crate) fn along(self, sigma: i64) -> AlongSolver {
+        AlongSolver {
+            w: self,
+            // Solvable iff g | p − σ·v − τ: a congruence in `v` modulo g.
+            v: ResidueSolver::new(sigma, self.g as usize),
+            sigma,
+        }
+    }
+
     /// Counts `w ∈ [lo, hi]` with `(a·w + c) mod P == p` — the number of
     /// inner-loop iterations whose wrapped home is processor `p`.
     #[inline]
@@ -191,6 +222,60 @@ impl ResidueSolver {
             (hi - first) / self.period + 1
         }
     }
+}
+
+/// A wrapped congruence `a·w + σ·v + τ ≡ p (mod P)` along a second
+/// variable `v` ([`ResidueSolver::along`]). The closed-form level sum
+/// counts a wrapped access whose subscript moves with the summed
+/// variable `v` with it; `σ` and the solvers are fixed per plan, `τ`
+/// changes with every iteration prefix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AlongSolver {
+    /// The congruence in `w`.
+    w: ResidueSolver,
+    /// The congruence in `v` modulo `g` that makes it solvable.
+    v: ResidueSolver,
+    sigma: i64,
+}
+
+impl AlongSolver {
+    /// The solutions as `v` moves: there are some exactly when
+    /// `v ≡ start (mod step)`, and then they are the
+    /// `w ≡ w0 + dw·(v − start)/step (mod period)`. `None` when no `v`
+    /// has any.
+    pub(crate) fn solutions(&self, tau: i64, p: usize) -> Option<Along> {
+        let w = &self.w;
+        let (start, step) = self.v.solutions(tau, p % w.g as usize)?;
+        let c_at = |v: i64| {
+            (self.sigma as i128 * v as i128 + tau as i128).rem_euclid(w.procs as i128) as i64
+        };
+        let solved = |v: i64| w.solutions(c_at(v), p).map(|(w0, _)| w0);
+        let w0 = solved(start)?;
+        let w1 = solved(start + step)?;
+        Some(Along {
+            start,
+            step,
+            w0,
+            dw: (w1 - w0).rem_euclid(w.period),
+            period: w.period,
+        })
+    }
+}
+
+/// The solutions of a wrapped congruence along a second variable `v`
+/// ([`AlongSolver::solutions`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Along {
+    /// The first `v ≥ 0` with solutions.
+    pub(crate) start: i64,
+    /// The spacing of the `v` with solutions.
+    pub(crate) step: i64,
+    /// The solution class of `w` at `v = start`.
+    pub(crate) w0: i64,
+    /// How far the solution class moves per `step` of `v`.
+    pub(crate) dw: i64,
+    /// The spacing of the solutions in `w`.
+    pub(crate) period: i64,
 }
 
 /// How far from zero pricing lets a blocked coordinate go: the
@@ -362,6 +447,68 @@ mod tests {
                             wrapped_hits_by_enumeration(-4, 17, a, c, procs, p),
                             "a={a} c={c} P={procs} p={p}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn residue_solutions_are_the_counted_congruence() {
+        for procs in 1usize..=12 {
+            for a in [-6i64, -1, 0, 1, 2, 3, 4, 9, 12] {
+                let solver = ResidueSolver::new(a, procs);
+                for c in -13i64..=13 {
+                    for p in 0..procs {
+                        let hits = |w: i64| {
+                            (a as i128 * w as i128 + c as i128).rem_euclid(procs as i128)
+                                == p as i128
+                        };
+                        match solver.solutions(c, p) {
+                            None => assert!(!(-30..30).any(hits), "a={a} c={c} P={procs} p={p}"),
+                            Some((w0, q)) => {
+                                assert!((0..q).contains(&w0) && q >= 1);
+                                for w in -30i64..30 {
+                                    assert_eq!(hits(w), mod_floor(w - w0, q) == 0);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn solutions_along_a_second_variable_match_enumeration() {
+        for procs in 1usize..=12 {
+            for a in [-4i64, 0, 1, 2, 3, 6, 8] {
+                let solver = ResidueSolver::new(a, procs);
+                for sigma in [-3i64, -1, 0, 1, 2, 4, 6] {
+                    for tau in [-7i64, 0, 5] {
+                        for p in 0..procs {
+                            let along = solver.along(sigma).solutions(tau, p);
+                            for v in -15i64..15 {
+                                let c = sigma * v + tau;
+                                let at = format!("a={a} σ={sigma} τ={tau} P={procs} p={p} v={v}");
+                                let hits =
+                                    |w: i64| (a * w + c).rem_euclid(procs as i64) == p as i64;
+                                let Some(al) =
+                                    along.filter(|al| (v - al.start).rem_euclid(al.step) == 0)
+                                else {
+                                    assert!(!(-20..20).any(hits), "{at}");
+                                    continue;
+                                };
+                                let k = al.w0 + al.dw * (v - al.start).div_euclid(al.step);
+                                for w in -20i64..20 {
+                                    assert_eq!(
+                                        hits(w),
+                                        (w - k).rem_euclid(al.period) == 0,
+                                        "{at} w={w}"
+                                    );
+                                }
+                            }
+                        }
                     }
                 }
             }

@@ -52,6 +52,10 @@ pub enum SimError {
         /// Loop level.
         var: usize,
     },
+    /// A processor's access, operation or transfer count, or a traced
+    /// sum of one over the processors, leaves `u64` at the given
+    /// parameters.
+    CountOverflow,
 }
 
 impl fmt::Display for SimError {
@@ -89,6 +93,10 @@ impl fmt::Display for SimError {
             SimError::BoundOverflow { var } => write!(
                 f,
                 "a bound of loop #{var} can leave the range pricing evaluates at these parameters"
+            ),
+            SimError::CountOverflow => write!(
+                f,
+                "an access or transfer count leaves the 64-bit range at these parameters"
             ),
         }
     }

@@ -520,11 +520,7 @@ fn run_segment(
         proc_ids: &stage.alive,
     });
     let seg_stats = evaluate(&clipped, machine, stage.alive.len(), params, |domain, j| {
-        Sim {
-            plan: domain,
-            chaos,
-        }
-        .run_processor(j)
+        Sim::new(domain, chaos, i64::MAX).run_processor(j)
     })?;
     for (j, s) in seg_stats.per_proc.iter().enumerate() {
         per_proc[stage.alive[j]].absorb(s);

@@ -51,6 +51,7 @@
 
 pub mod distribution;
 pub mod faults;
+mod level_sum;
 pub mod machine;
 pub mod model;
 pub mod ownership;
@@ -70,5 +71,5 @@ pub use machine::{ContentionModel, MachineConfig};
 pub use model::{predict, ModelPrediction};
 pub use ownership::simulate_ownership;
 pub use simulate::{simulate, simulate_traced};
-pub use stats::{FaultStats, ProcStats, SimStats};
+pub use stats::{add_count, FaultStats, ProcStats, SimStats};
 pub use sweep::{sweep, SweepConfig, SweepPoint, SweepReport};

@@ -10,10 +10,13 @@
 //! This module owns all of them, and the one innermost count
 //! ([`Plan::local_hits`]), but no walk over the loop levels. The
 //! simulator ([`mod@crate::simulate`]) is the *enumerating* evaluator of a
-//! [`Plan`]: it walks every level above the innermost loop. `an-model` is
-//! the *closed-form* evaluator: it collapses level 0 of a depth-2 nest
-//! into residue classes and hands every other nest, and every processor
-//! it cannot collapse, to the simulator's walk whole. Both only count;
+//! [`Plan`]: it walks the levels above the innermost loop, and on a nest
+//! of depth 3 or more sums every range of the second-innermost one that
+//! holds at least [`crate::simulate::MIN_SUMMED`] values in closed form
+//! instead of visiting it (module `level_sum`). `an-model` is the
+//! *closed-form* evaluator of a depth-2 nest: it collapses level 0 into
+//! residue classes and hands every other nest, and every processor it
+//! cannot collapse, to the simulator's walk whole. Both only count;
 //! [`evaluate`] turns each processor's counts into time with
 //! [`MachineConfig::busy_us`].
 //!
@@ -76,6 +79,13 @@ impl Flat {
         let used = coeffs.iter().rposition(|&c| c != 0).map_or(0, |k| k + 1);
         coeffs.truncate(used);
         Flat { a, base, coeffs }
+    }
+
+    /// The coefficient of loop variable `k` (0 past the last non-zero
+    /// one, and for the split-out innermost slot).
+    #[inline]
+    pub fn coeff(&self, k: usize) -> i64 {
+        self.coeffs.get(k).copied().unwrap_or(0)
     }
 
     /// The form's value at `point` minus its innermost-variable term

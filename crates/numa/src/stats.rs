@@ -46,6 +46,24 @@ impl ProcStats {
     }
 }
 
+/// Adds `count` to the counter `slot`, or fails when the sum leaves
+/// `u64`: how a closed-form evaluator, which counts in `i128`, lands its
+/// counts.
+///
+/// # Errors
+///
+/// [`SimError::CountOverflow`] for a negative count or one that takes
+/// `slot` past `u64::MAX`.
+///
+/// [`SimError::CountOverflow`]: crate::SimError::CountOverflow
+pub fn add_count(slot: &mut u64, count: i128) -> Result<(), crate::SimError> {
+    *slot = u64::try_from(count)
+        .ok()
+        .and_then(|c| slot.checked_add(c))
+        .ok_or(crate::SimError::CountOverflow)?;
+    Ok(())
+}
+
 /// Recovery accounting for a fault-injected run that the per-processor
 /// counters do not already hold (retries and timeouts are their sums:
 /// [`SimStats::total_retries`], [`SimStats::total_timeouts`]). All
@@ -77,44 +95,69 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Total local accesses across processors.
+    /// The exact sum of one counter over the processors: `u128`, so that
+    /// counts near `u64::MAX` on several processors cannot overflow it.
+    pub fn total(&self, count: fn(&ProcStats) -> u64) -> u128 {
+        self.per_proc.iter().map(|p| count(p) as u128).sum()
+    }
+
+    /// [`SimStats::total`] as a `u64` counter, for a report that holds
+    /// one (the trace metrics).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CountOverflow`] when the sum leaves `u64`.
+    ///
+    /// [`SimError::CountOverflow`]: crate::SimError::CountOverflow
+    pub fn counter(&self, count: fn(&ProcStats) -> u64) -> Result<u64, crate::SimError> {
+        u64::try_from(self.total(count)).map_err(|_| crate::SimError::CountOverflow)
+    }
+
+    /// [`SimStats::counter`] saturated at `u64::MAX`: for totals known to
+    /// fit. Every total `anc` prints is [`SimStats::total`].
+    fn total_u64(&self, count: fn(&ProcStats) -> u64) -> u64 {
+        self.counter(count).unwrap_or(u64::MAX)
+    }
+
+    /// Total local accesses across processors (saturating).
     pub fn total_local(&self) -> u64 {
-        self.per_proc.iter().map(|p| p.local_accesses).sum()
+        self.total_u64(|p| p.local_accesses)
     }
 
-    /// Total remote accesses across processors.
+    /// Total remote accesses across processors (saturating).
     pub fn total_remote(&self) -> u64 {
-        self.per_proc.iter().map(|p| p.remote_accesses).sum()
+        self.total_u64(|p| p.remote_accesses)
     }
 
-    /// Total block-transfer messages across processors.
+    /// Total block-transfer messages across processors (saturating).
     pub fn total_messages(&self) -> u64 {
-        self.per_proc.iter().map(|p| p.messages).sum()
+        self.total_u64(|p| p.messages)
     }
 
-    /// Total bytes moved by block transfers.
+    /// Total bytes moved by block transfers (saturating).
     pub fn total_transfer_bytes(&self) -> u64 {
-        self.per_proc.iter().map(|p| p.transfer_bytes).sum()
+        self.total_u64(|p| p.transfer_bytes)
     }
 
     /// Transfer retries across processors (drops, delays and failure
     /// detection all contribute).
     pub fn total_retries(&self) -> u64 {
-        self.per_proc.iter().map(|p| p.retries).sum()
+        self.total_u64(|p| p.retries)
     }
 
     /// Timed-out transfer attempts across processors.
     pub fn total_timeouts(&self) -> u64 {
-        self.per_proc.iter().map(|p| p.timeouts).sum()
+        self.total_u64(|p| p.timeouts)
     }
 
     /// Fraction of element accesses that were remote.
     pub fn remote_fraction(&self) -> f64 {
-        let total = self.total_local() + self.total_remote();
+        let remote = self.total(|p| p.remote_accesses);
+        let total = self.total(|p| p.local_accesses) + remote;
         if total == 0 {
             0.0
         } else {
-            self.total_remote() as f64 / total as f64
+            remote as f64 / total as f64
         }
     }
 

@@ -114,10 +114,10 @@ impl SweepReport {
                 params,
                 pt.stats.time_us,
                 pt.stats.remote_fraction(),
-                pt.stats.total_local(),
-                pt.stats.total_remote(),
-                pt.stats.total_messages(),
-                pt.stats.total_transfer_bytes(),
+                pt.stats.total(|p| p.local_accesses),
+                pt.stats.total(|p| p.remote_accesses),
+                pt.stats.total(|p| p.messages),
+                pt.stats.total(|p| p.transfer_bytes),
                 pt.stats.imbalance(),
                 if i + 1 == self.points.len() { "" } else { "," }
             ));
@@ -134,7 +134,9 @@ impl SweepReport {
 /// # Errors
 ///
 /// The first failing grid point's [`SimError`], in grid order —
-/// independent of worker scheduling.
+/// independent of worker scheduling; with a tracer also
+/// [`SimError::CountOverflow`] when a point's `sweep.*` counter leaves
+/// `u64`.
 pub fn sweep<F>(
     machines: &[MachineConfig],
     cfg: &SweepConfig,
@@ -175,8 +177,11 @@ where
         let m = t.metrics();
         m.add("sweep.points", points.len() as u64);
         for pt in &points {
-            m.add("sweep.messages", pt.stats.total_messages());
-            m.add("sweep.transfer_bytes", pt.stats.total_transfer_bytes());
+            m.add("sweep.messages", pt.stats.counter(|p| p.messages)?);
+            m.add(
+                "sweep.transfer_bytes",
+                pt.stats.counter(|p| p.transfer_bytes)?,
+            );
         }
     }
     Ok(SweepReport {

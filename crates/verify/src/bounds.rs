@@ -13,9 +13,8 @@
 //!   against the original's state kept in the [`ConcreteContext`].
 
 use crate::diag::{Anchor, Code, Diagnostic};
-use crate::oracle::{ConcreteContext, SEED};
+use crate::oracle::ConcreteContext;
 use an_codegen::TransformedProgram;
-use an_ir::interp::run_seeded;
 use an_ir::Program;
 
 /// Runs the bounds checks, appending findings to `diags`. Returns
@@ -141,11 +140,11 @@ pub fn check_bounds(
 
     // Differential oracle: only meaningful when the iteration sets agree
     // (extra points would fault or double-write, masking the comparison).
-    // The original side is the context's run.
+    // Both runs are the context's.
     if extra == 0 && dropped == 0 {
-        match run_seeded(&transformed.program, &ctx.params, SEED) {
+        match ctx.transformed_store() {
             Ok(after) => {
-                let diff = ctx.original_store.max_abs_diff(&after);
+                let diff = ctx.original_store.max_abs_diff(after);
                 if diff > 1e-12 {
                     diags.push(Diagnostic::new(
                         Code::DifferentialMismatch,

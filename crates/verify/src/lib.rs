@@ -124,9 +124,25 @@ pub fn verify_artifacts(
     spmd: &SpmdProgram,
     opts: &VerifyOptions,
 ) -> VerifyReport {
+    verify_artifacts_in(program, transformed, spmd, opts, None)
+}
+
+/// [`verify_artifacts`] given the concrete context `known` of other
+/// artifacts of the same program under the same point budget — the
+/// uncorrupted ones a [`Mutation`] was applied to: the verifier's own
+/// context is rebuilt from it ([`ConcreteContext::rebuild`]), so the
+/// original program is interpreted once for both. The report is the one
+/// [`verify_artifacts`] returns.
+pub fn verify_artifacts_in(
+    program: &Program,
+    transformed: &TransformedProgram,
+    spmd: &SpmdProgram,
+    opts: &VerifyOptions,
+    known: Option<&ConcreteContext>,
+) -> VerifyReport {
     let tracer = opts.tracer.as_deref();
     let _span = tracer.map(|t| t.span("verify"));
-    let report = verify_artifacts_inner(program, transformed, spmd, opts);
+    let report = verify_artifacts_inner(program, transformed, spmd, opts, known);
     if let Some(t) = tracer {
         let mut errors = 0u64;
         let mut warnings = 0u64;
@@ -160,6 +176,7 @@ fn verify_artifacts_inner(
     transformed: &TransformedProgram,
     spmd: &SpmdProgram,
     opts: &VerifyOptions,
+    known: Option<&ConcreteContext>,
 ) -> VerifyReport {
     let mut report = VerifyReport::default();
     if transformed.transform.rows() != program.nest.depth() || !transformed.transform.is_square() {
@@ -175,7 +192,10 @@ fn verify_artifacts_inner(
         ));
         return report;
     }
-    let ctx = ConcreteContext::build(program, &transformed.program, opts.max_points);
+    let ctx = match known.filter(|k| k.max_points == opts.max_points) {
+        Some(k) => k.rebuild(program, &transformed.program),
+        None => ConcreteContext::build(program, &transformed.program, opts.max_points),
+    };
     match &ctx {
         Some(c) => {
             report.checked_params = Some(c.params.clone());
@@ -286,9 +306,13 @@ mod tests {
         );
         let opts = VerifyOptions::default();
         for m in Mutation::all() {
-            let (mtp, mspmd) = apply_mutation(&p, &tp, &spmd, m, opts.max_points)
+            let ctx = ConcreteContext::build(&p, &tp.program, opts.max_points);
+            let (mtp, mspmd) = apply_mutation(&p, &tp, &spmd, m, ctx.as_ref())
                 .unwrap_or_else(|e| panic!("{}: {e}", m.name()));
-            let report = verify_artifacts(&p, &mtp, &mspmd, &opts);
+            let report = verify_artifacts_in(&p, &mtp, &mspmd, &opts, ctx.as_ref());
+            // Rebuilding from the uncorrupted context changes no finding.
+            let fresh = verify_artifacts(&p, &mtp, &mspmd, &opts);
+            assert_eq!(report.to_json(), fresh.to_json(), "{}", m.name());
             assert!(
                 report.codes().contains(&m.expected_code()),
                 "mutation {} expected {} but got {:?}\n{}",

@@ -10,7 +10,7 @@ use crate::diag::Code;
 use crate::oracle::{oracle_distances, ConcreteContext};
 use an_codegen::TransformedProgram;
 use an_codegen::{apply_transform, generate_spmd, OuterAssignment, SpmdOptions, SpmdProgram};
-use an_ir::Program;
+use an_ir::{Program, Stmt};
 use an_linalg::lex_positive;
 use an_poly::Affine;
 
@@ -70,7 +70,12 @@ impl Mutation {
 }
 
 /// Applies `mutation` to the compiled artifacts of `program`, returning
-/// corrupted `(transformed, spmd)` artifacts.
+/// corrupted `(transformed, spmd)` artifacts. `ctx` is the concrete
+/// context of the uncorrupted artifacts ([`ConcreteContext::build`]),
+/// `None` when there is none: the dependence distances and points the
+/// corruptions pick their target from, and the context the verifier
+/// then rebuilds for the corrupted ones
+/// ([`crate::verify_artifacts_in`]).
 ///
 /// # Errors
 ///
@@ -81,12 +86,12 @@ pub fn apply_mutation(
     transformed: &TransformedProgram,
     spmd: &SpmdProgram,
     mutation: Mutation,
-    max_points: u64,
+    ctx: Option<&ConcreteContext>,
 ) -> Result<(TransformedProgram, SpmdProgram), String> {
     match mutation {
-        Mutation::FlipTransformSign => flip_transform_sign(program, transformed, max_points),
-        Mutation::WidenBound => nudge_bound(program, transformed, spmd, 1, max_points),
-        Mutation::NarrowBound => nudge_bound(program, transformed, spmd, -1, max_points),
+        Mutation::FlipTransformSign => flip_transform_sign(program, transformed, ctx),
+        Mutation::WidenBound => nudge_bound(transformed, spmd, 1, ctx),
+        Mutation::NarrowBound => nudge_bound(transformed, spmd, -1, ctx),
         Mutation::DropTransfer => {
             let mut spmd = spmd.clone();
             if spmd.transfers.pop().is_none() {
@@ -96,16 +101,46 @@ pub fn apply_mutation(
         }
         Mutation::SkewOwnership => {
             let mut spmd = spmd.clone();
-            let one = Affine::constant(&spmd.program.nest.space, 1);
-            match &mut spmd.outer {
-                OuterAssignment::ByHome { offset, .. } => *offset = offset.add(&one),
-                OuterAssignment::ByHome2D { row_offset, .. } => {
-                    *row_offset = row_offset.add(&one);
-                }
+            let space = spmd.program.nest.space.clone();
+            let (array, dim, coeff, offset) = match &mut spmd.outer {
+                OuterAssignment::ByHome {
+                    array,
+                    dim,
+                    coeff,
+                    offset,
+                } => (*array, *dim, *coeff, offset),
+                OuterAssignment::ByHome2D {
+                    array,
+                    row_dim,
+                    row_coeff,
+                    row_offset,
+                    ..
+                } => (*array, *row_dim, *row_coeff, row_offset),
                 OuterAssignment::RoundRobin => {
                     return Err("round-robin assignment has no ownership split to skew".to_string())
                 }
-            }
+            };
+            // The smallest shift k ≥ 1 whose claim no body subscript along
+            // the owner's dimension makes: a claim the body still uses
+            // would hide the skew from the ownership check.
+            let used: Vec<&Affine> = spmd
+                .program
+                .nest
+                .body
+                .iter()
+                .filter_map(|stmt| match stmt {
+                    Stmt::Assign { lhs, rhs } => Some((lhs, rhs)),
+                    _ => None,
+                })
+                .flat_map(|(lhs, rhs)| std::iter::once(lhs).chain(rhs.reads()))
+                .filter(|r| r.array == array)
+                .filter_map(|r| r.subscripts.get(dim))
+                .collect();
+            let claim = |o: &Affine| Affine::var(&space, 0, coeff).add(o);
+            *offset = (1..)
+                .map(|k| offset.add(&Affine::constant(&space, k)))
+                .find(|o| !used.contains(&&claim(o)))
+                .expect("a finite body leaves some shift unused");
             Ok((transformed.clone(), spmd))
         }
     }
@@ -117,10 +152,9 @@ pub fn apply_mutation(
 fn flip_transform_sign(
     program: &Program,
     transformed: &TransformedProgram,
-    max_points: u64,
+    ctx: Option<&ConcreteContext>,
 ) -> Result<(TransformedProgram, SpmdProgram), String> {
-    let ctx = ConcreteContext::build(program, &transformed.program, max_points)
-        .ok_or_else(|| "iteration space too large to pick a row to flip".to_string())?;
+    let ctx = ctx.ok_or_else(|| "iteration space too large to pick a row to flip".to_string())?;
     let distances = oracle_distances(program, &ctx.original_points, &ctx.params);
     if distances.is_empty() {
         return Err("program has no dependences for a flipped sign to violate".to_string());
@@ -152,15 +186,14 @@ fn flip_transform_sign(
 /// off-by-one). The change is applied to both artifact copies of the
 /// program so they stay consistent.
 fn nudge_bound(
-    program: &Program,
     transformed: &TransformedProgram,
     spmd: &SpmdProgram,
     delta: i64,
-    max_points: u64,
+    ctx: Option<&ConcreteContext>,
 ) -> Result<(TransformedProgram, SpmdProgram), String> {
-    let ctx = ConcreteContext::build(program, &transformed.program, max_points)
-        .ok_or_else(|| "iteration space too large to pick a bound to nudge".to_string())?;
-    let baseline = &ctx.transformed_points;
+    let ctx =
+        ctx.ok_or_else(|| "iteration space too large to pick a bound to nudge".to_string())?;
+    let (baseline, max_points) = (&ctx.transformed_points, ctx.max_points);
     let n = transformed.program.nest.bounds.len();
     let space = transformed.program.nest.space.clone();
     for level in (0..n).rev() {

@@ -5,13 +5,14 @@
 //! small. [`ConcreteContext::build`] shrinks the program's default
 //! parameters until the nest fits under a point budget (or gives up),
 //! and caches the enumerated original and transformed iteration sets
-//! and the original program's interpreted array state.
+//! and both programs' interpreted array states.
 
 use an_ir::interp::{run_seeded, ArrayStore};
-use an_ir::{collect_accesses, AccessInfo, ArrayRef, Program};
+use an_ir::{collect_accesses, AccessInfo, ArrayRef, IrError, Program};
 use an_linalg::lex_negative;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// Seed for differential interpreter runs (arbitrary but fixed, so
 /// verification is deterministic).
@@ -33,6 +34,12 @@ pub struct ConcreteContext {
     /// `params`: the run that proves the program interpretable there,
     /// kept as the reference of the bounds check's differential run.
     pub original_store: ArrayStore,
+    /// The point budget the context was built under.
+    pub max_points: u64,
+    /// The transformed program the context enumerates.
+    transformed: Program,
+    /// Its seeded run at `params`, made on first use.
+    transformed_store: OnceLock<Result<ArrayStore, IrError>>,
 }
 
 impl ConcreteContext {
@@ -45,6 +52,42 @@ impl ConcreteContext {
         program: &Program,
         transformed_program: &Program,
         max_points: u64,
+    ) -> Option<ConcreteContext> {
+        ConcreteContext::build_reusing(program, transformed_program, max_points, None)
+    }
+
+    /// [`ConcreteContext::build`] for another transformed program of the
+    /// same original program and budget — the verifier's context of
+    /// mutated artifacts: where the parameters come out the same, the
+    /// original program's run and points are this context's, not
+    /// interpreted and enumerated again.
+    pub fn rebuild(
+        &self,
+        program: &Program,
+        transformed_program: &Program,
+    ) -> Option<ConcreteContext> {
+        ConcreteContext::build_reusing(program, transformed_program, self.max_points, Some(self))
+    }
+
+    /// The transformed program's array state after its seeded run at
+    /// `params`, interpreted once and shared by the bounds check's
+    /// differential run and the recovery check's fault-free baseline.
+    pub fn transformed_store(&self) -> &Result<ArrayStore, IrError> {
+        self.transformed_store
+            .get_or_init(|| run_seeded(&self.transformed, &self.params, SEED))
+    }
+
+    /// Whether the context enumerates `program` as its transformed
+    /// program.
+    pub fn transforms_to(&self, program: &Program) -> bool {
+        self.transformed == *program
+    }
+
+    fn build_reusing(
+        program: &Program,
+        transformed_program: &Program,
+        max_points: u64,
+        known: Option<&ConcreteContext>,
     ) -> Option<ConcreteContext> {
         let defaults = program.default_param_values();
         let mut candidates: Vec<Vec<i64>> = vec![defaults.clone()];
@@ -96,17 +139,24 @@ impl ConcreteContext {
             if elements > MAX_STORE_ELEMENTS {
                 continue;
             }
-            let Ok(original_store) = run_seeded(program, &params, SEED) else {
-                continue;
+            let known = known.filter(|k| k.params == params);
+            let (original_store, original_points) = match known {
+                Some(k) => (k.original_store.clone(), k.original_points.clone()),
+                None => {
+                    let Ok(store) = run_seeded(program, &params, SEED) else {
+                        continue;
+                    };
+                    let mut points = Vec::new();
+                    if program
+                        .nest
+                        .for_each_iteration(&params, |pt| points.push(pt.to_vec()))
+                        .is_err()
+                    {
+                        continue;
+                    }
+                    (store, points)
+                }
             };
-            let mut original_points = Vec::new();
-            if program
-                .nest
-                .for_each_iteration(&params, |pt| original_points.push(pt.to_vec()))
-                .is_err()
-            {
-                continue;
-            }
             let mut transformed_points = Vec::new();
             if transformed_program
                 .nest
@@ -119,12 +169,19 @@ impl ConcreteContext {
                 continue;
             }
             let ranges = point_ranges(&original_points, program.nest.depth());
+            // The same transformed program has the same run.
+            let transformed_store = known
+                .filter(|k| k.transforms_to(transformed_program))
+                .map_or_else(OnceLock::new, |k| k.transformed_store.clone());
             return Some(ConcreteContext {
                 params,
                 original_points,
                 transformed_points,
                 ranges,
                 original_store,
+                max_points,
+                transformed: transformed_program.clone(),
+                transformed_store,
             });
         }
         None

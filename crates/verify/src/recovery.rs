@@ -61,7 +61,15 @@ pub(crate) fn check_recovery(
         ));
         return;
     };
-    let baseline = match run_seeded(&spmd.program, &ctx.params, SEED) {
+    // The transformed program's run, which the bounds check made too.
+    let own;
+    let baseline = if ctx.transforms_to(&spmd.program) {
+        ctx.transformed_store()
+    } else {
+        own = run_seeded(&spmd.program, &ctx.params, SEED);
+        &own
+    };
+    let baseline = match baseline {
         Ok(s) => s,
         Err(e) => {
             diagnostics.push(Diagnostic::new(
@@ -78,7 +86,7 @@ pub(crate) fn check_recovery(
             match run_chaos(spmd, procs, &ctx.params, scenario, opts.seed, SEED) {
                 Ok(exec) => {
                     runs += 1;
-                    check_execution(&baseline, &exec, scenario, procs, diagnostics);
+                    check_execution(baseline, &exec, scenario, procs, diagnostics);
                 }
                 Err(e) => diagnostics.push(Diagnostic::new(
                     Code::RecoveryUnchecked,

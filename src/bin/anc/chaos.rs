@@ -85,8 +85,8 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
                 r.stats.time_us,
                 r.fault_free_us,
                 r.overhead(),
-                r.stats.total_retries(),
-                r.stats.total_timeouts(),
+                r.stats.total(|p| p.retries),
+                r.stats.total(|p| p.timeouts),
                 f.replayed_iterations,
                 f.redistributed_bytes,
                 r.degraded_us(),
@@ -129,8 +129,8 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
                 r.scenario.name(),
                 r.stats.time_us,
                 100.0 * r.overhead(),
-                r.stats.total_retries(),
-                r.stats.total_timeouts(),
+                r.stats.total(|p| p.retries),
+                r.stats.total(|p| p.timeouts),
                 f.replayed_iterations,
                 f.redistributed_bytes,
                 format!("{:?}", f.failed_procs)

@@ -5,7 +5,9 @@ use crate::cli::Args;
 use crate::compile::build;
 use crate::Stop;
 use access_normalization::codegen::SpmdOptions;
-use access_normalization::verify_mod::{apply_mutation, verify_artifacts, Mutation};
+use access_normalization::verify_mod::{
+    apply_mutation, verify_artifacts_in, ConcreteContext, Mutation,
+};
 use access_normalization::{verify_options_for, verify_with, CompileOptions};
 use std::process::ExitCode;
 
@@ -42,12 +44,19 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
         let mut report = match mutate {
             None => verify_with(compiled, &verify_opts),
             Some(m) => {
+                // One concrete context: the mutation picks its target
+                // from it, and the verifier rebuilds its own from it.
+                let ctx = ConcreteContext::build(
+                    &compiled.program,
+                    &compiled.transformed.program,
+                    verify_opts.max_points,
+                );
                 let (mtp, mspmd) = match apply_mutation(
                     &compiled.program,
                     &compiled.transformed,
                     &compiled.spmd,
                     m,
-                    verify_opts.max_points,
+                    ctx.as_ref(),
                 ) {
                     Ok(artifacts) => artifacts,
                     Err(e) => {
@@ -56,7 +65,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
                         continue;
                     }
                 };
-                verify_artifacts(&compiled.program, &mtp, &mspmd, &verify_opts)
+                verify_artifacts_in(&compiled.program, &mtp, &mspmd, &verify_opts, ctx.as_ref())
             }
         };
         report.attach_spans(&built.spans);

@@ -328,7 +328,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
                 s.time_us,
                 base.time_us / s.time_us,
                 100.0 * s.remote_fraction(),
-                s.total_messages(),
+                s.total(|p| p.messages),
                 s.imbalance()
             );
         }

@@ -141,7 +141,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
             "simulated P={procs}: {:.0} µs, {:.1}% remote, {} message(s)",
             stats.time_us,
             100.0 * stats.remote_fraction(),
-            stats.total_messages()
+            stats.total(|p| p.messages)
         );
     }
 

@@ -79,7 +79,7 @@ pub fn run(args: &Args) -> Result<ExitCode, Stop> {
             list(&pt.params),
             pt.stats.time_us,
             100.0 * pt.stats.remote_fraction(),
-            pt.stats.total_messages(),
+            pt.stats.total(|p| p.messages),
             pt.stats.imbalance()
         );
     }

@@ -177,6 +177,14 @@ pub fn generated_kernel(seed: u64) -> String {
     sane_source(&mut rng, depth, n)
 }
 
+/// [`generated_kernel`] at a chosen loop depth: the same small in-bounds
+/// shapes, with `depth` loops over `[0, N − 1]`.
+pub fn generated_kernel_at_depth(seed: u64, depth: usize) -> String {
+    let mut rng = Rng(seed);
+    let n = rng.range(4, 8);
+    sane_source(&mut rng, depth, n)
+}
+
 /// Compiles under `catch_unwind`, folding the outcome into the report.
 /// Returns the compile result when it did not panic.
 fn guarded_compile(

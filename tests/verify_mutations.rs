@@ -10,7 +10,7 @@
 //!   verify with zero diagnostics: no false positives, even under
 //!   `--deny-warnings`.
 
-use access_normalization::verify_mod::{apply_mutation, Code, Mutation};
+use access_normalization::verify_mod::{apply_mutation, Code, ConcreteContext, Mutation};
 use access_normalization::{compile, verify_options_for, verify_with, CompileOptions};
 use std::process::Command;
 
@@ -85,12 +85,17 @@ fn every_mutation_is_flagged_with_its_code() {
     let vopts = verify_options_for(&opts);
     let compiled = compile(&fig1_src(), &opts).unwrap();
     for m in Mutation::all() {
+        let ctx = ConcreteContext::build(
+            &compiled.program,
+            &compiled.transformed.program,
+            vopts.max_points,
+        );
         let (mtp, mspmd) = apply_mutation(
             &compiled.program,
             &compiled.transformed,
             &compiled.spmd,
             m,
-            vopts.max_points,
+            ctx.as_ref(),
         )
         .unwrap_or_else(|e| panic!("{}: {e}", m.name()));
         let report = access_normalization::verify_mod::verify_artifacts(
@@ -125,14 +130,10 @@ const INAPPLICABLE: &[(&str, &str)] = &[
 ];
 
 /// Applicable pairs flagged under other codes than the mutation's own.
-/// seidel2d's stencil reads `A[u + 1, ..]`, so the skewed ownership
-/// claim `u + 1` is anchored in the body and `AN0302` cannot fire; the
-/// shifted split is caught by transfer coverage instead.
-const FLAGGED_OTHERWISE: &[(&str, &str, &[Code])] = &[(
-    "seidel2d",
-    "skew-ownership",
-    &[Code::TransferMissing, Code::TransferBogus],
-)];
+/// None: `skew-ownership` shifts the claim past every subscript the body
+/// uses along the owner's dimension (on seidel2d, whose stencil reads
+/// `A[u + 1, ..]`, by 2), so `AN0302` fires on every kernel.
+const FLAGGED_OTHERWISE: &[(&str, &str, &[Code])] = &[];
 
 #[test]
 fn every_mutation_is_flagged_on_every_kernel() {
@@ -149,12 +150,17 @@ fn every_mutation_is_flagged_on_every_kernel() {
             .unwrap();
         for m in Mutation::all() {
             let pair = (kernel, m.name());
+            let ctx = ConcreteContext::build(
+                &compiled.program,
+                &compiled.transformed.program,
+                vopts.max_points,
+            );
             let mutated = apply_mutation(
                 &compiled.program,
                 &compiled.transformed,
                 &compiled.spmd,
                 m,
-                vopts.max_points,
+                ctx.as_ref(),
             );
             let (mtp, mspmd) = match mutated {
                 Ok(artifacts) => artifacts,

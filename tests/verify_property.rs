@@ -312,12 +312,13 @@ fn race_check_equals_the_per_element_spec_on_the_corpus() {
         // A widened bound scans points whose subscripts can leave the
         // extents, where offsets no longer order elements as their
         // subscripts do.
+        let ctx = ConcreteContext::build(&c.program, &c.transformed.program, max_points);
         let (tp, spmd) = apply_mutation(
             &c.program,
             &c.transformed,
             &c.spmd,
             Mutation::WidenBound,
-            max_points,
+            ctx.as_ref(),
         )
         .unwrap_or_else(|e| panic!("{label}: {e}"));
         raced += assert_races_match_the_spec(&c.program, &tp, &spmd, &format!("{label} widened"));
