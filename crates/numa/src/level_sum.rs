@@ -1,6 +1,8 @@
-//! The closed-form count of the second-innermost loop: how the
-//! simulator's walk prices a whole level `L = d − 2` of a depth-`d ≥ 3`
-//! nest under one iteration prefix without visiting its values.
+//! The closed-form count of the second-innermost loop: how a whole
+//! level `L = d − 2` of a depth-`d` nest is priced under one iteration
+//! prefix without visiting its values. The simulator's walk sums it on a
+//! nest of depth 3 or more; `an-model` sums level 0 of a depth-2 nest,
+//! where the summed variable is the distributed loop `u` itself.
 //!
 //! Under a fixed prefix every quantity the innermost count
 //! ([`Plan::local_hits`]) reads at `v = point[L]` is a floor of an
@@ -24,6 +26,15 @@
 //!   less those on the residue class where its wrapped slice is local,
 //!   or all or none of them where a blocked slice's home is constant.
 //!
+//! At level 0 every count runs only over the `u` processor `p` executes
+//! ([`Plan::executes_level`]): one residue class of `u` under a
+//! round-robin or wrapped owner, met (CRT) with each wrapped access's and
+//! transfer's own class; an interval under a blocked or 2-D owner, which
+//! cuts the range; all of it under a replicated owner or on one
+//! processor. A 2-D tiling's column filter on the inner loop enters as a
+//! constant lower and upper line of it. The values whose inner loop runs
+//! are then the outer iterations.
+//!
 //! A shape the sum does not cover — an unbounded or guarded inner loop
 //! (Fourier–Motzkin puts guards only on level 0), a line that can leave
 //! the magnitude limit `LIMIT` (2⁶²) over the range, an accumulated
@@ -32,11 +43,13 @@
 //! unchecked in `i128`.
 
 use crate::distribution::{
-    block_interval, block_size, grid_shape, Along, AlongSolver, ResidueSolver, HEADROOM,
+    block_interval, block_size, grid_shape, invert_interval, Along, AlongSolver, ResidueSolver,
+    HEADROOM,
 };
 use crate::plan::{BoundTerm, Dist, Flat, Plan};
+use an_codegen::spmd::OuterAssignment;
 use an_ir::Distribution;
-use an_linalg::floor_sum;
+use an_linalg::{extended_gcd, floor_sum};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -44,6 +57,16 @@ use std::ops::Range;
 /// largest divisor: a product of two such stays below `2^125`, so
 /// comparisons and crossings cannot leave `i128`.
 const LIMIT: u128 = 1 << 62;
+
+/// The class of every `v`: the owner filter of a level no processor
+/// filters.
+const EVERY: Along = Along {
+    start: 0,
+    step: 1,
+    w0: 0,
+    dw: 0,
+    period: 1,
+};
 
 /// `(a·v + b) / m` with `m > 0`: a loop bound or a block-interval end as
 /// a rational line in the summed variable `v`.
@@ -223,7 +246,43 @@ fn class_in(along: &Along, s: i128, e: i128) -> Option<(i128, i128, i128, (i128,
     Some((v1, step, n, (k0, dw, q)))
 }
 
+/// The members of the owner class `owner` in `[s, e]`: the first one,
+/// their spacing and how many; `None` when there are none.
+fn members(owner: &Along, s: i128, e: i128) -> Option<(i128, i128, i128)> {
+    if owner.step == 1 {
+        return Some((s, 1, e - s + 1));
+    }
+    class_in(owner, s, e).map(|(v1, d, n, _)| (v1, d, n))
+}
+
+/// `along` cut to the `v` of the owner class `owner` (CRT), its
+/// solutions in `w` carried along; `None` when the two share no `v`.
+/// Both steps divide `P`, and so does the step of the meet.
+fn meet(along: Along, owner: &Along) -> Option<Along> {
+    if owner.step == 1 {
+        return Some(along);
+    }
+    let (g, x, _) = extended_gcd(along.step, owner.step);
+    let gap = owner.start - along.start;
+    if gap % g != 0 {
+        return None;
+    }
+    // v = start + step·t with step·t ≡ gap (mod owner.step).
+    let m = owner.step / g;
+    let t = ((gap / g) as i128 * x as i128).rem_euclid(m as i128);
+    let q = along.period as i128;
+    Some(Along {
+        start: along.start + along.step * t as i64,
+        step: along.step * m,
+        w0: (along.w0 as i128 + along.dw as i128 * t).rem_euclid(q) as i64,
+        dw: (along.dw as i128 * m as i128).rem_euclid(q) as i64,
+        period: along.period,
+    })
+}
+
 /// How one access's local hits depend on `v` under the current prefix.
+/// Equal ones count alike, so the sum counts each once, weighted.
+#[derive(PartialEq)]
 enum Hits {
     /// Every trip is local: a covered read or an undistributed array.
     Trips,
@@ -237,8 +296,8 @@ enum Hits {
         uppers: Range<usize>,
         within: Range<usize>,
     },
-    /// A wrapped access: where and how its congruence is solvable
-    /// (`None`: nowhere).
+    /// A wrapped access: where and how its congruence is solvable on the
+    /// values the processor runs (`None`: nowhere).
     Wrapped(Option<Along>),
 }
 
@@ -259,7 +318,8 @@ pub(crate) struct LevelSum {
     pub(crate) trips: i128,
     /// Σ local hits over every access.
     pub(crate) local: i128,
-    /// Values of `v` whose inner loop ran at least once.
+    /// Values of `v` the processor runs whose inner loop ran at least
+    /// once: at level 0, its outer iterations.
     pub(crate) worked: i128,
     /// Per transfer hoisted to level `L`: its firings.
     pub(crate) fired: Vec<i128>,
@@ -276,12 +336,21 @@ pub(crate) struct LevelScratch {
     own: Vec<Line>,
     within: Vec<(i128, i128)>,
     cuts: Vec<i128>,
-    hits: Vec<Hits>,
+    /// Each distinct [`Hits`], with how many accesses share it.
+    hits: Vec<(Hits, i128)>,
     fires: Vec<Fires>,
     /// [`Plan::along_solvers`], built by the processor's first sum.
     solvers: Option<Vec<AlongSolver>>,
     /// The counts of the last sum.
     pub(crate) sum: LevelSum,
+}
+
+/// Counts one more access with hits `h`.
+fn tally(hits: &mut Vec<(Hits, i128)>, h: Hits) {
+    match hits.iter_mut().find(|(x, _)| *x == h) {
+        Some((_, weight)) => *weight += 1,
+        None => hits.push((h, 1)),
+    }
 }
 
 /// Clips a blocked access by one coordinate `sub ∈ [blo, bhi]`: a lower
@@ -333,6 +402,61 @@ fn clip(
 }
 
 impl Plan<'_> {
+    /// The values of level 0 processor `p` executes
+    /// ([`Plan::executes_level`]): a residue class of `u` ([`EVERY`] when
+    /// every `u` is in it) cut to an interval; `None` when there are none.
+    fn outer_owned(&self, p: usize) -> Option<(Along, (i64, i64))> {
+        let all = (i64::MIN, i64::MAX);
+        if self.procs == 1 {
+            return Some((EVERY, all));
+        }
+        let off = self.owner_offsets[0];
+        // `coeff·u + off ≡ p (mod P)`.
+        let class = |coeff: i64| {
+            let along = ResidueSolver::new(0, self.procs).along(coeff);
+            Some((along.solutions(off, p)?, all))
+        };
+        // `coeff·u + off ∈ [blo, bhi]`.
+        let within = |coeff: i64, (blo, bhi): (i64, i64)| match coeff {
+            0 => (blo..=bhi).contains(&off).then_some((EVERY, all)),
+            _ => Some((EVERY, invert_interval(coeff, off, blo, bhi))),
+        };
+        match &self.spmd.outer {
+            OuterAssignment::RoundRobin => class(1),
+            OuterAssignment::ByHome { array, coeff, .. } => {
+                let exts = &self.extents[array.0];
+                match self.spmd.program.array(*array).distribution {
+                    Distribution::Replicated => Some((EVERY, all)),
+                    Distribution::Wrapped { .. } => class(*coeff),
+                    Distribution::Blocked { dim } => {
+                        let size = block_size(exts[dim], self.procs);
+                        within(*coeff, block_interval(p as i64, size, self.procs as i64))
+                    }
+                    Distribution::Block2D { row_dim, .. } => {
+                        // The filter homes the row index; the zero column
+                        // index homes to grid column 0.
+                        let (pr, pc) = grid_shape(self.procs);
+                        if !p.is_multiple_of(pc) {
+                            return None;
+                        }
+                        let size = block_size(exts[row_dim], pr);
+                        within(*coeff, block_interval((p / pc) as i64, size, pr as i64))
+                    }
+                }
+            }
+            OuterAssignment::ByHome2D {
+                array,
+                row_dim,
+                row_coeff,
+                ..
+            } => {
+                let (gr, gc) = grid_shape(self.procs);
+                let size = block_size(self.extents[array.0][*row_dim], gr);
+                within(*row_coeff, block_interval((p / gc) as i64, size, gr as i64))
+            }
+        }
+    }
+
     /// The congruence solvers along `v = point[level]` of the wrapped
     /// accesses, then of the transfers hoisted to `level` whose slice is
     /// wrapped, in the order the sum meets them. They depend only on the
@@ -413,11 +537,15 @@ impl Plan<'_> {
         sum.worked = 0;
         sum.fired.clear();
         sum.fired.resize(transfers.len(), 0);
-        // The level's own range, cut to its 2-D tiling column filter.
-        let (lo, hi) = if level == 1 {
-            self.restrict_to_grid_column(p, lo, hi)
-        } else {
-            (lo, hi)
+        // The level's own values `p` runs: at level 0 the outer
+        // assignment's, at level 1 its 2-D tiling column filter's.
+        let (owner, (lo, hi)) = match level {
+            0 => match self.outer_owned(p) {
+                Some((owner, (flo, fhi))) => (owner, (lo.max(flo), hi.min(fhi))),
+                None => return Some(()),
+            },
+            1 => (EVERY, self.restrict_to_grid_column(p, lo, hi)),
+            _ => (EVERY, (lo, hi)),
         };
         if lo > hi {
             return Some(());
@@ -430,6 +558,17 @@ impl Plan<'_> {
                 let BoundTerm { form, divisor } = t;
                 lines.push(Line::of(form, point, level, *divisor)?);
             }
+        }
+        if level == 0 {
+            // The inner loop's 2-D tiling column filter, as constant lines.
+            let (clo, chi) = self.restrict_to_grid_column(p, i64::MIN, i64::MAX);
+            let constant = |b: i64| Line {
+                a: 0,
+                b: b as i128,
+                m: 1,
+            };
+            lowers.extend((clo > i64::MIN).then(|| constant(clo)));
+            uppers.extend((chi < i64::MAX).then(|| constant(chi)));
         }
         raised.clear();
         raised.extend(lowers.iter().map(|l| l.raised()));
@@ -445,7 +584,13 @@ impl Plan<'_> {
                 Dist::Local => [None, None],
                 Dist::Wrapped { sub, .. } => {
                     let tau = along_v(sub)?;
-                    hits.push(Hits::Wrapped(solvers.next()?.solutions(tau, p)));
+                    let along = solvers.next()?.solutions(tau, p);
+                    let h = match along.and_then(|al| meet(al, &owner)) {
+                        // Local at every trip of every value `p` runs.
+                        Some(al) if al.period == 1 && al.step == owner.step => Hits::Trips,
+                        along => Hits::Wrapped(along),
+                    };
+                    tally(hits, h);
                     continue;
                 }
                 Dist::Blocked { sub, size } => {
@@ -467,7 +612,7 @@ impl Plan<'_> {
                 }
             };
             if coords[0].is_none() {
-                hits.push(Hits::Trips);
+                tally(hits, Hits::Trips);
                 continue;
             }
             let (l0, w0) = (own.len(), within.len());
@@ -478,11 +623,12 @@ impl Plan<'_> {
             for &(sub, block) in coords.iter().flatten() {
                 clip(sub, block, false, point, level, own, within)?;
             }
-            hits.push(Hits::Clip {
+            let h = Hits::Clip {
                 lowers: l0..u0,
                 uppers: u0..own.len(),
                 within: w0..within.len(),
-            });
+            };
+            tally(hits, h);
         }
         let v_max = lo.unsigned_abs().max(hi.unsigned_abs());
         let all = lowers.iter().chain(&*uppers).chain(&*raised).chain(&*own);
@@ -497,7 +643,7 @@ impl Plan<'_> {
         crossings_within(uppers, cuts);
         crossings(lowers, uppers, cuts);
         crossings(raised, uppers, cuts);
-        for h in &*hits {
+        for (h, _) in &*hits {
             let Hits::Clip {
                 lowers: cl,
                 uppers: cu,
@@ -526,7 +672,8 @@ impl Plan<'_> {
             let block = match self.spmd.program.array(t.block.array).distribution {
                 Distribution::Wrapped { dim } if dim == t.block.dim && self.procs > 1 => {
                     let c = along_v(&t.sub)?;
-                    fires.push(Fires::OffClass(solvers.next()?.solutions(c, p)));
+                    let local = solvers.next()?.solutions(c, p);
+                    fires.push(Fires::OffClass(local.and_then(|al| meet(al, &owner))));
                     continue;
                 }
                 Distribution::Replicated | Distribution::Wrapped { .. } => None,
@@ -565,17 +712,20 @@ impl Plan<'_> {
             if u.cmp_at(&l, s, false) == Ordering::Less {
                 continue;
             }
+            let Some((v0, d, owned)) = members(&owner, s, e) else {
+                continue;
+            };
             // At least one trip at every `v` of the segment, or else at
             // most one, so that the trips count the values that work.
             let full = u.cmp_at(&l.raised(), s, false) != Ordering::Less;
-            let trips_seg = trips(&l, &u, s, 1, n)?;
-            let worked = if full { n } else { trips_seg };
+            let trips_seg = trips(&l, &u, v0, d, owned)?;
+            let worked = if full { owned } else { trips_seg };
             if worked == 0 {
                 continue;
             }
             sum.trips = sum.trips.checked_add(trips_seg)?;
             sum.worked = sum.worked.checked_add(worked)?;
-            for h in &*hits {
+            for (h, weight) in &*hits {
                 let local = match h {
                     Hits::Trips => trips_seg,
                     Hits::Clip {
@@ -591,7 +741,7 @@ impl Plan<'_> {
                             .filter(|x| x.cmp_at(&u, s, onward) == Ordering::Less)
                             .unwrap_or(u);
                         if inside && cu.cmp_at(&cl, s, false) != Ordering::Less {
-                            trips(&cl, &cu, s, 1, n)?
+                            trips(&cl, &cu, v0, d, owned)?
                         } else {
                             0
                         }
@@ -607,7 +757,7 @@ impl Plan<'_> {
                         }
                     },
                 };
-                sum.local = sum.local.checked_add(local)?;
+                sum.local = sum.local.checked_add(local.checked_mul(*weight)?)?;
             }
             point[level] = s as i64;
             for ((t, f), fired) in transfers.iter().zip(&*fires).zip(&mut sum.fired) {

@@ -13,10 +13,10 @@
 //! [`Plan`]: it walks the levels above the innermost loop, and on a nest
 //! of depth 3 or more sums every range of the second-innermost one that
 //! holds at least [`crate::simulate::MIN_SUMMED`] values in closed form
-//! instead of visiting it (module `level_sum`). `an-model` is the
-//! *closed-form* evaluator of a depth-2 nest: it collapses level 0 into
-//! residue classes and hands every other nest, and every processor it
-//! cannot collapse, to the simulator's walk whole. Both only count;
+//! instead of visiting it (module `level_sum`). `an-model` prices with
+//! the same walk ([`crate::simulate::sum_from`]), which on a depth-2 nest
+//! also sums level 0 with that closed form, over the values of the
+//! distributed loop each processor executes. Both only count;
 //! [`evaluate`] turns each processor's counts into time with
 //! [`MachineConfig::busy_us`].
 //!

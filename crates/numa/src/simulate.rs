@@ -19,9 +19,10 @@
 //! element-by-element walk counts — a property the test suite checks
 //! against a reference implementation. The engine only counts;
 //! [`evaluate`] prices the counts. It is the only walk that prices:
-//! `an-model` hands every nest and processor it does not collapse to it
-//! whole, through [`enumerate_from`], and the chaos runtime prices each
-//! fault stage with it.
+//! `an-model` prices with it through [`sum_from`], which also sums level
+//! 0 of a depth-2 nest with the same closed form where the simulator
+//! visits every value of it, and the chaos runtime prices each fault
+//! stage with it.
 
 use crate::faults::{backoff_us, ChaosCtx, MAX_RETRIES, TIMEOUT_US};
 use crate::level_sum::{LevelScratch, LevelSum};
@@ -91,14 +92,32 @@ pub fn simulate_traced(
 }
 
 /// Counts processor `p`'s slice of the iteration space with the
-/// simulator's walk: how `an-model` prices a nest or a processor it does
-/// not collapse.
+/// simulator's walk, which visits every value of level 0 of a depth-2
+/// nest.
 ///
 /// # Errors
 ///
 /// [`SimError::UnboundedLoop`] if a loop bound cannot be evaluated.
 pub fn enumerate_from(plan: &Plan<'_>, p: usize) -> Result<ProcStats, SimError> {
     Sim::new(plan, None, MIN_SUMMED).run_processor(p)
+}
+
+/// Counts processor `p`'s slice of the iteration space as
+/// [`enumerate_from`] does, except that level 0 of a depth-2 nest is
+/// summed in closed form (module `level_sum`) when it holds at least
+/// `min_outer` values and the sum covers it: how `an-model` prices. The
+/// counts are the walk's, bit for bit.
+///
+/// # Errors
+///
+/// As [`enumerate_from`], and [`SimError::CountOverflow`] for a summed
+/// count past `u64`.
+pub fn sum_from(plan: &Plan<'_>, p: usize, min_outer: i64) -> Result<ProcStats, SimError> {
+    Sim {
+        min_outer,
+        ..Sim::new(plan, None, MIN_SUMMED)
+    }
+    .run_processor(p)
 }
 
 /// The fewest values a second-innermost range must hold for the walk to
@@ -147,6 +166,10 @@ pub(crate) struct Sim<'p, 'a> {
     /// chaos, where every firing rolls its own fault, and in the per-leaf
     /// reference.
     min_summed: i64,
+    /// The fewest values level 0 of a depth-2 nest must hold for the walk
+    /// to sum it: the model's pricing ([`sum_from`]). `i64::MAX`, the
+    /// simulator's, visits it value by value.
+    min_outer: i64,
     /// The level sum's buffers.
     scratch: RefCell<LevelScratch>,
 }
@@ -157,6 +180,7 @@ impl<'p, 'a> Sim<'p, 'a> {
             plan,
             chaos,
             min_summed,
+            min_outer: i64::MAX,
             scratch: RefCell::default(),
         }
     }
@@ -194,7 +218,12 @@ impl Sim<'_, '_> {
             .eval(point)
             .ok_or(SimError::UnboundedLoop { var: level })?;
         // Validation keeps `lo` and `hi` inside ±i64::MAX/4.
-        if level >= 1 && level + 2 == point.len() && hi - lo >= self.min_summed - 1 {
+        let min = if level == 0 {
+            self.min_outer
+        } else {
+            self.min_summed
+        };
+        if level + 2 == point.len() && hi - lo >= min - 1 {
             let mut scratch = self.scratch.borrow_mut();
             if plan.sum_level(p, point, (lo, hi), &mut scratch) {
                 return self.add_level(&scratch.sum, level, stats);
@@ -236,6 +265,9 @@ impl Sim<'_, '_> {
             |count: i128, k: u64| count.checked_mul(k as i128).ok_or(SimError::CountOverflow);
         for (ops, _) in &plan.stmts {
             add_count(&mut stats.ops, times(sum.trips, *ops)?)?;
+        }
+        if level == 0 {
+            add_count(&mut stats.outer_iterations, sum.worked)?;
         }
         add_count(&mut stats.local_accesses, sum.local)?;
         let all = times(sum.trips, plan.n_access as u64)?;

@@ -38,14 +38,14 @@ pub fn resolve_jobs(jobs: usize) -> usize {
     }
 }
 
-/// The number of worker threads actually worth spawning for `n` items
-/// under a requested job count (never more threads than items).
+/// The number of threads, the caller included, worth running for `n`
+/// items under a requested job count (never more threads than items).
 fn effective_jobs(jobs: usize, n: usize) -> usize {
     resolve_jobs(jobs).min(n).max(1)
 }
 
-/// Maps `f` over `0..n` with up to `jobs` threads (0 = auto), returning
-/// results in index order.
+/// Maps `f` over `0..n` with up to `jobs` threads (0 = auto), the
+/// calling one among them, returning results in index order.
 ///
 /// Items are claimed dynamically from a shared atomic cursor, so uneven
 /// per-item costs still balance. The output is identical — element for
@@ -65,17 +65,20 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(value);
-            });
+    let claim = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let value = f(i);
+        *slots[i].lock().expect("result slot poisoned") = Some(value);
+    };
+    // The calling thread claims items too: `jobs − 1` spawns, not `jobs`.
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(claim);
+        }
+        claim();
     });
     slots
         .into_iter()

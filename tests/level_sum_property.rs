@@ -23,11 +23,29 @@
 //!
 //! Errors must agree too: when one side rejects, so must the other. A
 //! count past `u64` is a typed error from both pricings.
+//!
+//! `an-model` sums level 0 of a depth-2 nest with the same closed form,
+//! over the values of the distributed loop a processor executes, where
+//! the simulator walks it. `model_stats_summing(.., 1)` sums every such
+//! level, however short, and `model_stats` (which walks levels under
+//! `MIN_SUMMED_OUTER` values) and `simulate` must agree with it bit for
+//! bit on:
+//!
+//! 4. every distribution of every array of the six depth-2 corpus
+//!    kernels (2 532 compiled assignments, with and without block
+//!    transfers), at their default size and at 16 times it, at
+//!    P ∈ {1, 2, 3, 5, 7, 8, 16, 28};
+//! 5. ≥200 generated depth-2 kernels under pseudo-random distributions,
+//!    2-D blocked ones included, each compiled as the pipeline would and
+//!    restructured by a pseudo-random transform;
+//! 6. a source whose class modulus the residue-class collapse this sum
+//!    replaced could not take, at a size the walk finishes and at
+//!    N = 10⁹, which the sum prices in milliseconds.
 
 use access_normalization::codegen::spmd::{generate_spmd, SpmdOptions};
 use access_normalization::codegen::transform::apply_transform;
 use access_normalization::linalg::IMatrix;
-use access_normalization::model::{model_stats, model_stats_traced};
+use access_normalization::model::{model_stats, model_stats_summing, model_stats_traced};
 use access_normalization::numa::simulate::simulate_summing;
 use access_normalization::numa::{simulate, simulate_traced, MachineConfig, SimError};
 use access_normalization::obs::Tracer;
@@ -338,4 +356,196 @@ fn a_count_past_u64_is_a_typed_error() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(stderr.contains("64-bit range"), "{stderr}");
+}
+
+/// Panics unless the model's level-0 sum of every range, the model as it
+/// ships and the simulator's walk agree exactly.
+fn assert_flat_same(
+    spmd: &access_normalization::codegen::SpmdProgram,
+    procs: usize,
+    params: &[i64],
+    at: &str,
+) {
+    let machine = MachineConfig::butterfly_gp1000();
+    let walked = simulate(spmd, &machine, procs, params);
+    let summed = model_stats_summing(spmd, &machine, procs, params, 1);
+    assert_eq!(summed, walked, "{at}");
+    assert_eq!(model_stats(spmd, &machine, procs, params), walked, "{at}");
+}
+
+/// Every distribution of every array of the depth-2 corpus kernels,
+/// compiled with and without block transfers and priced with every
+/// parameter at `scale` times its default.
+fn flat_corpus_sums_exactly(scale: i64) {
+    let dists = [
+        "wrapped(0)",
+        "wrapped(1)",
+        "blocked(0)",
+        "blocked(1)",
+        "block2d(0, 1)",
+        "replicated",
+    ];
+    let mut priced = 0u32;
+    for name in [
+        "adi",
+        "jacobi2d",
+        "jacobi2d_messy",
+        "mvt",
+        "mvt_messy",
+        "seidel2d",
+    ] {
+        let src = kernel_source(name);
+        let arrays = src.matches(" distribute ").count();
+        for pick in 0..dists.len().pow(arrays as u32) {
+            let (mut out, mut rest, mut k) = (String::new(), src.as_str(), pick);
+            while let Some(at) = rest.find(" distribute ") {
+                let end = at + rest[at..].find(';').expect("declaration ends");
+                out.push_str(&rest[..at]);
+                out.push_str(&format!(" distribute {}", dists[k % dists.len()]));
+                k /= dists.len();
+                rest = &rest[end..];
+            }
+            out.push_str(rest);
+            for transfers in [true, false] {
+                let opts = CompileOptions {
+                    spmd: SpmdOptions {
+                        block_transfers: transfers,
+                    },
+                    ..CompileOptions::default()
+                };
+                // A distribution the compiler rejects is outside the scope.
+                let Ok(compiled) = compile(&out, &opts) else {
+                    continue;
+                };
+                let params: Vec<i64> = (compiled.program.default_param_values().iter())
+                    .map(|&v| scale * v)
+                    .collect();
+                for &procs in PROCS {
+                    let at = format!("P={procs} transfers={transfers} {params:?}:\n{out}");
+                    assert_flat_same(&compiled.spmd, procs, &params, &at);
+                }
+                priced += 1;
+            }
+        }
+    }
+    assert!(priced >= 2500, "only {priced} of 2532 compiled");
+}
+
+#[test]
+fn every_distribution_of_the_flat_corpus_sums_exactly() {
+    flat_corpus_sums_exactly(1);
+}
+
+/// At 16 times the default size every processor runs hundreds of outer
+/// values, which the model sums as it ships.
+#[test]
+fn every_distribution_of_the_flat_corpus_sums_exactly_at_16x() {
+    flat_corpus_sums_exactly(16);
+}
+
+/// Generated depth-2 kernels under pseudo-random distributions, 2-D
+/// blocked ones (and so 2-D tiled outer assignments) included, compiled
+/// as the pipeline would and restructured by a pseudo-random, sometimes
+/// non-unimodular transform; each priced at its default size and at a
+/// size whose ranges no processor count divides.
+#[test]
+fn generated_flat_kernels_sum_exactly() {
+    let dists = [
+        "wrapped(0)",
+        "wrapped(1)",
+        "blocked(0)",
+        "blocked(1)",
+        "block2d(0, 1)",
+        "replicated",
+    ];
+    let (mut compiled_cases, mut transformed_cases) = (0u32, 0u32);
+    for case in 0..240u64 {
+        let mut src = generated_kernel_at_depth(mix(case ^ 0xf1a7), 2);
+        for k in 0..2u64 {
+            let d = dists[(mix(case ^ (k << 32) ^ 0xf1a7) % 6) as usize];
+            let at = src
+                .find("distribute wrapped(")
+                .expect("generator emits wrapped");
+            let end = at + src[at..].find(')').expect("closing paren") + 1;
+            src.replace_range(at..end, &format!("distribute {d}"));
+        }
+        let procs = PROCS[(mix(!case ^ 0xf1a7) % PROCS.len() as u64) as usize];
+        let sizes = |default: Vec<i64>| [default, vec![37]];
+        if let Ok(compiled) = compile(&src, &CompileOptions::default()) {
+            for params in sizes(compiled.program.default_param_values()) {
+                let at = format!("case {case} P={procs} {params:?}:\n{src}");
+                assert_flat_same(&compiled.spmd, procs, &params, &at);
+            }
+            compiled_cases += 1;
+        }
+        let Ok(program) = access_normalization::lang::parse(&src) else {
+            continue;
+        };
+        let t = random_transform(mix(case ^ 0xabc ^ 0xf1a7), 2);
+        let Ok(tp) = apply_transform(&program, &t) else {
+            continue;
+        };
+        for transfers in [true, false] {
+            let spmd = generate_spmd(
+                &tp,
+                None,
+                &SpmdOptions {
+                    block_transfers: transfers,
+                },
+            );
+            for params in sizes(program.default_param_values()) {
+                let at = format!(
+                    "case {case} P={procs} T={t:?} transfers={transfers} {params:?}:\n{src}"
+                );
+                assert_flat_same(&spmd, procs, &params, &at);
+            }
+        }
+        transformed_cases += 1;
+    }
+    assert!(compiled_cases >= 200, "only {compiled_cases}/240 compiled");
+    assert!(
+        transformed_cases >= 200,
+        "only {transformed_cases}/240 restructured"
+    );
+}
+
+/// A blocked access whose inner coefficient is 1 000: the residue-class
+/// collapse this sum replaced needed a modulus of `P · 1 000`, past its
+/// cap of 4 096 at P = 8, and walked. The sum prices it exactly at a size
+/// the walk finishes, and in milliseconds at N = 10⁹.
+#[test]
+fn a_modulus_past_the_old_cap_sums_exactly() {
+    let src = "param N = 200;
+        array A[1000 * N + N] distribute blocked(0);
+        array B[N, N] distribute wrapped(0);
+        for i = 0, N - 1 { for j = 0, N - 1 {
+            B[i, j] = B[i, j] + A[1000 * j + i];
+        } }";
+    let program = access_normalization::lang::parse(src).unwrap();
+    let tp = apply_transform(&program, &IMatrix::identity(2)).unwrap();
+    let machine = MachineConfig::butterfly_gp1000();
+    for transfers in [true, false] {
+        let spmd = generate_spmd(
+            &tp,
+            None,
+            &SpmdOptions {
+                block_transfers: transfers,
+            },
+        );
+        for procs in [5, 8, 16] {
+            let at = format!("P={procs} transfers={transfers}");
+            assert_flat_same(&spmd, procs, &[200], &at);
+            let exact = model_stats(&spmd, &machine, procs, &[200]).unwrap();
+            assert!(exact.total(|p| p.remote_accesses) > 0, "{at}");
+        }
+        let start = std::time::Instant::now();
+        let huge = model_stats(&spmd, &machine, 8, &[1_000_000_000]).unwrap();
+        let took = start.elapsed();
+        assert!(took.as_millis() < 10, "N = 10⁹ took {took:?}");
+        assert_eq!(
+            huge.total(|p| p.ops),
+            1_000_000_000_000_000_000u128,
+            "every iteration once"
+        );
+    }
 }
